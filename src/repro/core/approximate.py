@@ -24,8 +24,10 @@ Three interchangeable candidate-search engines implement stage 1:
     array operations advances every query of a batch together.  Fastest
     whenever many queries share one key matrix (``attend_many`` with
     batch sizes of roughly 8 and up — the BERT self-attention pattern of
-    Section IV-C).  Also the only engine supporting the fused multi-key
-    :func:`attend_many_ragged` path of the cross-session batcher.
+    Section IV-C).  Its ``attend_many`` is the one-segment case of the
+    fused multi-key :func:`attend_many_ragged` path of the cross-session
+    batcher, so a single-key batch and a many-tenant batch run the same
+    pipeline; it is also the only engine supporting that path.
 
 All three produce identical candidate sets on tie-free inputs; the
 selection decisions of the vectorized engine are bit-identical to the
@@ -40,16 +42,14 @@ traces to derive cycle counts (``M + C + K + K + alpha``, Section V-C).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from time import perf_counter
 
 import numpy as np
 
 from repro.core import batched_search
-from repro.core import profiling
 from repro.core.attention import softmax
 from repro.core.batched_search import batched_candidate_search
 from repro.core.candidate_search import greedy_candidate_search
-from repro.core.config import ApproximationConfig, threshold_from_percent
+from repro.core.config import ApproximationConfig
 from repro.core.efficient_search import PreprocessedKey, efficient_candidate_search
 from repro.core.post_scoring import post_scoring_select
 from repro.errors import ShapeError
@@ -336,167 +336,30 @@ class ApproximateAttention:
         a batch-of-one wrapper over it).  The preprocessing cost is paid
         once and amortized over all queries, which is the BERT usage
         pattern the paper highlights (Section IV-C).  With
-        ``engine="vectorized"`` the whole batch runs through the
-        pipeline of :meth:`_attend_batch_vectorized` in one set of array
-        operations; the other engines fall back to a per-query loop
-        over the reference pipeline.  ``config`` overrides the
-        operating point for this one batch; a batch is always a
-        single-config dispatch.
+        ``engine="vectorized"`` the whole batch is a one-segment
+        :func:`attend_many_ragged` dispatch — one set of array
+        operations for the batch; the other engines fall back to a
+        per-query loop over the reference pipeline.  ``config``
+        overrides the operating point for this one batch; a batch is
+        always a single-config dispatch.
         """
         queries = np.asarray(queries, dtype=np.float64)
         if queries.ndim != 2:
             raise ShapeError(f"queries must be 2-D (q, d), got {queries.shape}")
         if self.engine == "vectorized":
-            return self._attend_batch_vectorized(value, queries, config=config)
+            outputs, traces = attend_many_ragged(
+                [self.preprocessed],
+                [value],
+                queries,
+                [0, queries.shape[0]],
+                self.config if config is None else config,
+            )
+            return outputs[0], traces[0]
         outputs = np.empty((queries.shape[0], value.shape[1]), dtype=np.float64)
         traces: list[AttentionTrace] = []
         for i, query in enumerate(queries):
             outputs[i], trace = self._attend_single(value, query, config=config)
             traces.append(trace)
-        return outputs, traces
-
-    # ------------------------------------------------------------------
-    # batched pipeline (engine="vectorized")
-    # ------------------------------------------------------------------
-    def _attend_batch_vectorized(
-        self,
-        value: np.ndarray,
-        queries: np.ndarray,
-        config: ApproximationConfig | None = None,
-    ) -> tuple[np.ndarray, list[AttentionTrace]]:
-        """All four stages for a whole query batch in batched array ops.
-
-        Candidate selection runs through
-        :func:`~repro.core.batched_search.batched_candidate_search`
-        (per-query selection decisions bit-identical to the reference
-        engine); the exact dot products of stage 2 are one
-        ``queries @ key.T`` GEMM; post-scoring and the grouped softmax
-        run over the flat ragged candidate segments with segment-wise
-        ``reduceat`` reductions; and the final softmax weights are
-        scattered into a dense ``(q, n)`` matrix so the weighted sum is
-        a single GEMM against the value matrix.  Outputs match the
-        reference engine to floating-point roundoff (the batched
-        reductions accumulate in a different order).
-        """
-        cfg = self.config if config is None else config
-        pre = self.preprocessed
-        value = np.asarray(value, dtype=np.float64)
-        if value.ndim != 2 or value.shape[0] != pre.n:
-            raise ShapeError(
-                f"value shape {value.shape} does not match key rows n={pre.n}"
-            )
-        if queries.shape[1] != pre.d:
-            raise ShapeError(
-                f"queries shape {queries.shape} does not match d={pre.d}"
-            )
-        batch = queries.shape[0]
-        if batch == 0:
-            return np.empty((0, value.shape[1]), dtype=np.float64), []
-
-        # Per-stage timing runs only when a profiling hook is installed
-        # (repro.core.profiling); the candidate search nests its own
-        # finer-grained search.* stages under attend.candidate_search.
-        prof = profiling.HOOK
-        t0 = perf_counter() if prof is not None else 0.0
-
-        # Stage 1: batched candidate selection (ragged: query qi owns
-        # flat segment offsets[qi]:offsets[qi + 1]).
-        if cfg.candidate_selection:
-            search = batched_candidate_search(
-                pre,
-                queries,
-                cfg.iterations(pre.n),
-                min_skip_heuristic=cfg.min_skip_heuristic,
-                fallback_top1=cfg.fallback_top1,
-            )
-            if not search.num_candidates.all():
-                raise ValueError(
-                    "empty candidate set (no positive greedy score with "
-                    "fallback_top1 disabled); attention has no rows to "
-                    "attend to"
-                )
-            qi = search.flat_query
-            rows = search.flat_rows
-            counts = search.num_candidates
-            offsets = search.offsets
-            iterations = search.iterations
-            used_fallback = search.used_fallback
-        else:
-            search = None
-            qi = np.repeat(np.arange(batch, dtype=np.int64), pre.n)
-            rows = np.tile(np.arange(pre.n, dtype=np.int64), batch)
-            counts = np.full(batch, pre.n, dtype=np.int64)
-            offsets = np.arange(batch + 1, dtype=np.int64) * pre.n
-            iterations = np.zeros(batch, dtype=np.int64)
-            used_fallback = np.zeros(batch, dtype=bool)
-        segment_starts = offsets[:-1]
-        if prof is not None:
-            t1 = perf_counter()
-            prof.record("attend.candidate_search", t1 - t0)
-            t0 = t1
-
-        # Stage 2: exact dot products, one GEMM for the whole batch,
-        # gathered into the flat candidate layout.
-        scores_full = queries @ pre.key.T  # (q, n)
-        scores = scores_full[qi, rows]
-        if prof is not None:
-            t1 = perf_counter()
-            prof.record("attend.score_gemm", t1 - t0)
-            t0 = t1
-
-        # Stage 3: post-scoring over the ragged segments.
-        max_score = np.maximum.reduceat(scores, segment_starts)
-        if cfg.t_percent is not None:
-            gap = threshold_from_percent(cfg.t_percent)
-            keep = (max_score[qi] - scores) <= gap
-        else:
-            keep = np.ones(scores.shape[0], dtype=bool)
-        kept_counts = np.add.reduceat(keep.astype(np.int64), segment_starts)
-        if prof is not None:
-            t1 = perf_counter()
-            prof.record("attend.post_scoring", t1 - t0)
-            t0 = t1
-
-        # Stage 4: grouped softmax + weighted sum over the survivors.
-        # The kept set always contains the per-query max score, so the
-        # stable-softmax shift is max_score (matching softmax()); the
-        # weights are scattered to dense (q, n) so the weighted sum is
-        # one GEMM against the value matrix.
-        shifted = np.where(keep, scores - max_score[qi], 0.0)
-        exps = np.where(keep, np.exp(shifted), 0.0)
-        weights = exps / np.add.reduceat(exps, segment_starts)[qi]
-        dense = np.zeros((batch, pre.n), dtype=np.float64)
-        dense[qi, rows] = weights
-        outputs = dense @ value
-        if prof is not None:
-            prof.record("attend.softmax_scatter", perf_counter() - t0)
-
-        # Traces: extract every query's kept rows and weights in one pass
-        # and hand out zero-copy views.
-        kept_rows_all = rows[keep]
-        kept_weights_all = weights[keep]
-        kept_offsets = [0, *np.cumsum(kept_counts).tolist()]
-        cand_offsets = offsets.tolist()
-        kept_list = kept_counts.tolist()
-        count_list = counts.tolist()
-        iter_list = iterations.tolist() if search is not None else [0] * batch
-        fallback_list = used_fallback.tolist()
-        n_rows = pre.n
-        traces: list[AttentionTrace] = []
-        for i in range(batch):
-            lo, hi = kept_offsets[i], kept_offsets[i + 1]
-            traces.append(
-                AttentionTrace(
-                    n=n_rows,
-                    m=iter_list[i],
-                    num_candidates=count_list[i],
-                    num_kept=kept_list[i],
-                    candidates=rows[cand_offsets[i] : cand_offsets[i + 1]],
-                    kept_rows=kept_rows_all[lo:hi],
-                    weights=kept_weights_all[lo:hi],
-                    used_fallback=fallback_list[i],
-                )
-            )
         return outputs, traces
 
 
@@ -532,34 +395,40 @@ def attend_many_ragged(
         min_skip_heuristic=config.min_skip_heuristic,
         fallback_top1=config.fallback_top1,
     )
+    return result.outputs, _segment_traces(result, pres)
+
+
+def _segment_traces(
+    result: batched_search.RaggedAttendResult, pres: list[PreprocessedKey]
+) -> list[list[AttentionTrace]]:
+    """Per-segment :class:`AttentionTrace` lists for one ragged result.
+
+    Every query's kept rows and weights are extracted in one pass and
+    handed out as zero-copy views; the scalar fields come from
+    ``.tolist()`` conversions made once per call.
+    """
     kept_rows_all = result.flat_rows[result.keep]
     kept_weights_all = result.weights[result.keep]
-    kept_offsets = np.concatenate(([0], np.cumsum(result.kept_counts))).astype(
-        np.int64
-    )
-    cand_offsets = result.offsets
-    seg_bounds = np.asarray(seg_offsets, dtype=np.int64)
-    traces: list[list[AttentionTrace]] = []
-    for s, pre in enumerate(pres):
-        seg_traces: list[AttentionTrace] = []
-        for g in range(int(seg_bounds[s]), int(seg_bounds[s + 1])):
-            seg_traces.append(
-                AttentionTrace(
-                    n=pre.n,
-                    m=int(result.iterations[g]),
-                    num_candidates=int(result.num_candidates[g]),
-                    num_kept=int(result.kept_counts[g]),
-                    candidates=result.flat_rows[
-                        cand_offsets[g] : cand_offsets[g + 1]
-                    ],
-                    kept_rows=kept_rows_all[
-                        kept_offsets[g] : kept_offsets[g + 1]
-                    ],
-                    weights=kept_weights_all[
-                        kept_offsets[g] : kept_offsets[g + 1]
-                    ],
-                    used_fallback=bool(result.used_fallback[g]),
-                )
+    kept_offsets = [0, *np.cumsum(result.kept_counts).tolist()]
+    cand_offsets = result.offsets.tolist()
+    kept_list = result.kept_counts.tolist()
+    count_list = result.num_candidates.tolist()
+    iter_list = result.iterations.tolist()
+    fallback_list = result.used_fallback.tolist()
+    bounds = result.seg_offsets.tolist()
+    return [
+        [
+            AttentionTrace(
+                n=pre.n,
+                m=iter_list[g],
+                num_candidates=count_list[g],
+                num_kept=kept_list[g],
+                candidates=result.flat_rows[cand_offsets[g] : cand_offsets[g + 1]],
+                kept_rows=kept_rows_all[kept_offsets[g] : kept_offsets[g + 1]],
+                weights=kept_weights_all[kept_offsets[g] : kept_offsets[g + 1]],
+                used_fallback=fallback_list[g],
             )
-        traces.append(seg_traces)
-    return result.outputs, traces
+            for g in range(bounds[s], bounds[s + 1])
+        ]
+        for s, pre in enumerate(pres)
+    ]

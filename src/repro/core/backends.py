@@ -163,16 +163,28 @@ class BackendStats:
             self.dropped_traces += max(0, len(other.traces) - room)
 
 
-_FINGERPRINT_RAMPS: dict[int, np.ndarray] = {}
+_FINGERPRINT_RAMP = np.empty(0)
 
 
 def _fingerprint_ramp(size: int) -> np.ndarray:
-    """A fixed pseudo-random weight vector, cached per array size."""
-    ramp = _FINGERPRINT_RAMPS.get(size)
-    if ramp is None:
-        ramp = np.random.default_rng(0x5EED).normal(size=size)
-        _FINGERPRINT_RAMPS[size] = ramp
-    return ramp
+    """The first ``size`` weights of one fixed pseudo-random ramp.
+
+    Seeded standard-normal draws are prefix-stable, so a single
+    grow-only ramp (doubled whenever a larger key arrives) gives every
+    size exactly the weights of its own ``normal(size=size)`` draw,
+    while memory stays bounded by twice the largest key fingerprinted
+    — a streamed session growing one row at a time no longer leaves a
+    ramp behind per size.  The global is read once per call, so a
+    concurrent regrowth can only replace it with an equal-prefix ramp.
+    """
+    global _FINGERPRINT_RAMP
+    ramp = _FINGERPRINT_RAMP
+    if ramp.size < size:
+        ramp = np.random.default_rng(0x5EED).normal(
+            size=max(size, 2 * ramp.size)
+        )
+        _FINGERPRINT_RAMP = ramp
+    return ramp[:size]
 
 
 @dataclass(frozen=True)

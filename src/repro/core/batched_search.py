@@ -54,28 +54,36 @@ pool layout.  Two regimes follow, both pinned by
   statistics still agree exactly: iterations, max/min pop counts, skip
   counts, and the total greedy mass summed over rows.
 
-**Multi-key ragged fusion.**  :func:`attend_many_ragged` extends the
-same pipeline across *several* prepared keys at once: a mixed many-
-tenant batch is laid out as one query slab with per-segment offsets,
-each segment's stream extraction runs over its own prepared column
-sorts, and the greedy-score accumulation of all segments happens in a
-single ``bincount`` over per-segment offset bin spaces.  Segments that
-share ``(n, d, M)`` — the common case for a fused many-tenant batch —
-additionally fuse their boundary estimates, stream extractions, and
-gated walks into one group-batched pass over block-stacked column
-sorts, so the search front's fixed dispatch cost is paid once per
-group instead of once per segment.  Every fused operation is
-per-query-row independent and ``bincount`` accumulates in input scan
-order with segments' entries concatenated without interleaving, so
-every segment's additions replay in exactly the order of its
-standalone single-key dispatch — the fused path is bit-identical per
-segment, a property the serving layer's cross-session batcher relies
-on (pinned by ``tests/serve/test_ragged_fusion.py``).
+**One pipeline, one or many keys.**  :func:`attend_many_ragged` is the
+only vectorized pipeline: it runs a query slab that may span *several*
+prepared keys, laid out with per-segment offsets, and a single-key
+batch is just a one-segment slab (``ApproximateAttention.attend_many``
+and :func:`batched_candidate_search` both dispatch that way).  Segments
+that share ``(n, d, M)`` form one fuse group whose boundary estimate,
+stream extraction, and gated walk run as one group-batched pass over
+block-stacked column sorts (a lone segment is a group of one and reads
+its own sorts in place), so the search front's fixed dispatch cost is
+paid once per group instead of once per segment.  The greedy-score
+accumulation of all groups happens in a single ``bincount`` over
+per-group offset bin spaces.  Every fused operation is per-query-row
+independent and ``bincount`` accumulates in input scan order, so every
+segment's additions replay in exactly the order of its own one-segment
+dispatch — the fused path is bit-identical per segment, a property the
+serving layer's cross-session batcher relies on (pinned by
+``tests/core/test_ragged_kernel.py`` and
+``tests/serve/test_ragged_fusion.py``).
+
+**Stage accounting.**  While a :mod:`repro.core.profiling` hook is
+installed, the stage timers are chained — each stage starts where the
+previous one ended — so the ``search.*`` stages sum to
+``attend.candidate_search`` and the four ``attend.*`` stages sum to
+the whole call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from time import perf_counter
 
 import numpy as np
@@ -179,6 +187,36 @@ class BatchedCandidateResult:
         )
 
 
+class _StageClock:
+    """Chained kernel-stage timer, built only while a
+    :mod:`repro.core.profiling` hook is installed.
+
+    Each :meth:`lap` records the time since the previous lap (or since
+    construction), so consecutive stages tile the timed span with no
+    gap and no overlap.
+    """
+
+    __slots__ = ("hook", "start", "last")
+
+    def __init__(self, hook) -> None:
+        self.hook = hook
+        self.start = self.last = perf_counter()
+
+    def lap(self, stage: str) -> None:
+        now = perf_counter()
+        self.hook.record(stage, now - self.last)
+        self.last = now
+
+    def span(self, stage: str) -> None:
+        """Record everything from construction to the last lap."""
+        self.hook.record(stage, self.last - self.start)
+
+
+def _cat(parts: list[np.ndarray]) -> np.ndarray:
+    """``np.concatenate`` that hands a lone part back uncopied."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
 def _boundary_from_prods(
     prods: np.ndarray, total: int, m_eff: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -186,8 +224,18 @@ def _boundary_from_prods(
 
     ``prods`` holds each query's sampled products (one row per query,
     all rows the same sample size against a ``total``-element product
-    space); the partition is per-row independent, so batching any set
-    of queries through one call leaves every row's estimates unchanged.
+    space).  Returns ``(tight, backup)`` estimates for the stacked
+    ``[queries; -queries]`` layout of the fused two-sided extraction:
+    the min-side statistics of a query are the exact negations of the
+    max-side statistics of its negation, so one partition serves all
+    four order statistics.  The tight estimate keeps the candidate pool
+    small; the clearly lower backup is used when the tight one turns
+    out to overshoot the true stream boundary.  Overshoots are
+    harmless: :func:`_column_streams_stacked` verifies the exact pool
+    size against the estimate and relaxes it (to the backup, then to
+    the minimum) when short.  The partition is per-row independent, so
+    batching any set of queries through one call leaves every row's
+    estimates unchanged.
     """
     size = prods.shape[1]
     expected = m_eff * size / total
@@ -200,35 +248,6 @@ def _boundary_from_prods(
         [ordered[:, size - relaxed_rank], -ordered[:, relaxed_rank - 1]]
     )
     return tight, backup
-
-
-def _estimate_boundary(
-    pre: PreprocessedKey, queries: np.ndarray, m_eff: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stream-boundary estimates for both sides, tight and relaxed.
-
-    Takes a row-strided sample of the key (so every column is
-    represented), ranks the sampled products once, and returns
-    ``(tight, backup)`` boundary estimates for the stacked
-    ``[queries; -queries]`` layout of the fused two-sided extraction:
-    the min-side statistics of a query are the exact negations of the
-    max-side statistics of its negation, so one partition serves all
-    four order statistics.  The tight estimate keeps the candidate pool
-    small; the clearly lower backup is used when the tight one turns
-    out to overshoot the true stream boundary.  Overshoots are
-    harmless: :func:`_column_streams` verifies the exact pool size
-    against the estimate and relaxes it (to the backup, then to the
-    minimum) when short.
-    """
-    n, d = pre.n, pre.d
-    total = n * d
-    target = min(total, max(1024, 2 * m_eff))
-    row_stride = max(1, total // target)
-    sample = pre.key[::row_stride, :]  # whole rows: every column is seen
-    prods = (queries[:, np.newaxis, :] * sample[np.newaxis, :, :]).reshape(
-        queries.shape[0], -1
-    )
-    return _boundary_from_prods(prods, total, m_eff)
 
 
 def _depth_counts(
@@ -302,18 +321,17 @@ def _column_streams_stacked(
     m_eff: int,
     estimates: tuple[np.ndarray, np.ndarray],
     n: int,
-    row_offset: np.ndarray | None,
+    row_offset: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-query descending product stream over (possibly stacked) sorts.
+    """Per-query descending product stream over stacked column sorts.
 
-    The extraction core shared by the single-key and multi-key paths:
-    ``sorted_values`` holds one segment's ``(n, d)`` column sorts or
-    several equal-shape segments stacked to ``(G * n, d)``, with
-    ``row_offset`` giving each query's segment's absolute starting row
-    (``None`` for the single-segment layout).  Every operation is
-    per-query-row independent, so stacking segments leaves each row's
-    arithmetic — and therefore its stream — bit-identical to a
-    standalone single-segment call.
+    The stream extraction of :func:`_grouped_segment_walk`:
+    ``sorted_values`` holds one fuse group's ``(n, d)`` column sorts
+    stacked to ``(G * n, d)`` (a lone segment's own sorts when
+    ``G == 1``), with ``row_offset`` giving each query's segment's
+    absolute starting row.  Every operation is per-query-row
+    independent, so stacking segments leaves each row's arithmetic —
+    and therefore its stream — bit-identical to a one-segment call.
 
     Returns ``(q, m_eff)`` value and *flat-position* arrays: positions
     index the raveled stacked layout (callers map them to key rows
@@ -334,8 +352,7 @@ def _column_streams_stacked(
     want_high = queries > 0.0
     base = np.where(want_high, n - 1, 0).astype(np.int64)
     step = np.where(want_high, -1, 1).astype(np.int64)
-    if row_offset is not None:
-        base += row_offset[:, np.newaxis]
+    base += row_offset[:, np.newaxis]
 
     tight, backup = estimates
     tau = tight.copy()
@@ -411,23 +428,6 @@ def _column_streams_stacked(
         )
         out_src[group] = flat[ragged_idx]
     return out_vals, out_src
-
-
-def _column_streams(
-    pre: PreprocessedKey,
-    queries: np.ndarray,
-    m_eff: int,
-    estimates: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Single-key stream extraction: values plus resolved key rows."""
-    q = queries.shape[0]
-    if estimates is None:
-        tight, backup = _estimate_boundary(pre, queries, m_eff)
-        estimates = (tight[:q], backup[:q])
-    out_vals, out_src = _column_streams_stacked(
-        pre.sorted_values, queries, m_eff, estimates, pre.n, None
-    )
-    return out_vals, pre.row_ids.ravel()[out_src]
 
 
 def _gated_walk(
@@ -514,187 +514,120 @@ def _stream_walk(
     return min_pos, min_iter, iterations, skipped
 
 
-def _segment_walk(
-    pre: PreprocessedKey,
-    queries: np.ndarray,
-    m: int,
-    *,
-    min_skip_heuristic: bool,
-) -> tuple[
-    int,
-    np.ndarray,
-    np.ndarray,
-    np.ndarray,
-    np.ndarray,
-    np.ndarray,
-    np.ndarray,
-    np.ndarray,
-    np.ndarray,
-]:
-    """Boundary estimate, fused two-sided stream extraction, gated walk.
+@dataclass
+class _Walk:
+    """Search-front outcome of one fuse group, one row per group query.
 
-    The search front half shared by :func:`batched_candidate_search`
-    (one key) and :func:`attend_many_ragged` (one call per lone
-    segment): the min stream of a query is the max stream of its
-    negation (products negate exactly, so the values recover
-    bit-for-bit), and one sample partition serves the boundary
-    estimates of both sides.  Returns ``(m_eff, max_rows, max_vals,
-    min_rows, min_vals, min_pos, min_iter, iterations, skipped)``.
+    ``query`` holds each row's global slab index (ascending); the
+    ``(rows, m_eff)`` stream arrays carry key rows local to the row's
+    own segment; ``min_pos`` / ``min_iter`` / ``iterations`` /
+    ``skipped`` are the walk state returned by :func:`_stream_walk`.
     """
-    q = queries.shape[0]
-    m_eff = min(m, pre.n * pre.d)
-    # Per-stage timing runs only when a profiling hook is installed
-    # (repro.core.profiling); disabled cost is one None test per stage.
-    prof = profiling.HOOK
-    t0 = perf_counter() if prof is not None else 0.0
-    estimates = _estimate_boundary(pre, queries, m_eff)
-    if prof is not None:
-        t1 = perf_counter()
-        prof.record("search.boundary_estimate", t1 - t0)
-        t0 = t1
-    stream_vals, stream_rows = _column_streams(
-        pre,
-        np.concatenate([queries, -queries]),
-        m_eff,
-        estimates=estimates,
-    )
-    if prof is not None:
-        t1 = perf_counter()
-        prof.record("search.stream_extraction", t1 - t0)
-        t0 = t1
-    max_vals = stream_vals[:q]
-    max_rows = stream_rows[:q]
-    min_vals = -stream_vals[q:]
-    min_rows = stream_rows[q:]
 
-    min_pos, min_iter, iterations, skipped = _stream_walk(
-        max_vals, min_vals, m, m_eff, min_skip_heuristic
-    )
-    if prof is not None:
-        prof.record("search.gated_walk", perf_counter() - t0)
-    return (
-        m_eff,
-        max_rows,
-        max_vals,
-        min_rows,
-        min_vals,
-        min_pos,
-        min_iter,
-        iterations,
-        skipped,
-    )
+    query: np.ndarray
+    n: int
+    m_eff: int
+    max_rows: np.ndarray
+    max_vals: np.ndarray
+    min_rows: np.ndarray
+    min_vals: np.ndarray
+    min_pos: np.ndarray
+    min_iter: np.ndarray
+    iterations: np.ndarray
+    skipped: np.ndarray
 
 
 def _grouped_segment_walk(
     group_pres: list[PreprocessedKey],
-    query_parts: list[np.ndarray],
+    bounds: list[tuple[int, int]],
+    queries: np.ndarray,
     m: int,
     *,
     min_skip_heuristic: bool,
-) -> list[tuple]:
-    """:func:`_segment_walk` fused across segments sharing ``(n, d, m)``.
+    clock: _StageClock | None,
+) -> _Walk:
+    """Boundary estimate, fused two-sided stream extraction, gated walk.
 
-    A many-tenant fused batch typically holds dozens of segments with
-    only a query or two each; running the search front per segment pays
-    its fixed Python/NumPy dispatch cost dozens of times.  Equal-shape
-    segments instead concatenate their queries into one slab, stack
-    their prepared column sorts block-wise, and run the boundary
-    estimate, stream extraction, and gated walk *once* for the whole
-    group.  Every operation involved is per-query-row independent (the
-    partition, depth bisection, pool selection, and walk updates never
-    mix rows), and each query's reads resolve to exactly its own
-    segment's block of the stack — so every row's arithmetic, and
-    therefore each segment's walk outcome, is bit-identical to its
-    standalone :func:`_segment_walk`.  Returns one 9-tuple per segment,
-    in group order, with the same layout as :func:`_segment_walk`.
+    The search front, run once per fuse group: the slab segments
+    (``bounds`` holds their ``(lo, hi)`` query rows) whose keys share
+    ``(n, d)`` and whose ``M`` agrees; a lone segment is a group of
+    one.  A many-tenant batch typically holds dozens of segments with
+    only a query or two each, so running the front per segment would
+    pay its fixed Python/NumPy dispatch cost dozens of times.  Instead
+    the group's queries form one slab, their prepared column sorts are
+    stacked block-wise (a lone segment's are read in place), and the
+    boundary estimate, stream extraction, and gated walk each run once
+    for the whole group.  The min stream of a query is the max stream
+    of its negation (products negate exactly, so the values recover
+    bit-for-bit), and one sample partition serves the boundary
+    estimates of both sides.  Every operation involved is
+    per-query-row independent (the partition, depth bisection, pool
+    selection, and walk updates never mix rows), and each query's reads
+    resolve to exactly its own segment's block of the stack — so every
+    segment's walk is bit-identical to its one-segment dispatch.
     """
     n, d = group_pres[0].n, group_pres[0].d
     m_eff = min(m, n * d)
-    num_members = len(group_pres)
-    q_parts = np.array([part.shape[0] for part in query_parts], dtype=np.int64)
-    member_offsets = np.concatenate(([0], np.cumsum(q_parts)))
-    total_q = int(member_offsets[-1])
-    queries_cat = np.concatenate(query_parts, axis=0)
-    seg_of_query = np.repeat(np.arange(num_members), q_parts)
+    sizes = [hi - lo for lo, hi in bounds]
+    starts = list(accumulate(sizes, initial=0))
+    q = starts[-1]
+    query = _cat([np.arange(lo, hi) for lo, hi in bounds])
+    group_queries = _cat([queries[lo:hi] for lo, hi in bounds])
+    member = np.repeat(np.arange(len(bounds)), sizes)
 
-    prof = profiling.HOOK
-    t0 = perf_counter() if prof is not None else 0.0
+    # Boundary estimate from a row-strided sample of each key (whole
+    # rows, so every column is represented).
     total = n * d
     target = min(total, max(1024, 2 * m_eff))
     row_stride = max(1, total // target)
-    samples = np.stack([pre.key[::row_stride, :] for pre in group_pres])
-    prods = (
-        queries_cat[:, np.newaxis, :] * samples[seg_of_query]
-    ).reshape(total_q, -1)
+    samples = [pre.key[::row_stride, :] for pre in group_pres]
+    sample = samples[0] if len(samples) == 1 else np.stack(samples)[member]
+    prods = (group_queries[:, np.newaxis, :] * sample).reshape(q, -1)
     estimates = _boundary_from_prods(prods, total, m_eff)
-    if prof is not None:
-        t1 = perf_counter()
-        prof.record("search.boundary_estimate", t1 - t0)
-        t0 = t1
+    if clock is not None:
+        clock.lap("search.boundary_estimate")
 
-    stacked_sorted = np.concatenate(
-        [pre.sorted_values for pre in group_pres], axis=0
-    )
-    both = np.concatenate([queries_cat, -queries_cat])
-    row_offset = np.concatenate([seg_of_query, seg_of_query]) * n
     stream_vals, stream_src = _column_streams_stacked(
-        stacked_sorted, both, m_eff, estimates, n, row_offset
+        _cat([pre.sorted_values for pre in group_pres]),
+        np.concatenate([group_queries, -group_queries]),
+        m_eff,
+        estimates,
+        n,
+        np.concatenate([member, member]) * n,
     )
     # Flat positions → key rows, through each segment's own row_ids.
     stream_rows = np.empty_like(stream_src)
-    block = n * d
     for g, pre in enumerate(group_pres):
         rows_flat = pre.row_ids.ravel()
-        for half in (0, total_q):
-            sl = slice(
-                half + int(member_offsets[g]),
-                half + int(member_offsets[g + 1]),
-            )
-            stream_rows[sl] = rows_flat[stream_src[sl] - g * block]
-    if prof is not None:
-        t1 = perf_counter()
-        prof.record("search.stream_extraction", t1 - t0)
-        t0 = t1
+        for half in (0, q):
+            sl = slice(half + starts[g], half + starts[g + 1])
+            stream_rows[sl] = rows_flat[stream_src[sl] - g * total]
+    if clock is not None:
+        clock.lap("search.stream_extraction")
 
-    max_vals = stream_vals[:total_q]
-    max_rows = stream_rows[:total_q]
-    min_vals = -stream_vals[total_q:]
-    min_rows = stream_rows[total_q:]
+    max_vals = stream_vals[:q]
+    min_vals = -stream_vals[q:]
     min_pos, min_iter, iterations, skipped = _stream_walk(
         max_vals, min_vals, m, m_eff, min_skip_heuristic
     )
-    if prof is not None:
-        prof.record("search.gated_walk", perf_counter() - t0)
-
-    walks = []
-    for g in range(num_members):
-        sl = slice(int(member_offsets[g]), int(member_offsets[g + 1]))
-        walks.append(
-            (
-                m_eff,
-                max_rows[sl],
-                max_vals[sl],
-                min_rows[sl],
-                min_vals[sl],
-                min_pos[sl],
-                min_iter[sl],
-                iterations[sl],
-                skipped[sl],
-            )
-        )
-    return walks
+    if clock is not None:
+        clock.lap("search.gated_walk")
+    return _Walk(
+        query=query,
+        n=n,
+        m_eff=m_eff,
+        max_rows=stream_rows[:q],
+        max_vals=max_vals,
+        min_rows=stream_rows[q:],
+        min_vals=min_vals,
+        min_pos=min_pos,
+        min_iter=min_iter,
+        iterations=iterations,
+        skipped=skipped,
+    )
 
 
-def _slot_grid(
-    m_eff: int,
-    iterations: np.ndarray,
-    max_rows: np.ndarray,
-    max_vals: np.ndarray,
-    min_rows: np.ndarray,
-    min_vals: np.ndarray,
-    min_pos: np.ndarray,
-    min_iter: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
+def _slot_grid(walk: _Walk) -> tuple[np.ndarray, np.ndarray]:
     """Interleaved per-iteration slot grid of every consumed product.
 
     The max pop of iteration ``i`` lands at slot ``2i`` and its min pop
@@ -705,18 +638,21 @@ def _slot_grid(
     slot_vals)`` of shape ``(q, width)``; unused slots carry row 0 with
     weight 0.0 and are harmless to accumulate.
     """
-    q = max_rows.shape[0]
-    width = 2 * max(m_eff, int(iterations.max()))
+    m_eff = walk.m_eff
+    q = walk.max_rows.shape[0]
+    width = 2 * max(m_eff, int(walk.iterations.max()))
     slot_rows = np.zeros((q, width), dtype=np.int64)
     slot_vals = np.zeros((q, width), dtype=np.float64)
-    slot_rows[:, 0 : 2 * m_eff : 2] = max_rows
-    slot_vals[:, 0 : 2 * m_eff : 2] = np.where(max_vals > 0.0, max_vals, 0.0)
-    consumed = np.arange(m_eff) < min_pos[:, np.newaxis]
-    contributing = consumed & (min_vals < 0.0)
+    slot_rows[:, 0 : 2 * m_eff : 2] = walk.max_rows
+    slot_vals[:, 0 : 2 * m_eff : 2] = np.where(
+        walk.max_vals > 0.0, walk.max_vals, 0.0
+    )
+    consumed = np.arange(m_eff) < walk.min_pos[:, np.newaxis]
+    contributing = consumed & (walk.min_vals < 0.0)
     qi, ki = np.nonzero(contributing)
-    slots = 2 * min_iter[qi, ki] + 1
-    slot_rows[qi, slots] = min_rows[qi, ki]
-    slot_vals[qi, slots] = min_vals[qi, ki]
+    slots = 2 * walk.min_iter[qi, ki] + 1
+    slot_rows[qi, slots] = walk.min_rows[qi, ki]
+    slot_vals[qi, slots] = walk.min_vals[qi, ki]
     return slot_rows, slot_vals
 
 
@@ -747,6 +683,135 @@ def _positive_candidates(
         row_idx = np.insert(row_idx, insert_at, first_max_row[empty_queries])
         counts = np.where(used_fallback, 1, counts)
     return query_idx, row_idx, counts, used_fallback
+
+
+@dataclass
+class _Candidates:
+    """Stage-1 outcome for a whole slab (see :func:`_candidate_search`).
+
+    The flat arrays follow :class:`RaggedAttendResult`'s layout;
+    ``greedy`` holds every fuse group's ``(rows, n)`` greedy-score block
+    back to back, in ``walks`` order.
+    """
+
+    flat_query: np.ndarray
+    flat_rows: np.ndarray
+    num_candidates: np.ndarray
+    offsets: np.ndarray
+    iterations: np.ndarray
+    used_fallback: np.ndarray
+    greedy: np.ndarray
+    walks: list[_Walk]
+
+
+def _candidate_search(
+    pres: list[PreprocessedKey],
+    queries: np.ndarray,
+    bounds: list[int],
+    ms: list[int],
+    *,
+    min_skip_heuristic: bool,
+    fallback_top1: bool,
+    clock: _StageClock | None,
+) -> _Candidates:
+    """Stage 1 — greedy candidate selection — for a whole query slab.
+
+    Segment ``s`` owns slab rows ``bounds[s]:bounds[s + 1]`` and
+    searches ``pres[s]`` for ``ms[s]`` iterations (``0`` disables
+    selection: every row is a candidate).  Segments sharing
+    ``(n, d, M)`` walk as one fuse group (:func:`_grouped_segment_walk`).
+    One pass then accumulates the greedy scores of every group in a
+    single ``bincount`` and finalizes each group's positive-score
+    candidates into the global flat layout: ``(global query,
+    segment-local row)`` pairs sorted by query, then row.
+    """
+    total_q = queries.shape[0]
+    groups: dict[tuple[int, int, int], list[int]] = {}
+    for s, pre in enumerate(pres):
+        if ms[s] >= 1 and bounds[s + 1] > bounds[s]:
+            groups.setdefault((pre.n, pre.d, ms[s]), []).append(s)
+    walks = [
+        _grouped_segment_walk(
+            [pres[s] for s in members],
+            [(bounds[s], bounds[s + 1]) for s in members],
+            queries,
+            m,
+            min_skip_heuristic=min_skip_heuristic,
+            clock=clock,
+        )
+        for (_n, _d, m), members in groups.items()
+    ]
+
+    # Greedy-score accumulation: every group's slot grid lands in its
+    # own (rows, n) block of one bin space, and a single bincount, whose
+    # scan is sequential, replays each query's additions in order.
+    block_starts = list(
+        accumulate((w.query.size * w.n for w in walks), initial=0)
+    )
+    bins_parts: list[np.ndarray] = []
+    weight_parts: list[np.ndarray] = []
+    for walk, start in zip(walks, block_starts):
+        slot_rows, slot_vals = _slot_grid(walk)
+        row_starts = start + walk.n * np.arange(walk.query.size)
+        bins_parts.append((row_starts[:, np.newaxis] + slot_rows).ravel())
+        weight_parts.append(slot_vals.ravel())
+    if walks:
+        greedy = np.bincount(
+            _cat(bins_parts),
+            weights=_cat(weight_parts),
+            minlength=block_starts[-1],
+        )
+    else:
+        greedy = np.zeros(0, dtype=np.float64)
+    if clock is not None:
+        clock.lap("search.accumulate")
+
+    # Finalize: positive-score rows (with the top-1 fallback) per group,
+    # scattered back to global query order.
+    num_candidates = np.zeros(total_q, dtype=np.int64)
+    iterations = np.zeros(total_q, dtype=np.int64)
+    used_fallback = np.zeros(total_q, dtype=bool)
+    query_parts: list[np.ndarray] = []
+    row_parts: list[np.ndarray] = []
+    for walk, start in zip(walks, block_starts):
+        rows = walk.query.size
+        local, cand_rows, counts, fallback = _positive_candidates(
+            greedy[start : start + rows * walk.n].reshape(rows, walk.n),
+            walk.max_rows[:, 0],
+            fallback_top1,
+        )
+        query_parts.append(walk.query[local])
+        row_parts.append(cand_rows)
+        num_candidates[walk.query] = counts
+        iterations[walk.query] = walk.iterations
+        used_fallback[walk.query] = fallback
+    for s, pre in enumerate(pres):
+        lo, hi = bounds[s], bounds[s + 1]
+        if ms[s] < 1 and hi > lo:
+            query_parts.append(np.repeat(np.arange(lo, hi), pre.n))
+            row_parts.append(np.tile(np.arange(pre.n), hi - lo))
+            num_candidates[lo:hi] = pre.n
+    flat_query = _cat(query_parts)
+    flat_rows = _cat(row_parts)
+    if len(query_parts) > 1:
+        # Each part is sorted by (query, row) and owns whole queries, so
+        # a stable sort on the query merges them into the global order.
+        order = np.argsort(flat_query, kind="stable")
+        flat_query = flat_query[order]
+        flat_rows = flat_rows[order]
+    offsets = np.concatenate(([0], np.cumsum(num_candidates)))
+    if clock is not None:
+        clock.lap("search.finalize")
+    return _Candidates(
+        flat_query=flat_query,
+        flat_rows=flat_rows,
+        num_candidates=num_candidates,
+        offsets=offsets,
+        iterations=iterations,
+        used_fallback=used_fallback,
+        greedy=greedy,
+        walks=walks,
+    )
 
 
 def batched_candidate_search(
@@ -804,53 +869,27 @@ def batched_candidate_search(
             used_fallback=np.empty(0, dtype=bool),
         )
 
-    (
-        m_eff,
-        max_rows,
-        max_vals,
-        min_rows,
-        min_vals,
-        min_pos,
-        min_iter,
-        iterations,
-        skipped,
-    ) = _segment_walk(pre, queries, m, min_skip_heuristic=min_skip_heuristic)
     prof = profiling.HOOK
-    t0 = perf_counter() if prof is not None else 0.0
-
-    # Greedy-score accumulation: one bincount over the interleaved
-    # per-iteration slot grid replays the reference addition order
-    # row-for-row.
-    slot_rows, slot_vals = _slot_grid(
-        m_eff, iterations, max_rows, max_vals,
-        min_rows, min_vals, min_pos, min_iter,
+    found = _candidate_search(
+        [pre],
+        queries,
+        [0, q],
+        [int(m)],
+        min_skip_heuristic=min_skip_heuristic,
+        fallback_top1=fallback_top1,
+        clock=_StageClock(prof) if prof is not None else None,
     )
-    bins = (np.arange(q, dtype=np.int64)[:, np.newaxis] * n + slot_rows).ravel()
-    greedy = np.bincount(
-        bins, weights=slot_vals.ravel(), minlength=q * n
-    ).reshape(q, n)
-    if prof is not None:
-        t1 = perf_counter()
-        prof.record("search.accumulate", t1 - t0)
-        t0 = t1
-
-    max_pops = np.full(q, m_eff, dtype=np.int64)
-    query_idx, row_idx, counts, used_fallback = _positive_candidates(
-        greedy, max_rows[:, 0], fallback_top1
-    )
-    if prof is not None:
-        prof.record("search.finalize", perf_counter() - t0)
-
+    (walk,) = found.walks
     return BatchedCandidateResult(
-        flat_query=query_idx,
-        flat_rows=row_idx,
-        num_candidates=counts,
-        greedy_scores=greedy,
-        iterations=iterations,
-        max_pops=max_pops,
-        min_pops=min_pos,
-        skipped_min=skipped,
-        used_fallback=used_fallback,
+        flat_query=found.flat_query,
+        flat_rows=found.flat_rows,
+        num_candidates=found.num_candidates,
+        greedy_scores=found.greedy.reshape(q, n),
+        iterations=found.iterations,
+        max_pops=np.full(q, walk.m_eff, dtype=np.int64),
+        min_pops=walk.min_pos,
+        skipped_min=walk.skipped,
+        used_fallback=found.used_fallback,
     )
 
 
@@ -918,14 +957,15 @@ def attend_many_ragged(
     min_skip_heuristic: bool = True,
     fallback_top1: bool = True,
 ) -> RaggedAttendResult:
-    """Fused approximate attention for a mixed multi-key query slab.
+    """Approximate attention for a query slab over one or more keys.
 
-    Runs the full four-stage pipeline — per-segment stream extraction
-    over each prepared key's column sorts, greedy-score accumulation of
-    *all* segments in one ``bincount`` over per-segment offset bin
-    spaces, per-segment score GEMMs gathered into one flat candidate
-    layout, and fused ``reduceat`` post-scoring/softmax over the global
-    ragged segments — in a single pass over the whole slab.
+    The one vectorized pipeline: stage 1 (:func:`_candidate_search` —
+    one search front per fuse group of equal-shape segments, then one
+    ``bincount`` accumulation and finalize for the whole slab),
+    per-segment score GEMMs gathered into one flat candidate layout,
+    and fused ``reduceat`` post-scoring/softmax over the global ragged
+    segments.  A single-key batch is the one-segment case
+    (``seg_offsets = [0, q]``).
 
     Parameters
     ----------
@@ -968,17 +1008,19 @@ def attend_many_ragged(
         raise ShapeError(f"queries must be 2-D (Q, d), got {queries.shape}")
     total_q = queries.shape[0]
     d = queries.shape[1]
+    bounds = seg_offsets.tolist()
     if (
         seg_offsets.shape != (num_segments + 1,)
-        or seg_offsets[0] != 0
-        or (np.diff(seg_offsets) < 0).any()
-        or seg_offsets[-1] != total_q
+        or bounds[0] != 0
+        or bounds[-1] != total_q
+        or any(lo > hi for lo, hi in zip(bounds, bounds[1:]))
     ):
         raise ShapeError(
             f"seg_offsets must be ({num_segments + 1},) non-decreasing "
             f"from 0 to {total_q}, got {seg_offsets!r}"
         )
     values = [np.asarray(v, dtype=np.float64) for v in values]
+    ms = [int(m) for m in ms]
     for s in range(num_segments):
         if pres[s].d != d:
             raise ShapeError(
@@ -990,7 +1032,7 @@ def attend_many_ragged(
                 f"segment {s} value shape {values[s].shape} does not "
                 f"match key rows n={pres[s].n}"
             )
-        if int(ms[s]) < 0:
+        if ms[s] < 0:
             raise ValueError(f"segment {s} iteration count must be >= 0")
     if total_q == 0:
         empty = np.empty(0, dtype=np.int64)
@@ -1010,160 +1052,47 @@ def attend_many_ragged(
             used_fallback=np.empty(0, dtype=bool),
         )
 
+    # Per-stage timing runs only when a profiling hook is installed
+    # (repro.core.profiling); disabled cost is one None test per stage.
     prof = profiling.HOOK
-    stage_start = perf_counter() if prof is not None else 0.0
+    clock = _StageClock(prof) if prof is not None else None
 
-    # Stage 1a: search walks.  Segments sharing (n, d, m) fuse their
-    # boundary estimate, stream extraction, and gated walk into one
-    # group-batched pass (:func:`_grouped_segment_walk` — per-query-row
-    # arithmetic is unchanged, so each segment's walk is bit-identical
-    # to a standalone dispatch); lone segments run the single-key path.
-    walks: list[tuple | None] = [None] * num_segments
-    greedy_base = np.zeros(num_segments + 1, dtype=np.int64)
-    fuse_groups: dict[tuple[int, int, int], list[int]] = {}
-    for s in range(num_segments):
-        lo, hi = int(seg_offsets[s]), int(seg_offsets[s + 1])
-        q_s, n_s = hi - lo, pres[s].n
-        selecting = int(ms[s]) >= 1 and q_s > 0
-        greedy_base[s + 1] = greedy_base[s] + (q_s * n_s if selecting else 0)
-        if selecting:
-            signature = (pres[s].n, pres[s].d, int(ms[s]))
-            fuse_groups.setdefault(signature, []).append(s)
-    for (_n_g, _d_g, m_g), members in fuse_groups.items():
-        if len(members) == 1:
-            s = members[0]
-            lo, hi = int(seg_offsets[s]), int(seg_offsets[s + 1])
-            walks[s] = _segment_walk(
-                pres[s],
-                queries[lo:hi],
-                m_g,
-                min_skip_heuristic=min_skip_heuristic,
-            )
-        else:
-            parts = [
-                queries[int(seg_offsets[s]) : int(seg_offsets[s + 1])]
-                for s in members
-            ]
-            group_walks = _grouped_segment_walk(
-                [pres[s] for s in members],
-                parts,
-                m_g,
-                min_skip_heuristic=min_skip_heuristic,
-            )
-            for s, walk in zip(members, group_walks):
-                walks[s] = walk
-
-    bins_parts: list[np.ndarray] = []
-    weight_parts: list[np.ndarray] = []
-    for s in range(num_segments):
-        if walks[s] is None:
-            continue
-        lo, hi = int(seg_offsets[s]), int(seg_offsets[s + 1])
-        q_s, n_s = hi - lo, pres[s].n
-        (
-            m_eff,
-            max_rows,
-            max_vals,
-            min_rows,
-            min_vals,
-            min_pos,
-            min_iter,
-            iterations_s,
-            _skipped,
-        ) = walks[s]
-        slot_rows, slot_vals = _slot_grid(
-            m_eff, iterations_s, max_rows, max_vals,
-            min_rows, min_vals, min_pos, min_iter,
-        )
-        bins = (
-            np.arange(q_s, dtype=np.int64)[:, np.newaxis] * n_s + slot_rows
-        ).ravel()
-        bins_parts.append(greedy_base[s] + bins)
-        weight_parts.append(slot_vals.ravel())
-
-    # Stage 1b: fused greedy-score accumulation.  One bincount over the
-    # concatenated per-segment bin spaces; input scan order keeps every
-    # segment's additions in its standalone order, bit-for-bit.
-    t0 = perf_counter() if prof is not None else 0.0
-    if bins_parts:
-        greedy_flat = np.bincount(
-            np.concatenate(bins_parts),
-            weights=np.concatenate(weight_parts),
-            minlength=int(greedy_base[-1]),
-        )
-    else:
-        greedy_flat = np.zeros(int(greedy_base[-1]), dtype=np.float64)
-    if prof is not None:
-        t1 = perf_counter()
-        prof.record("search.accumulate", t1 - t0)
-        t0 = t1
-
-    # Stage 1c: per-segment finalize into one global flat candidate
-    # layout (global query index, segment-local candidate rows).
-    qi_parts: list[np.ndarray] = []
-    row_parts: list[np.ndarray] = []
-    counts_parts: list[np.ndarray] = []
-    fallback_parts: list[np.ndarray] = []
-    iter_parts: list[np.ndarray] = []
-    for s in range(num_segments):
-        lo, hi = int(seg_offsets[s]), int(seg_offsets[s + 1])
-        q_s, n_s = hi - lo, pres[s].n
-        if q_s == 0:
-            continue
-        if walks[s] is None:
-            qi_parts.append(lo + np.repeat(np.arange(q_s, dtype=np.int64), n_s))
-            row_parts.append(np.tile(np.arange(n_s, dtype=np.int64), q_s))
-            counts_parts.append(np.full(q_s, n_s, dtype=np.int64))
-            fallback_parts.append(np.zeros(q_s, dtype=bool))
-            iter_parts.append(np.zeros(q_s, dtype=np.int64))
-            continue
-        m_eff, max_rows = walks[s][0], walks[s][1]
-        greedy = greedy_flat[greedy_base[s] : greedy_base[s + 1]].reshape(
-            q_s, n_s
-        )
-        query_idx, row_idx, counts, used_fallback_s = _positive_candidates(
-            greedy, max_rows[:, 0], fallback_top1
-        )
-        qi_parts.append(lo + query_idx)
-        row_parts.append(row_idx)
-        counts_parts.append(counts)
-        fallback_parts.append(used_fallback_s)
-        iter_parts.append(walks[s][7])
-    flat_query = np.concatenate(qi_parts)
-    flat_rows = np.concatenate(row_parts)
-    num_candidates = np.concatenate(counts_parts)
-    used_fallback = np.concatenate(fallback_parts)
-    iterations = np.concatenate(iter_parts)
-    if not num_candidates.all():
+    # Stage 1: greedy candidate selection over the whole slab.
+    found = _candidate_search(
+        pres,
+        queries,
+        bounds,
+        ms,
+        min_skip_heuristic=min_skip_heuristic,
+        fallback_top1=fallback_top1,
+        clock=clock,
+    )
+    if clock is not None:
+        clock.span("attend.candidate_search")
+    if not found.num_candidates.all():
         raise ValueError(
             "empty candidate set (no positive greedy score with "
             "fallback_top1 disabled); attention has no rows to attend to"
         )
-    offsets = np.concatenate(([0], np.cumsum(num_candidates))).astype(np.int64)
+    flat_query, flat_rows = found.flat_query, found.flat_rows
+    offsets = found.offsets
     segment_starts = offsets[:-1]
-    if prof is not None:
-        t1 = perf_counter()
-        prof.record("search.finalize", t1 - t0)
-        prof.record("attend.candidate_search", t1 - stage_start)
-        t0 = t1
+    cand_bounds = offsets[bounds].tolist()
 
     # Stage 2: exact dot products — one GEMM per segment over its
     # contiguous slab view, gathered into the global flat layout.
     score_parts: list[np.ndarray] = []
-    for s in range(num_segments):
-        lo, hi = int(seg_offsets[s]), int(seg_offsets[s + 1])
-        if hi == lo:
-            continue
-        scores_full = queries[lo:hi] @ pres[s].key.T  # (q_s, n_s)
-        sel = slice(int(offsets[lo]), int(offsets[hi]))
-        score_parts.append(
-            scores_full[flat_query[sel] - lo, flat_rows[sel]]
-        )
-    scores = np.concatenate(score_parts)
-    if prof is not None:
-        t1 = perf_counter()
-        prof.record("attend.score_gemm", t1 - t0)
-        t0 = t1
+    for s, pre in enumerate(pres):
+        lo, hi = bounds[s], bounds[s + 1]
+        if hi > lo:
+            scores_full = queries[lo:hi] @ pre.key.T  # (q_s, n_s)
+            sel = slice(cand_bounds[s], cand_bounds[s + 1])
+            score_parts.append(
+                scores_full[flat_query[sel] - lo, flat_rows[sel]]
+            )
+    scores = _cat(score_parts)
+    if clock is not None:
+        clock.lap("attend.score_gemm")
 
     # Stage 3: post-scoring over the global ragged segments.  reduceat
     # reduces each query's slice independently and sequentially, so the
@@ -1175,42 +1104,36 @@ def attend_many_ragged(
     else:
         keep = np.ones(scores.shape[0], dtype=bool)
     kept_counts = np.add.reduceat(keep.astype(np.int64), segment_starts)
-    if prof is not None:
-        t1 = perf_counter()
-        prof.record("attend.post_scoring", t1 - t0)
-        t0 = t1
+    if clock is not None:
+        clock.lap("attend.post_scoring")
 
     # Stage 4: grouped softmax over the survivors, then one weighted-sum
-    # GEMM per segment against its own value matrix.
+    # GEMM per segment against its own value matrix.  The kept set
+    # always contains the per-query max score, so the stable-softmax
+    # shift is max_score (matching softmax()).
     shifted = np.where(keep, scores - max_score[qi], 0.0)
     exps = np.where(keep, np.exp(shifted), 0.0)
     weights = exps / np.add.reduceat(exps, segment_starts)[qi]
     outputs: list[np.ndarray] = []
-    for s in range(num_segments):
-        lo, hi = int(seg_offsets[s]), int(seg_offsets[s + 1])
-        q_s, n_s = hi - lo, pres[s].n
-        if q_s == 0:
-            outputs.append(
-                np.empty((0, values[s].shape[1]), dtype=np.float64)
-            )
-            continue
-        sel = slice(int(offsets[lo]), int(offsets[hi]))
-        dense = np.zeros((q_s, n_s), dtype=np.float64)
+    for s, pre in enumerate(pres):
+        lo, hi = bounds[s], bounds[s + 1]
+        sel = slice(cand_bounds[s], cand_bounds[s + 1])
+        dense = np.zeros((hi - lo, pre.n), dtype=np.float64)
         dense[flat_query[sel] - lo, flat_rows[sel]] = weights[sel]
         outputs.append(dense @ values[s])
-    if prof is not None:
-        prof.record("attend.softmax_scatter", perf_counter() - t0)
+    if clock is not None:
+        clock.lap("attend.softmax_scatter")
 
     return RaggedAttendResult(
         outputs=outputs,
         seg_offsets=seg_offsets,
         flat_query=flat_query,
         flat_rows=flat_rows,
-        num_candidates=num_candidates,
+        num_candidates=found.num_candidates,
         offsets=offsets,
         keep=keep,
         weights=weights,
         kept_counts=kept_counts,
-        iterations=iterations,
-        used_fallback=used_fallback,
+        iterations=found.iterations,
+        used_fallback=found.used_fallback,
     )

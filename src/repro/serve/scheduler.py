@@ -94,16 +94,15 @@ class Scheduler:
     def dispatch(self, batch: list[AttentionRequest]) -> None:
         """Run one same-``BatchKey`` group through the backend(s),
         synchronously.  The batcher guarantees the group is single-tier
-        and single-config.  A single-session group dispatches exactly as
-        before cross-session fusion existed: one ``attend_many`` through
-        the tier's backend view under the session entry's lock.  A group
-        spanning several sessions checks out every entry, acquires the
-        entry locks in sorted-session-id order (one global order, so
-        concurrent multi-entry dispatches cannot deadlock against each
-        other or against single-entry mutations), and runs one fused
-        ``attend_many_ragged`` over the whole slab; when the cache
-        cannot resolve a ragged plan, the segments dispatch per session
-        under the same claim.  Either way every segment's outputs are
+        and single-config.  Every session entry of the group is checked
+        out and its lock acquired in sorted-session-id order (one global
+        order, so concurrent multi-entry dispatches cannot deadlock
+        against each other or against single-entry mutations).  A group
+        spanning several sessions whose backends resolve to a ragged
+        plan runs one fused ``attend_many_ragged`` over the whole slab;
+        otherwise — a single session, or segments that cannot fuse —
+        each session's segment runs one ``attend_many`` through its
+        tier's backend view.  Either way every segment's outputs are
         bit-identical to direct evaluation at its tier."""
         dispatched_at = now()
         for request in batch:
@@ -135,53 +134,43 @@ class Scheduler:
                 memories = {
                     sid: entries[sid].session.memory for sid in session_ids
                 }
-                if len(session_ids) == 1:
-                    sid = session_ids[0]
-                    key, value = memories[sid]
-                    backend = self.cache.tier_backend(entries[sid], tier)
-                    queries = np.stack([r.query for r in batch])
-                    kernel_started = now()
-                    flat_outputs = backend.attend_many(key, value, queries)
-                    kernel_ended = now()
-                else:
-                    queries = np.stack([r.query for r in ordered])
-                    seg_offsets = np.cumsum(
-                        [0] + [len(segments[sid]) for sid in session_ids]
-                    )
-                    keys = [memories[sid][0] for sid in session_ids]
-                    vals = [memories[sid][1] for sid in session_ids]
+                queries = np.stack([r.query for r in ordered])
+                seg_offsets = np.cumsum(
+                    [0] + [len(segments[sid]) for sid in session_ids]
+                )
+                keys = [memories[sid][0] for sid in session_ids]
+                vals = [memories[sid][1] for sid in session_ids]
+                plan = None
+                if len(session_ids) > 1:
                     plan = self.cache.ragged_plan(
                         [entries[sid] for sid in session_ids], tier
                     )
-                    if plan is not None:
-                        backends, cfg = plan
-                        kernel_started = now()
-                        seg_outputs = attend_many_ragged(
-                            backends, keys, vals, queries, seg_offsets,
-                            config=cfg,
-                        )
-                        kernel_ended = now()
-                    else:
-                        # Config-incompatible segments: per-session
-                        # dispatches under the same claim and locks (the
-                        # fusion is lost; bit-identity never was at
-                        # stake).
-                        kernel_started = now()
-                        seg_outputs = []
-                        for s, sid in enumerate(session_ids):
-                            backend = self.cache.tier_backend(
-                                entries[sid], tier
-                            )
-                            lo, hi = seg_offsets[s], seg_offsets[s + 1]
-                            seg_outputs.append(
-                                backend.attend_many(
-                                    keys[s], vals[s], queries[lo:hi]
-                                )
-                            )
-                        kernel_ended = now()
-                    flat_outputs = [
-                        row for out in seg_outputs for row in out
+                if plan is not None:
+                    backends, cfg = plan
+                    kernel_started = now()
+                    seg_outputs = attend_many_ragged(
+                        backends, keys, vals, queries, seg_offsets,
+                        config=cfg,
+                    )
+                else:
+                    # One session, or segments that cannot fuse
+                    # (config-incompatible backends): per-session
+                    # dispatches through each tier view under the same
+                    # claim and locks.
+                    views = [
+                        self.cache.tier_backend(entries[sid], tier)
+                        for sid in session_ids
                     ]
+                    kernel_started = now()
+                    seg_outputs = [
+                        view.attend_many(
+                            keys[s], vals[s],
+                            queries[seg_offsets[s] : seg_offsets[s + 1]],
+                        )
+                        for s, view in enumerate(views)
+                    ]
+                kernel_ended = now()
+                flat_outputs = [row for out in seg_outputs for row in out]
         except BaseException as exc:  # noqa: BLE001 — forwarded to callers
             service = now() - dispatched_at
             self._record(ordered, segments, dispatched_at, service,

@@ -150,6 +150,24 @@ class TestKeyFingerprint:
         key = rng.normal(size=(20, 8))
         assert not KeyFingerprint.of(key).matches(key[:10])
 
+    def test_growing_keys_share_one_ramp(self, rng, monkeypatch):
+        """A key streamed one row at a time fingerprints a new size per
+        append; one grow-only ramp must serve them all (no per-size
+        cache to leak) with exactly the per-size seeded weights."""
+        from repro.core import backends
+
+        monkeypatch.setattr(backends, "_FINGERPRINT_RAMP", np.empty(0))
+        d = 7
+        for rows in range(1, 200):
+            key = rng.normal(size=(rows, d))
+            weights = np.random.default_rng(0x5EED).normal(size=rows * d)
+            assert KeyFingerprint.of(key).weighted == float(
+                key.ravel() @ weights
+            )
+        ramp = backends._FINGERPRINT_RAMP
+        assert isinstance(ramp, np.ndarray)
+        assert 199 * d <= ramp.size < 2 * 199 * d
+
     def test_recycled_storage_never_reuses_stale_sort(self, rng):
         """The id-reuse hazard the fingerprint contract fixes: mutating
         the same buffer (same object id) must trigger re-preparation."""

@@ -499,7 +499,7 @@ class TestProcessShardCrash:
         shard.register_session("s", key, value)
         rng = np.random.default_rng(43)
         futures = [
-            shard._request("submit", "s", rng.normal(size=D), None)
+            shard._request("submit", "s", rng.normal(size=D), None, None)
             for _ in range(16)
         ]
         shard.kill()

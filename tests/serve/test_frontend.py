@@ -267,7 +267,10 @@ class TestTypedWireErrors:
         filling long-wait batches for two sessions, a third session's
         request occupies the whole queue (depth 1), so a fourth
         session's attend is refused — and the reject arrives as a typed
-        ``ServerOverloadedError`` frame."""
+        ``ServerOverloadedError`` frame.  Sessions a, b and c attend at
+        three different tiers, so their batch groups differ by
+        construction: a parked fill window can never absorb c's request
+        and empty the queue early."""
         server = _server(
             wait=5.0,
             max_batch=64,
@@ -282,8 +285,10 @@ class TestTypedWireErrors:
             with NetworkFrontend(server, drain_timeout_seconds=0.2) as front:
                 with AttentionClient(front.address) as client:
                     parked = []
-                    for admitted, sid in enumerate("ab", start=1):
-                        parked.append(client.submit(sid, key[0]))
+                    for admitted, (sid, tier) in enumerate(
+                        zip("ab", TIERS), start=1
+                    ):
+                        parked.append(client.submit(sid, key[0], tier=tier))
                         # Wait until the request is admitted AND a
                         # worker claimed its group, else the next
                         # submit trips the depth-1 queue early.
@@ -296,7 +301,7 @@ class TestTypedWireErrors:
                                 break
                             time.sleep(0.005)
                         assert server.batcher.depth == 0
-                    queued = client.submit("c", key[0])
+                    queued = client.submit("c", key[0], tier=TIERS[2])
                     with pytest.raises(ServerOverloadedError):
                         client.attend("d", key[0], timeout=5)
                     front.stop(timeout=0.2)
