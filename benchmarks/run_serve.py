@@ -320,7 +320,7 @@ def run(
     cores = os.cpu_count() or 1
     if shard_mode == "auto":
         # Spawned shards only pay off with real cores to land on; on a
-        # one-core container the pipe hops just add latency.
+        # one-core container the socket hops just add latency.
         shard_mode = "process" if cores > 1 and not smoke else "thread"
     shard_counts = (1, 2) if smoke else SHARD_COUNTS
     shard_sessions = 4 if smoke else SHARD_SESSIONS

@@ -492,8 +492,8 @@ def main() -> None:
         # millisecond of the end-to-end latency went.  The six request
         # stages are contiguous on one clock, so their means sum to the
         # mean request latency; sharded mode adds the cluster-side
-        # cluster_request/rpc prefix (the rpc-request gap is the pipe
-        # hop under --spawn).
+        # cluster_request/rpc prefix (the rpc-request gap is the
+        # socket-pair hop under --spawn).
         spans = server.trace_spans()
         summary = stage_summary(spans)
         stages = ("cluster_request", "rpc", "request", "submit", "queue",

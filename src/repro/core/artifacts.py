@@ -5,8 +5,8 @@ artifact once, off the critical path, and reusing it across queries.
 Until this module, that artifact — a
 :class:`~repro.core.efficient_search.PreprocessedKey` of three
 ``(n, d)`` arrays — only ever lived as private heap allocations: the
-serving layer pickled it over the spawn-shard pipe on every
-registration fan-out and threw it away entirely on cache eviction.
+serving layer shipped it to every spawn shard on each registration
+fan-out and threw it away entirely on cache eviction.
 
 :class:`ArtifactBuffer` turns the artifact into **one contiguous
 buffer** — a fixed header followed by the ``sorted_values`` /

@@ -111,6 +111,7 @@ from repro.serve.request import (
     UnknownSessionError,
 )
 from repro.serve.service import (
+    AdoptSessionOp,
     AttendOp,
     AttendResult,
     AttentionService,
@@ -122,9 +123,12 @@ from repro.serve.service import (
     Pong,
     RegisterSessionOp,
     SessionInfo,
+    SessionStatsOp,
     SetTierOp,
     SnapshotOp,
     SnapshotResult,
+    TelemetryOp,
+    TelemetryResult,
     TierResult,
 )
 from repro.serve.controller import (
@@ -148,6 +152,7 @@ from repro.serve.tracing import Span, TraceContext, Tracer
 
 __all__ = [
     "AdaptiveQualityController",
+    "AdoptSessionOp",
     "AppendRowsMutation",
     "AsyncAttentionClient",
     "AttendOp",
@@ -171,9 +176,12 @@ __all__ = [
     "ProtocolError",
     "RegisterSessionOp",
     "SessionInfo",
+    "SessionStatsOp",
     "SetTierOp",
     "SnapshotOp",
     "SnapshotResult",
+    "TelemetryOp",
+    "TelemetryResult",
     "TierResult",
     "UnsupportedVersionError",
     "BatchPolicy",

@@ -3,7 +3,8 @@
 Two clients over the same wire protocol (:mod:`repro.serve.protocol`):
 
 * :class:`AttentionClient` — synchronous, thread-safe.  One persistent
-  TCP connection, a background reader thread, and per-request
+  connection (TCP, or an already-connected socket such as one end of a
+  ``socket.socketpair()``), a background reader thread, and per-request
   correlation ids, so any number of caller threads can have requests in
   flight concurrently and responses resolve out of order.  The surface
   mirrors the in-process servers — ``attend`` / ``attend_many`` /
@@ -12,7 +13,10 @@ Two clients over the same wire protocol (:mod:`repro.serve.protocol`):
   ``snapshot`` / ``metrics_text`` — so code written against an
   :class:`~repro.serve.server.AttentionServer` runs against a socket
   unchanged (the :class:`~repro.serve.mutator.SessionMutator` fluent
-  interface duck-types over this client too).
+  interface duck-types over this client too).  Its op-level surface,
+  ``call(op)`` / ``submit_attend(op, trace_ctx)``, is the one an
+  :class:`~repro.serve.service.AttentionService` answers, which is what
+  makes it a cluster's handle on a spawn shard.
 * :class:`AsyncAttentionClient` — the same surface as coroutines for
   asyncio callers.
 
@@ -24,9 +28,11 @@ remote caller's span exactly as it would in-process.
 
 Typed errors arrive as typed exceptions: a backpressure reject raises
 :class:`~repro.serve.request.ServerOverloadedError` here, shard loss
-raises :class:`~repro.serve.cluster.ShardUnavailableError`, a dead
-socket raises :class:`~repro.serve.protocol.ConnectionLostError` for
-every request it strands.
+raises :class:`~repro.serve.request.ShardUnavailableError`, a dead
+socket raises :class:`~repro.serve.protocol.ConnectionLostError` (a
+retryable shard loss) for every request it strands, and a request still
+in flight when the caller itself closes the client fails with
+:class:`~repro.serve.request.ServerClosedError`.
 """
 
 from __future__ import annotations
@@ -35,15 +41,15 @@ import asyncio
 import itertools
 import socket
 import threading
-from concurrent.futures import Future
+from concurrent.futures import Future, wait
 
 import numpy as np
 
 from repro.serve import protocol
 from repro.serve.mutator import SessionMutation, SessionMutator
+from repro.serve.request import ServerClosedError
 from repro.serve.service import (
     AttendOp,
-    AttendResult,
     CloseSessionOp,
     MetricsOp,
     MutateSessionOp,
@@ -105,9 +111,15 @@ class AttentionClient:
     address / port:
         Where the frontend listens: ``AttentionClient("host:port")``,
         ``AttentionClient(("host", port))``, or
-        ``AttentionClient("host", port)``.
+        ``AttentionClient("host", port)`` — or an already-connected
+        ``socket.socket`` the client takes over (``address`` is then
+        ``None``).
     timeout:
         Default patience for blocking calls (per-call override).
+    max_payload_bytes:
+        Per-frame payload bound in both directions: a larger response
+        breaks the connection, a larger request fails locally with
+        :class:`~repro.serve.protocol.FrameTooLargeError`.
     tracer:
         Optional :class:`~repro.serve.tracing.Tracer`; when given,
         attends open a ``client_request`` root span whose context
@@ -124,12 +136,16 @@ class AttentionClient:
         tracer: Tracer | None = None,
         connect_timeout: float = 10.0,
     ):
-        self.address = parse_address(address, port)
+        if isinstance(address, socket.socket):
+            self.address = None
+            self._sock = address
+        else:
+            self.address = parse_address(address, port)
+            self._sock = socket.create_connection(
+                self.address, timeout=connect_timeout
+            )
         self.timeout = timeout
         self.tracer = tracer
-        self._sock = socket.create_connection(
-            self.address, timeout=connect_timeout
-        )
         self._sock.settimeout(None)
         self._assembler = protocol.FrameAssembler(max_payload_bytes)
         self._pending: dict[int, Future] = {}
@@ -163,7 +179,9 @@ class AttentionClient:
             pass
         finally:
             self._fail_pending(
-                protocol.ConnectionLostError(
+                ServerClosedError("client closed with requests in flight")
+                if self._closed
+                else protocol.ConnectionLostError(
                     "connection closed with requests in flight"
                 )
             )
@@ -198,6 +216,13 @@ class AttentionClient:
             raise protocol.ConnectionLostError("client is closed")
         corr_id = next(self._corr)
         frame = protocol.encode_op(op, corr_id, trace_ctx)
+        size = len(frame) - protocol.HEADER.size
+        if size > self._assembler.max_payload:
+            raise protocol.FrameTooLargeError(
+                f"{type(op).__name__} frame carries {size} payload bytes "
+                f"(bound is {self._assembler.max_payload})",
+                payload_length=size,
+            )
         future: Future = Future()
         with self._lock:
             if self._broken is not None:
@@ -212,12 +237,56 @@ class AttentionClient:
             raise protocol.ConnectionLostError(str(exc)) from exc
         return future
 
-    def _call(self, op, timeout: float | None = None):
+    # -- op surface (what an AttentionService answers) -----------------
+    def submit_attend(
+        self, op: AttendOp, trace_ctx: TraceContext | None = None
+    ) -> Future:
+        """Send one :class:`AttendOp`; the future resolves to its
+        :class:`AttendResult` (or the typed wire error)."""
+        return self._send_op(op, trace_ctx)
+
+    def call(self, op, timeout: float | None = None):
+        """Send any service op and block for its typed result."""
         return self._send_op(op).result(
             self.timeout if timeout is None else timeout
         )
 
+    def drain(self, timeout: float | None = None) -> bool:
+        """Wait until every request in flight has resolved; ``False``
+        if some were still unanswered after ``timeout`` seconds."""
+        with self._lock:
+            in_flight = list(self._pending.values())
+        return not wait(in_flight, timeout).not_done
+
     # -- attend surface ------------------------------------------------
+    def _traced_attend(
+        self, session_id: str, queries, tier, trace_ctx=None
+    ) -> Future:
+        """Send one attend; without a caller context and with a tracer,
+        under a ``client_request`` span recorded before the returned
+        future resolves."""
+        op = AttendOp(session_id=session_id, queries=queries, tier=tier)
+        if trace_ctx is not None or self.tracer is None:
+            return self._send_op(op, trace_ctx)
+        scope = _TraceScope(
+            self.tracer,
+            "client_request",
+            {"session_id": session_id, "transport": "tcp"},
+        )
+        inner = self._send_op(op, scope.context)
+        outer: Future = Future()
+
+        def finish(done) -> None:
+            error = done.exception()
+            scope.finish(error)
+            if error is not None:
+                outer.set_exception(error)
+            else:
+                outer.set_result(done.result())
+
+        inner.add_done_callback(finish)
+        return outer
+
     def submit(
         self,
         session_id: str,
@@ -226,31 +295,17 @@ class AttentionClient:
         trace_ctx: TraceContext | None = None,
     ) -> Future:
         """Fire one single-query attend; resolves to the ``(d_v,)`` row."""
-        scope = None
-        if trace_ctx is None and self.tracer is not None:
-            scope = _TraceScope(
-                self.tracer,
-                "client_request",
-                {"session_id": session_id, "transport": "tcp"},
-            )
-            trace_ctx = scope.context
-        op = AttendOp(
-            session_id=session_id,
-            queries=np.asarray(query, dtype=np.float64),
-            tier=tier,
+        inner = self._traced_attend(
+            session_id, np.asarray(query, dtype=np.float64), tier, trace_ctx
         )
-        inner = self._send_op(op, trace_ctx)
         outer: Future = Future()
 
         def finish(done) -> None:
             error = done.exception()
-            if scope is not None:
-                scope.finish(error)
             if error is not None:
                 outer.set_exception(error)
             else:
-                result = done.result()
-                row = result.outputs
+                row = done.result().outputs
                 outer.set_result(row[0] if row.ndim == 2 else row)
 
         inner.add_done_callback(finish)
@@ -275,34 +330,17 @@ class AttentionClient:
         tier: str | None = None,
     ) -> np.ndarray:
         """Attend a ``(q, d)`` block; returns ``(q, d_v)`` outputs."""
-        scope = _TraceScope(
-            self.tracer,
-            "client_request",
-            {"session_id": session_id, "transport": "tcp"},
-        ) if self.tracer is not None else None
-        op = AttendOp(
-            session_id=session_id,
-            queries=np.atleast_2d(np.asarray(queries, dtype=np.float64)),
-            tier=tier,
-        )
-        error = None
-        try:
-            result: AttendResult = self._send_op(
-                op, scope.context if scope else None
-            ).result(self.timeout if timeout is None else timeout)
-            return result.outputs
-        except BaseException as exc:
-            error = exc
-            raise
-        finally:
-            if scope is not None:
-                scope.finish(error)
+        queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+        future = self._traced_attend(session_id, queries, tier)
+        return future.result(
+            self.timeout if timeout is None else timeout
+        ).outputs
 
     # -- session and control surface -----------------------------------
     def register_session(
         self, session_id: str, key, value, timeout: float | None = None
     ) -> SessionInfo:
-        return self._call(
+        return self.call(
             RegisterSessionOp(
                 session_id=session_id,
                 key=np.asarray(key, dtype=np.float64),
@@ -312,7 +350,7 @@ class AttentionClient:
         )
 
     def close_session(self, session_id: str, timeout: float | None = None):
-        return self._call(CloseSessionOp(session_id=session_id), timeout)
+        return self.call(CloseSessionOp(session_id=session_id), timeout)
 
     def mutate_session(
         self,
@@ -320,7 +358,7 @@ class AttentionClient:
         mutation: SessionMutation,
         timeout: float | None = None,
     ) -> SessionInfo:
-        return self._call(
+        return self.call(
             MutateSessionOp(session_id=session_id, mutation=mutation),
             timeout,
         )
@@ -330,16 +368,16 @@ class AttentionClient:
         return SessionMutator(self, session_id)
 
     def set_default_tier(self, tier: str, timeout: float | None = None) -> str:
-        return self._call(SetTierOp(tier=tier), timeout).previous
+        return self.call(SetTierOp(tier=tier), timeout).previous
 
     def snapshot(self, timeout: float | None = None) -> dict:
-        return self._call(SnapshotOp(), timeout).snapshot
+        return self.call(SnapshotOp(), timeout).snapshot
 
     def metrics_text(self, timeout: float | None = None) -> str:
-        return self._call(MetricsOp(), timeout).text
+        return self.call(MetricsOp(), timeout).text
 
     def ping(self, timeout: float | None = None) -> bool:
-        self._call(PingOp(), timeout)
+        self.call(PingOp(), timeout)
         return True
 
     # -- lifecycle -----------------------------------------------------

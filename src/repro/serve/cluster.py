@@ -12,17 +12,24 @@ replicated version: N shard replicas, each running its **own**
 onto shards by a stable
 :class:`~repro.serve.router.ConsistentHashRouter`.
 
-Two shard flavors share one method surface:
+A shard is anything that answers ``call(op)`` and
+``submit_attend(op, trace_ctx)`` with the typed ops of
+:mod:`repro.serve.service` — the same vocabulary a network caller
+speaks — so the cluster has one op vocabulary and one codec from its
+callers down to every replica.  Two shard flavors:
 
-* :class:`ThreadShard` — the replica is an in-process
+* :class:`ThreadShard` — an
+  :class:`~repro.serve.service.AttentionService` over an in-process
   ``AttentionServer``.  Cheap, shares the GIL; distinct shards overlap
   only as far as NumPy releases the GIL (and not at all on one core).
 * :class:`ProcessShard` — the replica lives in a ``multiprocessing``
-  *spawn* child that runs a full ``AttentionServer`` behind a pipe
-  protocol, giving true multi-core parallelism.  Requests are submitted
-  asynchronously (sequence-numbered messages, a reader thread resolving
-  parent-side futures), so many queries stay in flight per shard and
-  the child's dynamic batcher still gets to group them.
+  *spawn* child, giving true multi-core parallelism.  The parent holds
+  an :class:`~repro.serve.client.AttentionClient` on one end of a
+  ``socket.socketpair()``; the child answers the ops as
+  :mod:`repro.serve.protocol` frames on the other end.  Requests carry
+  correlation ids, so many queries stay in flight per shard and the
+  child's dynamic batcher still gets to group them.  Nothing on the
+  connection is pickled.
 
 Placement changes are **explicit**: :meth:`ShardedAttentionServer.add_shard`
 and :meth:`~ShardedAttentionServer.remove_shard` rebalance by moving
@@ -45,12 +52,14 @@ redundancy is rebuilt by replaying each affected session's
 :class:`~repro.serve.mutation_log.MutationLog` (registration snapshot
 plus ordered mutations) onto the next healthy shard of its preference
 list.  In-flight requests against the dead shard fail parent-side with
-the *retryable* :class:`ShardUnavailableError`, and the request path
-retries them on the promoted primary (bounded attempts with backoff) —
-so a shard crash loses no requests, only the dead replica's local
-telemetry.
+the *retryable* :class:`ShardUnavailableError` (a lost connection is a
+:class:`~repro.serve.protocol.ConnectionLostError`, which is one), and
+the request path retries them on the promoted primary (bounded attempts
+with backoff) — so a shard crash loses no requests, only the dead
+replica's local telemetry.
 
-The cluster aggregates telemetry across shards:
+The cluster aggregates telemetry across shards, one
+:class:`~repro.serve.service.TelemetryResult` per shard:
 :meth:`~ShardedAttentionServer.snapshot` reports per-shard snapshots
 plus cluster-wide percentiles recomputed from the pooled latency
 samples, summed counters, and a load-imbalance metric
@@ -61,10 +70,11 @@ from __future__ import annotations
 
 import multiprocessing
 import queue
+import socket
 import threading
 import time
 from concurrent.futures import Future
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -73,13 +83,36 @@ from repro.core.backends import BackendStats, KeyFingerprint
 from repro.core.config import tier_rank
 from repro.core.efficient_search import PreprocessedKey
 from repro.errors import ConfigError
+from repro.serve import protocol
+from repro.serve.client import AttentionClient
 from repro.serve.health import FaultInjector, HeartbeatMonitor
 from repro.serve.mutation_log import MutationLog
 from repro.serve.mutator import SessionMutator
 from repro.serve.observability import MetricsRegistry
-from repro.serve.request import ServeError, ServerClosedError, UnknownSessionError
+from repro.serve.request import (
+    ServeError,
+    ServerClosedError,
+    ShardError,
+    ShardUnavailableError,
+    UnknownSessionError,
+)
 from repro.serve.router import ConsistentHashRouter
 from repro.serve.server import AttentionServer, ServerConfig
+from repro.serve.service import (
+    AdoptSessionOp,
+    AttendOp,
+    AttentionService,
+    CloseSessionOp,
+    MetricsOp,
+    MutateSessionOp,
+    RegisterSessionOp,
+    SessionStatsOp,
+    SetTierOp,
+    SnapshotOp,
+    SnapshotResult,
+    TelemetryOp,
+    TelemetryResult,
+)
 from repro.serve.sessions import CacheStats, Session, validate_memory
 from repro.serve.stats import ServerStats, latency_summary
 from repro.serve.tracing import TraceContext, Tracer
@@ -104,7 +137,7 @@ class SegmentStore:
     ``/dev/shm`` segment holding the prepared planes plus the value
     matrix — and every replica adopts the segment *by name*: the
     register/replication fan-out and failover log replay ship a
-    ~100-byte handle instead of R pickled array copies, and no child
+    ~100-byte handle instead of R copies of the arrays, and no child
     ever re-sorts.
 
     Lifecycle ownership is strict: the store (the parent) is the sole
@@ -155,29 +188,6 @@ class SegmentStore:
     @property
     def segment_names(self) -> list[str]:
         return [record[0].name for record in self._records.values()]
-
-
-class ShardError(ServeError):
-    """A shard replica failed a request for a *shard-level* reason.
-
-    The base class is **fatal** from the retry path's point of view:
-    an error the shard's own backend raised while actually processing
-    the request (a poisoned batch, a protocol violation) would fail
-    identically on any replica, so retrying it elsewhere just burns a
-    healthy shard's time — the failover retry loop only ever retries
-    :class:`ShardUnavailableError`.
-    """
-
-
-class ShardUnavailableError(ShardError):
-    """The shard died or became unreachable before answering — retryable.
-
-    Raised when the child process is gone, the control pipe broke, or a
-    fault injector simulates either.  The request itself was never
-    refused on its merits, so the cluster's request path may safely
-    re-dispatch it to a surviving replica (the backends are
-    deterministic: a retried read returns the bit-identical row).
-    """
 
 
 @dataclass(frozen=True)
@@ -265,23 +275,26 @@ class ClusterConfig:
 # thread-backed shard
 # ----------------------------------------------------------------------
 
+#: Ops that only read telemetry; they bypass a thread shard's fault
+#: injector, so a "crashed" shard can still be reaped and its counters
+#: read, just as a dead child's banked final telemetry can.
+_TELEMETRY_OPS = (SnapshotOp, MetricsOp, SessionStatsOp, TelemetryOp)
 
-class ThreadShard:
-    """A shard replica as an in-process :class:`AttentionServer`.
+
+class ThreadShard(AttentionService):
+    """A shard replica: an :class:`AttentionService` over an in-process
+    :class:`AttentionServer` (``.server``).
 
     Thread shards consult an optional :class:`FaultInjector` on every
-    RPC-surface call and every heartbeat, so tests can crash, partition,
-    or slow a shard deterministically — the thread-mode analogue of a
-    spawned child dying.  Telemetry reads and ``stop`` bypass the
-    injector: a "crashed" shard's parent-side handle can still be
-    reaped and its banked counters read, just as a real dead child's
-    cached ``_final`` telemetry can.
+    serving and control op and every heartbeat, so tests can crash,
+    partition, or slow a shard deterministically — the thread-mode
+    analogue of a spawned child dying.  Telemetry reads and ``stop``
+    bypass the injector.
     """
 
     #: Thread shards share the parent's address space — passing array
     #: references is already zero-copy, so segment adoption would only
-    #: add lifecycle bookkeeping.  The fan-out pickles... nothing, and
-    #: falls back to plain registration.
+    #: add lifecycle bookkeeping; the fan-out registers plain arrays.
     supports_adopt = False
 
     def __init__(
@@ -291,8 +304,9 @@ class ThreadShard:
         backend_factory=None,
         injector: FaultInjector | None = None,
     ):
-        self.shard_id = shard_id
         self.server = AttentionServer(config, backend_factory)
+        super().__init__(self.server)
+        self.shard_id = shard_id
         self.injector = injector
 
     def _check(self) -> None:
@@ -314,66 +328,17 @@ class ThreadShard:
             return False
         return self.server.running
 
-    def register_session(
-        self, session_id: str, key: np.ndarray, value: np.ndarray
-    ) -> None:
+    def submit_attend(
+        self, op: AttendOp, trace_ctx: TraceContext | None = None
+    ) -> Future:
         self._check()
-        self.server.register_session(session_id, key, value)
+        return super().submit_attend(op, trace_ctx)
 
-    def close_session(self, session_id: str) -> None:
-        self._check()
-        self.server.close_session(session_id)
-
-    def mutate_session(self, session_id: str, mutation) -> None:
-        self._check()
-        self.server.mutate_session(session_id, mutation)
-
-    def set_default_tier(self, tier: str) -> None:
-        self._check()
-        self.server.set_default_tier(tier)
-
-    def attend(
-        self,
-        session_id: str,
-        query: np.ndarray,
-        timeout: float | None,
-        tier: str | None = None,
-        trace_ctx: TraceContext | None = None,
-    ) -> np.ndarray:
-        self._check()
-        return self.server.attend(
-            session_id, query, timeout=timeout, tier=tier, trace_ctx=trace_ctx
-        )
-
-    def attend_many(
-        self,
-        session_id: str,
-        queries: np.ndarray,
-        timeout: float | None,
-        tier: str | None = None,
-    ) -> np.ndarray:
-        self._check()
-        return self.server.attend_many(
-            session_id, queries, timeout=timeout, tier=tier
-        )
-
-    def snapshot(self) -> dict:
-        return self.server.snapshot()
-
-    def session_stats(self, session_id: str) -> BackendStats:
-        return self.server.cache.session_stats(session_id)
-
-    def merged_backend_stats(self) -> BackendStats:
-        return self.server.cache.merged_backend_stats()
-
-    def latency_samples(self) -> list[float]:
-        return self.server.stats.latency_samples()
-
-    def trace_spans(self) -> list[dict]:
-        return self.server.trace_spans()
-
-    def metrics_samples(self) -> list[dict]:
-        return self.server.metrics_samples()
+    def call(self, op, trace_ctx: TraceContext | None = None):
+        # Attends meet the injector once, in submit_attend.
+        if not isinstance(op, (AttendOp, *_TELEMETRY_OPS)):
+            self._check()
+        return super().call(op, trace_ctx)
 
 
 # ----------------------------------------------------------------------
@@ -381,132 +346,80 @@ class ThreadShard:
 # ----------------------------------------------------------------------
 
 
-def _reply(outbox: queue.Queue, seq: int, future) -> None:
-    """Forward one resolved request future to the shard's sender thread."""
-    exc = None
-    try:
-        exc = future.exception(0)
-    except BaseException as raised:  # noqa: BLE001 — cancelled/timeout
-        exc = raised
-    if exc is not None:
-        outbox.put((seq, "err", exc))
-    else:
-        outbox.put((seq, "ok", future.result(0)))
+def _shard_main(sock: socket.socket, config: ServerConfig) -> None:
+    """Entry point of a spawned shard: one ``AttentionServer`` answering
+    the service ops as protocol frames on its end of a socket pair.
 
+    A blocking frame loop decodes each request; attends go through
+    :meth:`AttentionService.submit_attend` (so they meet in the child's
+    batcher), other ops run inline.  One writer thread answers, out of
+    order: a worker resolving a batch only queues its answers and goes
+    on to record the batch's trace spans, so they are there when the
+    answer lands.  A parent hang-up (or goodbye) stops the server.
+    """
+    server = AttentionServer(config).start()
+    service = server.service()
+    assembler = protocol.FrameAssembler()
+    answers: queue.SimpleQueue = queue.SimpleQueue()
 
-def _shard_main(conn, config: ServerConfig) -> None:
-    """Entry point of a spawned shard: one ``AttentionServer`` behind a
-    pipe.  Requests are answered out of order via sequence numbers; a
-    dedicated sender thread serializes writes to the pipe."""
-    server = AttentionServer(config)
-    server.start()
-    outbox: queue.Queue = queue.Queue()
-
-    def send_replies() -> None:
-        while True:
-            item = outbox.get()
-            if item is None:
-                return
+    def write() -> None:
+        while (item := answers.get()) is not None:
+            corr_id, outcome = item
             try:
-                conn.send(item)
-            except (BrokenPipeError, OSError):
-                return
+                frame = protocol.encode_result(outcome.result(), corr_id)
+            except Exception as exc:  # noqa: BLE001 — typed error frame
+                frame = protocol.encode_error(exc, corr_id)
+            try:
+                sock.sendall(frame)
+            except OSError:
+                pass  # parent gone; the read loop sees EOF next
 
-    sender = threading.Thread(target=send_replies, daemon=True)
-    sender.start()
-
-    stopping = False
-    while not stopping:
-        try:
-            message = conn.recv()
-        except (EOFError, OSError):
-            # Parent vanished: stop serving, nobody is listening.
-            server.stop(timeout=5.0)
-            break
-        op, seq, *args = message
-        try:
-            if op == "submit":
-                session_id, query, tier, ctx = args
-                request = server.submit(
-                    session_id, query, tier=tier, trace_ctx=ctx
+    writer = threading.Thread(
+        target=write, name="repro-shard-writer", daemon=True
+    )
+    writer.start()
+    try:
+        while data := sock.recv(1 << 16):
+            for opcode, corr_id, payload in assembler.feed(data):
+                if opcode == protocol.OP_GOODBYE:
+                    return
+                outcome: Future = Future()
+                try:
+                    op, trace_ctx = protocol.decode_op(opcode, payload)
+                    if isinstance(op, AttendOp):
+                        outcome = service.submit_attend(op, trace_ctx)
+                    else:
+                        outcome.set_result(service.call(op))
+                except Exception as exc:  # noqa: BLE001 — answered typed
+                    outcome.set_exception(exc)
+                outcome.add_done_callback(
+                    lambda done, corr_id=corr_id: answers.put((corr_id, done))
                 )
-                request.future.add_done_callback(
-                    lambda f, seq=seq: _reply(outbox, seq, f)
-                )
-                continue  # replied asynchronously
-            if op == "ping":
-                payload = "pong"
-            elif op == "set_tier":
-                (tier,) = args
-                server.set_default_tier(tier)
-                payload = None
-            elif op == "register":
-                session_id, key, value = args
-                server.register_session(session_id, key, value)
-                payload = None
-            elif op == "adopt":
-                session_id, segment_name, fingerprint = args
-                server.adopt_session(session_id, segment_name, fingerprint)
-                payload = None
-            elif op == "mutate":
-                session_id, mutation = args
-                server.mutate_session(session_id, mutation)
-                payload = None
-            elif op == "close_session":
-                (session_id,) = args
-                server.close_session(session_id)
-                payload = None
-            elif op == "snapshot":
-                payload = server.snapshot()
-            elif op == "session_stats":
-                (session_id,) = args
-                payload = server.cache.session_stats(session_id)
-            elif op == "merged_stats":
-                payload = server.cache.merged_backend_stats()
-            elif op == "samples":
-                payload = server.stats.latency_samples()
-            elif op == "spans":
-                payload = server.trace_spans()
-            elif op == "metrics":
-                payload = server.metrics_samples()
-            elif op == "stop":
-                timeout, drain = args
-                server.stop(timeout, drain=drain)
-                # Reply with the final telemetry so the parent can keep
-                # answering snapshot() after this process is gone — and
-                # so requests completed *during* the drain are counted.
-                payload = {
-                    "snapshot": server.snapshot(),
-                    "samples": server.stats.latency_samples(),
-                    "merged": server.cache.merged_backend_stats(),
-                    "spans": server.trace_spans(),
-                    "metrics": server.metrics_samples(),
-                }
-                stopping = True
-            else:  # pragma: no cover — protocol bug
-                raise ShardError(f"unknown shard op {op!r}")
-        except BaseException as exc:  # noqa: BLE001 — forwarded to parent
-            outbox.put((seq, "err", exc))
-        else:
-            outbox.put((seq, "ok", payload))
-    outbox.put(None)
-    sender.join(timeout=5.0)
-    conn.close()
+    except (OSError, protocol.ProtocolError):
+        pass  # the parent broke the stream: nobody is left to answer
+    finally:
+        server.stop()
+        answers.put(None)
+        writer.join(5.0)
+        sock.close()
 
 
 class ProcessShard:
     """A shard replica in a ``multiprocessing`` spawn child.
 
-    The parent side keeps a sequence-numbered table of in-flight
-    :class:`~concurrent.futures.Future` objects; a reader thread drains
-    the pipe and resolves them, so any number of requests can be in
-    flight concurrently over one connection.  Only the default backend
-    factory is supported (factories don't pickle).
+    The parent side is an :class:`~repro.serve.client.AttentionClient`
+    on one end of a ``socket.socketpair()`` whose other end the child
+    inherits — no port, no path, no listening socket — the same client a
+    network caller uses, answered by :func:`_shard_main`.  ``start``,
+    ``stop``, ``kill`` and ``ping`` manage the child; ``call`` and
+    ``submit_attend`` carry the ops (the child is spawned on first
+    use).  Only the default backend factory is supported (factories
+    cannot cross processes).
     """
 
     #: Spawn children adopt shared-memory artifact segments by name:
-    #: the fan-out ships a handle + fingerprint over the pipe instead
-    #: of pickled key/value/prepared arrays.
+    #: the fan-out ships a handle + fingerprint instead of the key,
+    #: value and prepared arrays.
     supports_adopt = True
 
     def __init__(
@@ -518,266 +431,123 @@ class ProcessShard:
         self.shard_id = shard_id
         self.config = config
         self.rpc_timeout = rpc_timeout
-        self._ctx = multiprocessing.get_context("spawn")
-        self._conn = None
-        self._process = None
-        self._reader: threading.Thread | None = None
         self._lock = threading.Lock()
-        self._pending: dict[int, Future] = {}
-        self._seq = 0
-        self._dead = False
+        self._process = None
+        self._client: AttentionClient | None = None
         self._stopped = False
-        self._final: dict | None = None  # post-stop telemetry cache
+        self._final: TelemetryResult | None = None  # banked at stop
 
     # -- lifecycle -----------------------------------------------------
     def start(self) -> None:
-        self._ensure_started()
-
-    def _ensure_started(self) -> None:
         with self._lock:
             if self._process is not None:
-                if self._dead:
-                    raise ShardUnavailableError(
-                        f"shard {self.shard_id!r} has died"
-                    )
                 return
-            parent_conn, child_conn = self._ctx.Pipe()
-            self._process = self._ctx.Process(
+            ours, theirs = socket.socketpair()
+            process = multiprocessing.get_context("spawn").Process(
                 target=_shard_main,
-                args=(child_conn, self.config),
+                args=(theirs, self.config),
                 name=f"repro-shard-{self.shard_id}",
                 daemon=True,
             )
-            self._process.start()
-            child_conn.close()
-            self._conn = parent_conn
-            self._reader = threading.Thread(
-                target=self._read_replies,
-                name=f"repro-shard-{self.shard_id}-reader",
-                daemon=True,
-            )
-            self._reader.start()
+            try:
+                process.start()
+            finally:
+                theirs.close()
+            self._process = process
+            self._client = AttentionClient(ours, timeout=self.rpc_timeout)
 
     def stop(self, timeout: float | None = 10.0, drain: bool = False) -> None:
+        """Bank the child's final telemetry, hang up, reap the child.
+
+        The parent is the child's only client, so ``drain=True`` waits
+        (up to ``timeout``) for the client's in-flight requests to
+        resolve — the child's server still runs and serves them — and
+        the final telemetry, read after that, counts them.  Hanging up
+        makes the child stop its server and exit; requests still
+        unanswered fail with :class:`ServerClosedError`.
+        """
         with self._lock:
-            process = self._process
+            if self._stopped:
+                return
             self._stopped = True
+            process, client = self._process, self._client
         if process is None:
             return
+        if drain:
+            client.drain(timeout)
+        # Bounded by the caller's stop timeout (plus slack for the
+        # reply), never the full rpc_timeout: a wedged child must not
+        # stall shutdown for a minute when the caller asked for a
+        # 10-second stop.
+        patience = (
+            self.rpc_timeout
+            if timeout is None
+            else min(self.rpc_timeout, timeout + 5.0)
+        )
         try:
-            # The stop reply carries the child's final telemetry (taken
-            # *after* the drain), so the cluster can keep answering
-            # snapshot() once `with cluster:` exits, with drained
-            # requests counted.  A TimeoutError here must not escape:
-            # the join/terminate below still has to reap the child.
-            # The stop RPC's patience is bounded by the caller's stop
-            # timeout (plus slack for the reply), never the full
-            # rpc_timeout: a wedged child must not stall shutdown for a
-            # minute when the caller asked for a 10-second stop.
-            stop_patience = (
-                self.rpc_timeout
-                if timeout is None
-                else min(self.rpc_timeout, timeout + 5.0)
-            )
-            self._final = self._call(
-                "stop", timeout, drain, timeout=stop_patience
-            )
-        except (ShardError, TimeoutError):
-            pass  # dead or wedged; fall through to the join/terminate
+            self._final = client.call(TelemetryOp(), timeout=patience)
+        except (ServeError, TimeoutError):
+            pass  # dead or wedged: its telemetry died with it
+        client.close()
         process.join(timeout)
         if process.is_alive():  # unresponsive child: don't leak it
             process.terminate()
             process.join(5.0)
-        with self._lock:
-            self._dead = True
-        self._fail_pending(
-            ShardUnavailableError(f"shard {self.shard_id!r} stopped")
-        )
 
     def kill(self) -> None:
-        """SIGKILL the child immediately — no drain, no stop protocol.
+        """SIGKILL the child immediately — no drain, no goodbye.
 
-        The chaos path: the reader thread sees the pipe break and fails
-        every pending future with :class:`ShardUnavailableError`, same
-        as a shard that crashed on its own.
+        The chaos path: the client sees the connection break and fails
+        every request in flight with the retryable
+        :class:`~repro.serve.protocol.ConnectionLostError`, same as a
+        shard that crashed on its own.
         """
-        with self._lock:
-            process = self._process
-        if process is not None:
-            process.kill()
+        if self._process is not None:
+            self._process.kill()
 
     def ping(self, timeout: float | None = None) -> bool:
-        """Liveness probe: process alive *and* answering its pipe.
+        """Liveness probe: process alive *and* answering a ping frame.
 
         Process liveness alone isn't health — a wedged child is alive
-        but useless — so the probe round-trips an echo RPC, bounded by
-        ``timeout``.  Never raises: any failure is ``False``.
+        but useless — so the probe round-trips a :class:`PingOp`,
+        bounded by ``timeout``.  Never raises: any failure is ``False``.
         """
-        with self._lock:
-            process = self._process
-            if self._dead or self._stopped:
-                return False
-        if process is None or not process.is_alive():
+        process, client = self._process, self._client
+        if self._stopped or process is None or not process.is_alive():
             return False
         try:
-            return self._call("ping", timeout=timeout) == "pong"
+            return client.ping(timeout)
         except Exception:  # noqa: BLE001 — probes report, never raise
             return False
 
-    # -- request plumbing ----------------------------------------------
-    def _read_replies(self) -> None:
-        # The try/finally is load-bearing: conn.recv() can raise beyond
-        # EOFError/OSError (e.g. unpickling a forwarded payload fails),
-        # and an exit path that skipped _fail_pending would leak every
-        # in-flight future as a permanent hang.  However the reader
-        # dies, pending futures get resolved.
+    # -- the shard protocol --------------------------------------------
+    def _live_client(self) -> AttentionClient:
+        if self._stopped:
+            raise ServerClosedError(f"shard {self.shard_id!r} is stopped")
+        if self._client is None:
+            self.start()
+        return self._client
+
+    def submit_attend(
+        self, op: AttendOp, trace_ctx: TraceContext | None = None
+    ) -> Future:
+        return self._live_client().submit_attend(op, trace_ctx)
+
+    def call(self, op):
+        """One op, blocking for its typed result.  A stopped or dead
+        shard still answers telemetry reads from what it banked at
+        stop (spans handed out once, like a live drain), else empty."""
         try:
-            while True:
-                try:
-                    seq, status, payload = self._conn.recv()
-                except (EOFError, OSError):
-                    break
-                with self._lock:
-                    future = self._pending.pop(seq, None)
-                if future is None:
-                    continue
-                if status == "ok":
-                    future.set_result(payload)
-                else:
-                    future.set_exception(payload)
-        finally:
-            # The child is gone (clean stop or crash): every outstanding
-            # request gets an explicit retryable error instead of a hang.
-            with self._lock:
-                self._dead = True
-            self._fail_pending(
-                ShardUnavailableError(f"shard {self.shard_id!r} died")
-            )
-
-    def _fail_pending(self, error: ShardError) -> None:
+            return self._live_client().call(op)
+        except (ServerClosedError, ShardUnavailableError):
+            if not isinstance(op, (SnapshotOp, TelemetryOp)):
+                raise
         with self._lock:
-            pending = list(self._pending.values())
-            self._pending.clear()
-        for future in pending:
-            if not future.done():
-                future.set_exception(error)
-
-    def _request(self, op: str, *args) -> Future:
-        self._ensure_started()
-        future: Future = Future()
-        with self._lock:
-            if self._dead:
-                raise ShardUnavailableError(
-                    f"shard {self.shard_id!r} has died"
-                )
-            seq = self._seq
-            self._seq += 1
-            self._pending[seq] = future
-            try:
-                self._conn.send((op, seq, *args))
-            except (BrokenPipeError, OSError) as exc:
-                self._pending.pop(seq, None)
-                self._dead = True
-                raise ShardUnavailableError(
-                    f"shard {self.shard_id!r} is unreachable"
-                ) from exc
-        return future
-
-    def _call(self, op: str, *args, timeout: float | None = None):
-        return self._request(op, *args).result(
-            self.rpc_timeout if timeout is None else timeout
-        )
-
-    # -- shard surface -------------------------------------------------
-    def register_session(
-        self, session_id: str, key: np.ndarray, value: np.ndarray
-    ) -> None:
-        self._call("register", session_id, key, value)
-
-    def adopt_session(
-        self, session_id: str, segment_name: str, fingerprint
-    ) -> None:
-        """Register by shared-memory adoption: the child attaches the
-        named segment and verifies ``fingerprint`` against its content."""
-        self._call("adopt", session_id, segment_name, fingerprint)
-
-    def mutate_session(self, session_id: str, mutation) -> None:
-        self._call("mutate", session_id, mutation)
-
-    def close_session(self, session_id: str) -> None:
-        self._call("close_session", session_id)
-
-    def set_default_tier(self, tier: str) -> None:
-        self._call("set_tier", tier)
-
-    def attend(
-        self,
-        session_id: str,
-        query: np.ndarray,
-        timeout: float | None,
-        tier: str | None = None,
-        trace_ctx: TraceContext | None = None,
-    ) -> np.ndarray:
-        return self._request(
-            "submit", session_id, query, tier, trace_ctx
-        ).result(timeout)
-
-    def attend_many(
-        self,
-        session_id: str,
-        queries: np.ndarray,
-        timeout: float | None,
-        tier: str | None = None,
-    ) -> np.ndarray:
-        futures = [
-            self._request("submit", session_id, query, tier, None)
-            for query in np.asarray(queries)
-        ]
-        return np.stack([future.result(timeout) for future in futures])
-
-    def _finished(self) -> bool:
-        with self._lock:
-            return self._stopped or self._dead
-
-    def snapshot(self) -> dict:
-        if self._finished():
-            if self._final is not None:
-                return self._final["snapshot"]
-            return _empty_shard_snapshot()
-        return self._call("snapshot")
-
-    def session_stats(self, session_id: str) -> BackendStats:
-        return self._call("session_stats", session_id)
-
-    def merged_backend_stats(self) -> BackendStats:
-        if self._finished():
-            if self._final is not None:
-                return self._final["merged"]
-            return BackendStats(keep_traces=False)
-        return self._call("merged_stats")
-
-    def latency_samples(self) -> list[float]:
-        if self._finished():
-            if self._final is not None:
-                return self._final["samples"]
-            return []
-        return self._call("samples")
-
-    def trace_spans(self) -> list[dict]:
-        if self._finished():
-            if self._final is not None:
-                # Spans are drained (returned at most once), matching
-                # the live path's Tracer.drain semantics.
-                return self._final.pop("spans", [])
-            return []
-        return self._call("spans")
-
-    def metrics_samples(self) -> list[dict]:
-        if self._finished():
-            if self._final is not None:
-                return self._final.get("metrics", [])
-            return []
-        return self._call("metrics")
+            final = self._final or _empty_telemetry()
+            if isinstance(op, SnapshotOp):
+                return SnapshotResult(snapshot=final.snapshot)
+            self._final = replace(final, spans=[])
+        return final
 
 
 # ----------------------------------------------------------------------
@@ -871,15 +641,18 @@ class ShardedAttentionServer:
         self._replica_retries = 0
         self._replayed_sessions = 0
         self._replayed_mutations = 0
-        self._retired_shards: list[dict] = []
+        #: (shard id, final telemetry) of every shard that left the
+        #: topology; their spans already joined ``self.tracer``.
+        self._retired_shards: list[tuple[str, TelemetryResult]] = []
         self._moved_selection = BackendStats(keep_traces=False)
         self._default_tier = self.config.shard.default_tier
         self._started = False
         self._stopped = False
         # The cluster-side tracer shares the shard ServerConfig's knobs:
         # one sample decision is taken here per attend, and a sampled
-        # request's context rides the RPC so the owning shard's span
-        # tree parents under the cluster's rpc span.
+        # request's context rides the attend op so the owning shard's
+        # span tree parents under the cluster's rpc span.  Shards'
+        # drained spans are absorbed into its buffer.
         self.tracer = Tracer(
             sample_rate=self.config.shard.trace_sample_rate,
             max_spans=self.config.shard.trace_max_spans,
@@ -1024,7 +797,7 @@ class ShardedAttentionServer:
         """Log-replay hook: lease a segment for a session's base
         snapshot so failover rebuilds also seed by adoption.  Returns
         ``(segment_name, fingerprint)``, or ``None`` to make the replay
-        fall back to pickled registration."""
+        fall back to registering the arrays."""
         try:
             artifact = self._segments.lease(session_id, base_key, base_value)
         except OSError:
@@ -1041,18 +814,18 @@ class ShardedAttentionServer:
     ) -> None:
         """Ship one session's memory to a shard: shared-memory segment
         adoption for shards that support it (one parent-side sort, a
-        name over the pipe), pickled arrays otherwise.  A segment that
-        cannot be packed (e.g. ``/dev/shm`` exhausted) falls back to
-        the pickle path rather than failing the registration."""
-        if getattr(handle, "supports_adopt", False):
+        name in an :class:`AdoptSessionOp`), the arrays themselves
+        otherwise.  A segment that cannot be packed (e.g. ``/dev/shm``
+        exhausted) falls back to shipping the arrays rather than
+        failing the registration."""
+        op = RegisterSessionOp(session_id, key, value)
+        if handle.supports_adopt:
             try:
                 artifact = self._segments.lease(session_id, key, value)
+                op = AdoptSessionOp(session_id, artifact.name, fingerprint)
             except OSError:
-                artifact = None
-            if artifact is not None:
-                handle.adopt_session(session_id, artifact.name, fingerprint)
-                return
-        handle.register_session(session_id, key, value)
+                pass
+        handle.call(op)
 
     def close_session(self, session_id: str) -> None:
         with self._lock:
@@ -1067,7 +840,7 @@ class ShardedAttentionServer:
             self._segments.drop(session_id)
         for handle in handles:
             try:
-                handle.close_session(session_id)
+                handle.call(CloseSessionOp(session_id))
             except ShardUnavailableError:
                 pass  # a dying replica holds nothing worth closing
 
@@ -1104,7 +877,9 @@ class ShardedAttentionServer:
             dead: list[str] = []
             for shard_id in list(self._replicas[session_id]):
                 try:
-                    self._shards[shard_id].mutate_session(session_id, mutation)
+                    self._shards[shard_id].call(
+                        MutateSessionOp(session_id, mutation)
+                    )
                 except ShardUnavailableError:
                     dead.append(shard_id)
             session.replace_memory(
@@ -1158,45 +933,34 @@ class ShardedAttentionServer:
         self, session_id: str
     ) -> tuple[str, ThreadShard | ProcessShard]:
         with self._lock:
-            replicas = self._replicas.get(session_id)
-            if replicas is None:
-                raise UnknownSessionError(
-                    f"session {session_id!r} is not registered"
-                )
-            if not replicas:
-                raise ShardUnavailableError(
-                    f"session {session_id!r} has no live replicas"
-                )
-            return replicas[0], self._shards[replicas[0]]
+            primary = self.session_shard(session_id)
+            return primary, self._shards[primary]
 
     # ------------------------------------------------------------------
     # request path
     # ------------------------------------------------------------------
-    def _dispatch(
-        self, session_id: str, op: str, payload, timeout, tier,
-        trace_root=None,
-    ):
-        """Run one read against the session's primary, failing over on
-        retryable errors.
+    def _dispatch(self, session_id: str, send, reason: str, trace_root=None):
+        """Run ``send(handle, trace_ctx)`` — one read — against the
+        session's primary, failing over on retryable errors.
 
         The retry ladder (bounded by ``failover_attempts``, linear
         backoff between attempts):
 
         * :class:`ShardUnavailableError` — the primary died before
-          answering.  Report the failure (promoting the next surviving
-          replica) and re-dispatch there; the backends are
+          answering.  Report the failure under ``reason`` (promoting
+          the next surviving replica) and re-dispatch there; the backends are
           deterministic, so the retried read returns the bit-identical
           row.  Counted in ``replica_retries``.
         * :class:`UnknownSessionError` / ``ServerClosedError`` — the
           session moved between routing and dispatch (an explicit
           rebalance or a failover won the race): retry on its new home.
-        * Any other :class:`ShardError` is **fatal** — the shard
-          actually processed the request and refused it; every replica
-          would refuse identically, so it propagates immediately.
+        * Any other error is **fatal** — the shard actually processed
+          the request and refused it; every replica would refuse
+          identically, so it propagates immediately.
 
         ``trace_root`` (a sampled cluster-side root span) makes each
-        attempt an ``rpc`` child span whose context is shipped with the
-        request, so the shard-side span tree links under it.
+        attempt an ``rpc`` child span whose context ``send`` ships with
+        the op, so the shard-side span tree links under it.
         """
         last_error: Exception | None = None
         for attempt in range(self.config.failover_attempts):
@@ -1204,7 +968,6 @@ class ShardedAttentionServer:
                 time.sleep(self.config.failover_backoff_seconds * attempt)
             shard_id, handle = self._route_handle(session_id)
             rpc = None
-            kwargs = {"tier": tier}
             if trace_root is not None:
                 rpc = self.tracer.start_span(
                     "rpc",
@@ -1212,19 +975,14 @@ class ShardedAttentionServer:
                     parent_id=trace_root.span_id,
                     attrs={"shard": shard_id, "attempt": attempt},
                 )
-                kwargs["trace_ctx"] = rpc.context()
             try:
-                result = getattr(handle, op)(
-                    session_id, payload, timeout, **kwargs
-                )
+                result = send(handle, rpc.context() if rpc else None)
             except ShardUnavailableError as exc:
                 last_error = exc
                 if rpc is not None:
                     rpc.attrs["error"] = type(exc).__name__
                     self.tracer.record(rpc)
-                self.report_shard_failure(
-                    shard_id, reason="request dispatch failed"
-                )
+                self.report_shard_failure(shard_id, reason=reason)
                 with self._lock:
                     self._replica_retries += 1
             except (UnknownSessionError, ServerClosedError) as exc:
@@ -1247,26 +1005,57 @@ class ShardedAttentionServer:
         tier: str | None = None,
     ) -> np.ndarray:
         """Route one query to its session's primary and block for the
-        row, failing over to a surviving replica if the primary dies
+        row: a batch of one through :meth:`attend_many`."""
+        return self.attend_many(
+            session_id, np.asarray(query)[np.newaxis], timeout, tier
+        )[0]
+
+    def attend_many(
+        self,
+        session_id: str,
+        queries: np.ndarray,
+        timeout: float | None = 30.0,
+        tier: str | None = None,
+        trace_ctx: TraceContext | None = None,
+    ) -> np.ndarray:
+        """Route a caller-side batch to the session's primary and
+        gather, failing over to a surviving replica if the primary dies
         (see :meth:`_dispatch`).
 
-        ``tier`` rides the RPC unchanged: the owning shard resolves
+        ``tier`` rides the op unchanged: the owning shard resolves
         ``None`` against its own live default (kept cluster-consistent
         by :meth:`set_default_tier`) and pins explicit tiers exactly as
-        a single server would.
+        a single server would.  A sampled request opens a
+        ``cluster_request`` root span; ``trace_ctx`` (a remote caller's
+        span, e.g. from a network frontend) parents it and forces the
+        sample, as on a single server.
         """
+        queries = np.asarray(queries)
         if self.config.spawn:
-            # Fail bad queries parent-side instead of shipping them over
-            # the pipe; thread shards validate inside submit() already.
-            query = self._get_session(session_id).validate_query(query)
+            # Fail bad queries parent-side instead of shipping them to
+            # the child; thread shards validate inside submit() already.
+            session = self._get_session(session_id)
+            rows = [session.validate_query(q) for q in queries]
+            queries = np.stack(rows) if rows else np.empty((0, session.d))
+        op = AttendOp(session_id, queries, tier=tier, timeout=timeout)
         root = None
-        if self.tracer.enabled and self.tracer.sample():
+        if self.tracer.enabled and (
+            trace_ctx is not None or self.tracer.sample()
+        ):
             root = self.tracer.start_span(
-                "cluster_request", attrs={"session": session_id}
+                "cluster_request",
+                trace_id=trace_ctx.trace_id if trace_ctx else None,
+                parent_id=trace_ctx.span_id if trace_ctx else None,
+                attrs={"session": session_id},
             )
         try:
             result = self._dispatch(
-                session_id, "attend", query, timeout, tier, trace_root=root
+                session_id,
+                lambda handle, ctx: handle.submit_attend(op, ctx)
+                .result(timeout)
+                .outputs,
+                "request dispatch failed",
+                trace_root=root,
             )
         except BaseException as exc:
             if root is not None:
@@ -1276,24 +1065,6 @@ class ShardedAttentionServer:
         if root is not None:
             self.tracer.record(root)
         return result
-
-    def attend_many(
-        self,
-        session_id: str,
-        queries: np.ndarray,
-        timeout: float | None = 30.0,
-        tier: str | None = None,
-    ) -> np.ndarray:
-        """Route a caller-side batch to the session's primary and
-        gather, with the same failover ladder as :meth:`attend`."""
-        if self.config.spawn:
-            session = self._get_session(session_id)
-            queries = np.stack(
-                [session.validate_query(q) for q in np.asarray(queries)]
-            )
-        return self._dispatch(
-            session_id, "attend_many", queries, timeout, tier
-        )
 
     def service(self):
         """This cluster's :class:`~repro.serve.service.AttentionService`
@@ -1341,7 +1112,7 @@ class ShardedAttentionServer:
                 dead: list[str] = []
                 for shard_id, handle in list(self._shards.items()):
                     try:
-                        handle.set_default_tier(tier)
+                        handle.call(SetTierOp(tier))
                     except ShardUnavailableError:
                         # The replica is gone, not split-tier: fail it
                         # over (below) instead of failing the caller.
@@ -1362,8 +1133,8 @@ class ShardedAttentionServer:
     def ping_shard(self, shard_id: str, timeout: float | None = None) -> bool:
         """One liveness probe of one shard (the heartbeat primitive).
 
-        Spawned shards answer with process liveness *plus* an echo RPC
-        bounded by ``timeout``; thread shards consult the fault
+        Spawned shards answer with process liveness *plus* a ping frame
+        round trip bounded by ``timeout``; thread shards consult the fault
         injector and their server state.  Unknown (already failed-over)
         shards are simply dead.  Never raises.
         """
@@ -1441,7 +1212,7 @@ class ShardedAttentionServer:
             self.router.remove_shard(shard_id)
             self._down_shards[shard_id] = reason
             self._failovers += 1
-            self._bank_dead_shard(handle)
+            self._retire(shard_id, handle, timeout=1.0, drain=False)
             r = self.config.replication
             for session_id in list(self._replicas):
                 current = [
@@ -1486,32 +1257,26 @@ class ShardedAttentionServer:
                 )
         return True
 
-    def _bank_dead_shard(self, handle: ThreadShard | ProcessShard) -> None:
-        """Reap a dead shard's handle and preserve what telemetry it
-        can still give.
+    def _retire(self, shard_id: str, handle, timeout, drain: bool) -> None:
+        """Stop a shard leaving the topology and bank its final
+        telemetry, so cluster-wide totals never shrink because the
+        topology changed.
 
         A thread shard "killed" by the injector still has its counters
         in memory, so nothing is lost; a crashed child process takes
         its local telemetry with it (the one thing a shard death does
-        lose) and contributes an empty snapshot.
+        lose) and contributes an empty record.
         """
         try:
-            handle.stop(1.0)
+            handle.stop(timeout, drain=drain)
         except Exception:  # noqa: BLE001 — reaping is best-effort
             pass
         try:
-            self._retired_shards.append(
-                {
-                    "shard_id": handle.shard_id,
-                    "snapshot": handle.snapshot(),
-                    "samples": handle.latency_samples(),
-                    "merged": handle.merged_backend_stats(),
-                    "spans": _reap_spans(handle),
-                    "metrics": _reap_metrics(handle),
-                }
-            )
+            telemetry = self._telemetry(handle)
         except Exception:  # noqa: BLE001 — telemetry died with the shard
-            pass
+            return
+        with self._lock:
+            self._retired_shards.append((shard_id, telemetry))
 
     @property
     def down_shards(self) -> dict[str, str]:
@@ -1531,9 +1296,10 @@ class ShardedAttentionServer:
 
         Rebalancing is a stop-the-world control-plane operation: the
         cluster lock is held while the moved sessions' key/value
-        matrices are re-registered (for spawned shards, piped to the
-        child), so concurrent attends stall for the duration.  In
-        exchange, no request can ever observe a half-moved topology.
+        matrices are re-registered (for spawned shards, adopted from a
+        shared-memory segment), so concurrent attends stall for the
+        duration.  In exchange, no request can ever observe a half-moved
+        topology.
         """
         with self._lock:
             if self._stopped:
@@ -1546,7 +1312,7 @@ class ShardedAttentionServer:
                 # The cluster's live default was moved (e.g. by an SLO
                 # controller); a replica joining mid-degradation must
                 # not serve best-effort traffic at the stale ceiling.
-                handle.set_default_tier(self._default_tier)
+                handle.call(SetTierOp(self._default_tier))
             self.router.add_shard(shard_id)
             moved = self._rebalance()
         return shard_id, moved
@@ -1569,20 +1335,8 @@ class ShardedAttentionServer:
             self.router.remove_shard(shard_id)
             handle = self._shards.pop(shard_id)
             moved = self._rebalance()
-        handle.stop(timeout, drain=True)
-        # Preserve the retired replica's telemetry (after the drain, so
-        # its last batches are counted): cluster-wide totals must never
-        # shrink because the topology changed.
-        retired = {
-            "shard_id": shard_id,
-            "snapshot": handle.snapshot(),
-            "samples": handle.latency_samples(),
-            "merged": handle.merged_backend_stats(),
-            "spans": _reap_spans(handle),
-            "metrics": _reap_metrics(handle),
-        }
-        with self._lock:
-            self._retired_shards.append(retired)
+        # Drained first, so the banked telemetry counts its last batches.
+        self._retire(shard_id, handle, timeout, drain=True)
         return moved
 
     def _rebalance(self) -> list[str]:
@@ -1624,9 +1378,9 @@ class ShardedAttentionServer:
                     # selection history there; bank it first so the
                     # cluster-wide aggregate survives the move.
                     self._moved_selection.merge(
-                        old.session_stats(session_id)
+                        old.call(SessionStatsOp(session_id))
                     )
-                    old.close_session(session_id)
+                    old.call(CloseSessionOp(session_id))
             moved.append(session_id)
         return moved
 
@@ -1636,35 +1390,32 @@ class ShardedAttentionServer:
     def session_stats(self, session_id: str) -> BackendStats:
         """One session's selection counters, from its primary shard.
 
-        Fails over like :meth:`_dispatch`: a dead primary is reported
-        and the next surviving replica answers.  The dead shard's own
-        counters are banked into the *cluster* aggregate, not the
-        per-session stats — a crash can shrink a session's reported
-        selection history, never its served answers.
+        Fails over like an attend (see :meth:`_dispatch`): a dead
+        primary is reported and the next surviving replica answers.
+        The dead shard's own counters are banked into the *cluster*
+        aggregate, not the per-session stats — a crash can shrink a
+        session's reported selection history, never its served answers.
         """
-        last_error: Exception | None = None
-        for attempt in range(self.config.failover_attempts):
-            if attempt:
-                time.sleep(self.config.failover_backoff_seconds * attempt)
-            shard_id, handle = self._route_handle(session_id)
-            try:
-                return handle.session_stats(session_id)
-            except ShardUnavailableError as exc:
-                last_error = exc
-                self.report_shard_failure(
-                    shard_id, reason="session-stats dispatch failed"
-                )
-            except (UnknownSessionError, ServerClosedError) as exc:
-                last_error = exc
-        assert last_error is not None
-        raise last_error
+        return self._dispatch(
+            session_id,
+            lambda handle, _: handle.call(SessionStatsOp(session_id)),
+            "session-stats dispatch failed",
+        )
+
+    def _telemetry(self, handle) -> TelemetryResult:
+        """One shard's :class:`TelemetryResult`.  Its drained spans join
+        the cluster tracer's buffer, so :meth:`trace_spans` returns them
+        whichever read fetched them."""
+        telemetry = handle.call(TelemetryOp())
+        self.tracer.absorb(telemetry.spans)
+        return telemetry
 
     def shard_snapshots(self) -> dict[str, dict]:
         """Each shard's own :meth:`AttentionServer.snapshot`."""
         with self._lock:
             handles = dict(self._shards)
         return {
-            shard_id: handle.snapshot()
+            shard_id: handle.call(SnapshotOp()).snapshot
             for shard_id, handle in sorted(handles.items())
         }
 
@@ -1679,7 +1430,7 @@ class ShardedAttentionServer:
         """
         with self._lock:
             handles = dict(self._shards)
-            retired = list(self._retired_shards)
+            retired = [telemetry for _, telemetry in self._retired_shards]
             moved_selection = BackendStats(keep_traces=False)
             moved_selection.merge(self._moved_selection)
             # Primaries only: replicas are redundancy, not load (reads
@@ -1697,26 +1448,21 @@ class ShardedAttentionServer:
                 "replayed_sessions": self._replayed_sessions,
                 "replayed_mutations": self._replayed_mutations,
             }
-        shards = {
-            shard_id: handle.snapshot()
+        live = {
+            shard_id: self._telemetry(handle)
             for shard_id, handle in sorted(handles.items())
         }
+        shards = {shard_id: t.snapshot for shard_id, t in live.items()}
         # Removed replicas contribute their preserved totals/samples so
         # the cluster aggregate never shrinks on a topology change; the
         # live per-shard views (and load imbalance) stay topology-only.
-        counter_sources = list(shards.values()) + [
-            r["snapshot"] for r in retired
-        ]
-        samples: list[float] = []
-        for handle in handles.values():
-            samples.extend(handle.latency_samples())
+        pooled = [*live.values(), *retired]
+        counter_sources = [t.snapshot for t in pooled]
+        samples = [sample for t in pooled for sample in t.samples]
         merged = BackendStats(keep_traces=False)
         merged.merge(moved_selection)
-        for handle in handles.values():
-            merged.merge(handle.merged_backend_stats())
-        for entry in retired:
-            samples.extend(entry["samples"])
-            merged.merge(entry["merged"])
+        for t in pooled:
+            merged.merge(t.selection)
         completed = [snap["completed"] for snap in shards.values()]
         mean_completed = (
             sum(completed) / len(completed) if completed else 0.0
@@ -1796,25 +1542,19 @@ class ShardedAttentionServer:
         return {"cluster": cluster, "shards": shards}
 
     def trace_spans(self) -> list[dict]:
-        """Drain the cluster's finished spans: cluster-side roots/rpc
-        spans, every live shard's spans (fetched over the pipe for
-        spawned shards), and spans banked from retired shards.  Each
-        span is returned at most once."""
+        """Drain the cluster's finished spans: its own
+        ``cluster_request``/``rpc`` spans plus every shard's, fetched
+        with the shard's telemetry (retired shards' spans joined the
+        buffer when they were banked).  Each span is returned at most
+        once."""
         with self._lock:
             handles = dict(self._shards)
-            banked: list[dict] = []
-            for entry in self._retired_shards:
-                reaped = entry.pop("spans", None)
-                if reaped:
-                    banked.extend(reaped)
-        spans = self.tracer.drain()
-        spans.extend(banked)
-        for handle in sorted(handles.values(), key=lambda h: h.shard_id):
+        for _, handle in sorted(handles.items()):
             try:
-                spans.extend(handle.trace_spans())
+                self._telemetry(handle)
             except Exception:  # noqa: BLE001 — telemetry is best-effort
                 pass
-        return spans
+        return self.tracer.drain()
 
     def metrics_registry(self) -> MetricsRegistry:
         """One merged :class:`~repro.serve.observability.MetricsRegistry`:
@@ -1824,10 +1564,7 @@ class ShardedAttentionServer:
         registry = MetricsRegistry()
         with self._lock:
             handles = dict(self._shards)
-            retired = [
-                (entry.get("shard_id", "retired"), entry.get("metrics"))
-                for entry in self._retired_shards
-            ]
+            retired = list(self._retired_shards)
             down = dict(self._down_shards)
             failover = {
                 "failovers": self._failovers,
@@ -1836,15 +1573,14 @@ class ShardedAttentionServer:
                 "replayed_mutations": self._replayed_mutations,
             }
             sessions = len(self._sessions)
+        live = []
         for shard_id, handle in sorted(handles.items()):
             try:
-                samples = handle.metrics_samples()
+                live.append((shard_id, self._telemetry(handle)))
             except Exception:  # noqa: BLE001 — telemetry is best-effort
                 continue
-            registry.absorb(samples, extra_labels={"shard": shard_id})
-        for shard_id, samples in retired:
-            if samples:
-                registry.absorb(samples, extra_labels={"shard": shard_id})
+        for shard_id, telemetry in live + retired:
+            registry.absorb(telemetry.metrics, extra_labels={"shard": shard_id})
         registry.gauge(
             "repro_cluster_shards", "Live shard replicas."
         ).set(len(handles))
@@ -1874,30 +1610,19 @@ class ShardedAttentionServer:
         return self.metrics_registry().expose()
 
 
-def _reap_spans(handle) -> list[dict]:
-    """A dying/retiring shard's remaining spans, best-effort."""
-    try:
-        return handle.trace_spans()
-    except Exception:  # noqa: BLE001 — telemetry died with the shard
-        return []
+def _empty_telemetry() -> TelemetryResult:
+    """The telemetry of a shard that never served (or died unbanked).
 
-
-def _reap_metrics(handle) -> list[dict]:
-    """A dying/retiring shard's final metric samples, best-effort."""
-    try:
-        return handle.metrics_samples()
-    except Exception:  # noqa: BLE001 — telemetry died with the shard
-        return []
-
-
-def _empty_shard_snapshot() -> dict:
-    """The zero-traffic snapshot shape of a shard that never served.
-
-    Built from the real stats objects so the structure can never drift
-    from :meth:`AttentionServer.snapshot`.
+    Built from the real stats objects so the snapshot's structure can
+    never drift from :meth:`AttentionServer.snapshot`.
     """
-    return ServerStats().snapshot(
-        cache_stats=CacheStats(), backend=BackendStats(keep_traces=False)
+    selection = BackendStats(keep_traces=False)
+    return TelemetryResult(
+        snapshot=ServerStats().snapshot(
+            cache_stats=CacheStats(), backend=selection
+        ),
+        samples=[],
+        selection=selection,
+        spans=[],
+        metrics=[],
     )
-
-

@@ -24,10 +24,10 @@ splice itself is bit-identical to a fresh build — the PR 4 property).
 * ``forget`` — the session closed; drop its record.
 
 Recovery then calls :meth:`replay_onto`, which registers the base
-memory on a target shard and replays every mutation through the
-shard's ``mutate_session`` — driving the same incremental-splice path
-live traffic uses, so the rebuilt prepared artifacts are bit-identical
-to the dead replica's.  :meth:`replay_memory` folds the log parent-side
+memory on a target shard and replays every mutation as a
+:class:`~repro.serve.service.MutateSessionOp` — driving the same
+incremental-splice path live traffic uses, so the rebuilt prepared
+artifacts are bit-identical to the dead replica's.  :meth:`replay_memory` folds the log parent-side
 (used by tests to pin log/parent agreement without a shard).
 
 Long-lived streaming sessions would otherwise accumulate unbounded
@@ -48,6 +48,11 @@ import numpy as np
 
 from repro.serve.mutator import SessionMutation
 from repro.serve.request import UnknownSessionError
+from repro.serve.service import (
+    AdoptSessionOp,
+    MutateSessionOp,
+    RegisterSessionOp,
+)
 
 __all__ = ["MutationLog", "SessionLogRecord"]
 
@@ -159,18 +164,20 @@ class MutationLog:
     def replay_onto(self, session_id: str, shard, exporter=None) -> int:
         """Rebuild the session on ``shard`` by replaying its log.
 
-        Registers the base memory, then replays every mutation through
-        the shard's ``mutate_session`` — the same incremental-splice
-        path live mutations take, so the rebuilt prepared state is
-        bit-identical to the lost replica's.  Returns the number of
-        mutations replayed.  Raises whatever the shard raises (the
-        caller decides whether the target itself just died).
+        ``shard`` is anything answering ``call(op)`` with the
+        :mod:`repro.serve.service` ops.  Registers the base memory, then
+        replays every mutation as a :class:`MutateSessionOp` — the same
+        incremental-splice path live mutations take, so the rebuilt
+        prepared state is bit-identical to the lost replica's.  Returns
+        the number of mutations replayed.  Raises whatever the shard
+        raises (the caller decides whether the target itself just
+        died).
 
         ``exporter`` enables zero-copy seeding of the base snapshot:
         called as ``exporter(session_id, base_key, base_value)`` it
         returns a ``(segment_name, fingerprint)`` pair for the shard to
-        adopt via ``adopt_session`` instead of receiving pickled base
-        arrays (shards not advertising ``supports_adopt``, and an
+        adopt (an :class:`AdoptSessionOp`) instead of receiving the
+        base arrays (shards not advertising ``supports_adopt``, and an
         exporter returning ``None``, fall back to plain registration).
         The mutations still replay one by one, so the rebuilt state is
         bit-identical either way.
@@ -179,17 +186,14 @@ class MutationLog:
             record = self._require(session_id)
             base_key, base_value = record.base_key, record.base_value
             mutations = tuple(record.mutations)
-        seeded = False
+        seed = RegisterSessionOp(session_id, base_key, base_value)
         if exporter is not None and getattr(shard, "supports_adopt", False):
             lease = exporter(session_id, base_key, base_value)
             if lease is not None:
-                segment_name, fingerprint = lease
-                shard.adopt_session(session_id, segment_name, fingerprint)
-                seeded = True
-        if not seeded:
-            shard.register_session(session_id, base_key, base_value)
+                seed = AdoptSessionOp(session_id, *lease)
+        shard.call(seed)
         for mutation in mutations:
-            shard.mutate_session(session_id, mutation)
+            shard.call(MutateSessionOp(session_id, mutation))
         return len(mutations)
 
     def compact(self, session_id: str) -> None:

@@ -59,8 +59,8 @@ class SessionMutation:
     Subclasses implement ``apply`` (pure: old arrays in, new arrays
     out, with validation) and ``apply_to_backend`` (drive the prepared
     backend's incremental splice hook, when the backend has one).
-    Instances are immutable and picklable, so process-backed shards
-    receive them over the RPC pipe unchanged.
+    Instances are immutable and wire-encodable, so process-backed
+    shards receive them as typed protocol frames unchanged.
     """
 
     def apply(

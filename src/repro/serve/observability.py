@@ -19,8 +19,8 @@ This module is the telemetry spine of :mod:`repro.serve`:
   :meth:`MetricsRegistry.absorb` folds into another registry (summing
   counters and histograms), which is how
   ``ShardedAttentionServer.metrics_registry`` pools per-shard metrics
-  — including across the spawn-shard RPC boundary — under a ``shard``
-  label.
+  — spawn shards' included, carried in their telemetry frames — under
+  a ``shard`` label.
 * :func:`parse_exposition` — a minimal text-format parser used by the
   round-trip test and by anything that wants to scrape the exposition
   without a Prometheus client library.

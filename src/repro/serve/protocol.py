@@ -14,7 +14,8 @@ Every message on a connection is one **frame**::
   typed error (:class:`UnsupportedVersionError`); the frame boundary is
   still trusted (the header layout is the versioned contract), so the
   connection survives.
-* ``op`` — one code per service op / result kind (``OP_*`` constants).
+* ``op`` — one code per service op / result kind (``OP_*`` constants,
+  tabled below).
 * ``corr id`` — caller-chosen correlation id echoed on the response, so
   any number of requests can be in flight per connection and responses
   return in completion order, not submission order.
@@ -35,10 +36,24 @@ Errors are **typed frames**: :data:`OP_ERROR` carries a ``u16`` error
 code plus a message, and :func:`decode_error` rebuilds the matching
 Python exception — backpressure rejects
 (:class:`~repro.serve.request.ServerOverloadedError`), shard loss
-(:class:`~repro.serve.cluster.ShardUnavailableError`), unknown
+(:class:`~repro.serve.request.ShardUnavailableError`), unknown
 sessions, shutdown, invalid inputs, and the protocol's own framing
 errors each map to a distinct code, so remote callers can tell a retryable
 condition from a fatal one exactly as in-process callers do.
+
+The same frames carry two kinds of traffic: network clients talking to
+a :class:`~repro.serve.frontend.NetworkFrontend`, and a sharded
+cluster talking to its spawn shards over a socket pair (the
+shard-level ops — adoption, session stats, telemetry — serve the
+latter, but any frontend answers them too).
+
+Opcodes, requests then responses (payload layouts in :func:`encode_op`
+and :func:`encode_result`)::
+
+    0x01 attend      0x02 register        0x03 close session  0x04 mutate
+    0x05 set tier    0x06 snapshot        0x07 metrics        0x08 ping
+    0x09 adopt       0x0A session stats   0x0B telemetry      0x0F goodbye
+    0x11 rows        0x12 JSON record     0x13 telemetry      0x1F error
 """
 
 from __future__ import annotations
@@ -48,6 +63,7 @@ import struct
 
 import numpy as np
 
+from repro.core.backends import BackendStats, KeyFingerprint
 from repro.errors import ConfigError, ReproError, ShapeError
 from repro.serve.mutator import (
     AppendRowsMutation,
@@ -58,9 +74,11 @@ from repro.serve.request import (
     ServeError,
     ServerClosedError,
     ServerOverloadedError,
+    ShardUnavailableError,
     UnknownSessionError,
 )
 from repro.serve.service import (
+    AdoptSessionOp,
     AttendOp,
     AttendResult,
     CloseSessionOp,
@@ -71,9 +89,12 @@ from repro.serve.service import (
     Pong,
     RegisterSessionOp,
     SessionInfo,
+    SessionStatsOp,
     SetTierOp,
     SnapshotOp,
     SnapshotResult,
+    TelemetryOp,
+    TelemetryResult,
     TierResult,
 )
 from repro.serve.tracing import TraceContext
@@ -106,6 +127,12 @@ HEADER = struct.Struct(">4sBBQI")
 #: Default payload bound: generous for key/value registration frames,
 #: small enough that a hostile length field cannot balloon memory.
 MAX_PAYLOAD_BYTES = 256 * 1024 * 1024
+_F64 = struct.Struct(">d")
+#: BackendStats counters a session-stats / telemetry answer carries.
+_SELECTION_FIELDS = (
+    "calls", "total_rows", "total_candidates", "total_kept",
+    "topk_included", "topk_total", "dropped_traces",
+)
 
 # -- op codes ----------------------------------------------------------
 OP_ATTEND = 0x01
@@ -116,10 +143,14 @@ OP_SET_TIER = 0x05
 OP_SNAPSHOT = 0x06
 OP_METRICS = 0x07
 OP_PING = 0x08
+OP_ADOPT = 0x09
+OP_SESSION_STATS = 0x0A
+OP_TELEMETRY = 0x0B
 OP_GOODBYE = 0x0F  # client-initiated graceful connection close
 
 OP_RESULT_ROWS = 0x11  # AttendResult: one ndarray plane
 OP_RESULT_JSON = 0x12  # structured results (SessionInfo, snapshots, ...)
+OP_RESULT_TELEMETRY = 0x13  # TelemetryResult: sample plane + JSON
 OP_ERROR = 0x1F
 
 # -- error codes -------------------------------------------------------
@@ -160,32 +191,30 @@ class FrameTooLargeError(ProtocolError):
         self.payload_length = payload_length
 
 
-class ConnectionLostError(ServeError):
-    """The transport died with requests still in flight."""
+class ConnectionLostError(ShardUnavailableError):
+    """The transport died with requests still in flight.
+
+    A lost connection is a lost shard: the request may never have been
+    read, so it is the retryable :class:`ShardUnavailableError` a
+    cluster fails over on.
+    """
 
 
-def _map_errors():
-    # Imported lazily: cluster pulls in the whole serving stack, and
-    # protocol must stay importable from it without a cycle.
-    from repro.serve.cluster import ShardUnavailableError
-
-    return {
-        ERR_BAD_FRAME: BadFrameError,
-        ERR_UNSUPPORTED_VERSION: UnsupportedVersionError,
-        ERR_FRAME_TOO_LARGE: FrameTooLargeError,
-        ERR_OVERLOADED: ServerOverloadedError,
-        ERR_CLOSED: ServerClosedError,
-        ERR_UNKNOWN_SESSION: UnknownSessionError,
-        ERR_SHARD_UNAVAILABLE: ShardUnavailableError,
-        ERR_INVALID: ConfigError,
-        ERR_INTERNAL: ServeError,
-    }
+_ERRORS = {
+    ERR_BAD_FRAME: BadFrameError,
+    ERR_UNSUPPORTED_VERSION: UnsupportedVersionError,
+    ERR_FRAME_TOO_LARGE: FrameTooLargeError,
+    ERR_OVERLOADED: ServerOverloadedError,
+    ERR_CLOSED: ServerClosedError,
+    ERR_UNKNOWN_SESSION: UnknownSessionError,
+    ERR_SHARD_UNAVAILABLE: ShardUnavailableError,
+    ERR_INVALID: ConfigError,
+    ERR_INTERNAL: ServeError,
+}
 
 
 def error_code_for(error: BaseException) -> int:
     """The wire code one exception maps to (most specific class wins)."""
-    from repro.serve.cluster import ShardUnavailableError
-
     if isinstance(error, FrameTooLargeError):
         return ERR_FRAME_TOO_LARGE
     if isinstance(error, UnsupportedVersionError):
@@ -349,6 +378,9 @@ class _Cursor:
     def u32(self) -> int:
         return int.from_bytes(self.take(4), "big")
 
+    def f64(self) -> float:
+        return _F64.unpack(self.take(8))[0]
+
     def string(self) -> str | None:
         length = self.u16()
         if length == 0xFFFF:
@@ -415,6 +447,33 @@ def _put_json(out: bytearray, value) -> None:
     out.extend(json.dumps(value, separators=(",", ":")).encode("utf-8"))
 
 
+def _put_fingerprint(out: bytearray, fingerprint: KeyFingerprint) -> None:
+    out.append(len(fingerprint.shape))
+    for dim in fingerprint.shape:
+        out.extend(int(dim).to_bytes(4, "big"))
+    out.extend(_F64.pack(fingerprint.total))
+    out.extend(_F64.pack(fingerprint.weighted))
+
+
+def _take_fingerprint(cursor: _Cursor) -> KeyFingerprint:
+    shape = tuple(cursor.u32() for _ in range(cursor.u8()))
+    return KeyFingerprint(
+        shape=shape, total=cursor.f64(), weighted=cursor.f64()
+    )
+
+
+def _selection_record(stats: BackendStats) -> dict:
+    """The selection counters only: per-query traces stay where they
+    were recorded."""
+    return {name: getattr(stats, name) for name in _SELECTION_FIELDS}
+
+
+def _selection(record: dict) -> BackendStats:
+    return BackendStats(
+        keep_traces=False,
+        **{name: int(record[name]) for name in _SELECTION_FIELDS},
+    )
+
 # ----------------------------------------------------------------------
 # op payloads
 # ----------------------------------------------------------------------
@@ -441,6 +500,16 @@ def encode_op(
         _put_array(out, op.key)
         _put_array(out, op.value)
         return encode_frame(OP_REGISTER, corr_id, bytes(out))
+    if isinstance(op, AdoptSessionOp):
+        _put_str(out, op.session_id)
+        _put_str(out, op.segment_name)
+        _put_fingerprint(out, op.fingerprint)
+        return encode_frame(OP_ADOPT, corr_id, bytes(out))
+    if isinstance(op, SessionStatsOp):
+        _put_str(out, op.session_id)
+        return encode_frame(OP_SESSION_STATS, corr_id, bytes(out))
+    if isinstance(op, TelemetryOp):
+        return encode_frame(OP_TELEMETRY, corr_id)
     if isinstance(op, CloseSessionOp):
         _put_str(out, op.session_id)
         return encode_frame(OP_CLOSE_SESSION, corr_id, bytes(out))
@@ -511,6 +580,28 @@ def decode_op(
             RegisterSessionOp(session_id=session_id, key=key, value=value),
             None,
         )
+    if opcode == OP_ADOPT:
+        session_id = _require_session(cursor)
+        segment_name = cursor.string()
+        fingerprint = _take_fingerprint(cursor)
+        cursor.done()
+        if segment_name is None:
+            raise BadFrameError("adopt frame is missing the segment name")
+        return (
+            AdoptSessionOp(
+                session_id=session_id,
+                segment_name=segment_name,
+                fingerprint=fingerprint,
+            ),
+            None,
+        )
+    if opcode == OP_SESSION_STATS:
+        session_id = _require_session(cursor)
+        cursor.done()
+        return SessionStatsOp(session_id=session_id), None
+    if opcode == OP_TELEMETRY:
+        cursor.done()
+        return TelemetryOp(), None
     if opcode == OP_CLOSE_SESSION:
         session_id = _require_session(cursor)
         cursor.done()
@@ -569,37 +660,49 @@ def _require_session(cursor: _Cursor) -> str:
 # result payloads
 # ----------------------------------------------------------------------
 
+#: OP_RESULT_JSON records: ``kind`` plus the dataclass's own fields.
+_JSON_RESULTS = {
+    "session": SessionInfo,
+    "tier": TierResult,
+    "snapshot": SnapshotResult,
+    "metrics": MetricsResult,
+    "pong": Pong,
+}
+_JSON_KINDS = {cls: kind for kind, cls in _JSON_RESULTS.items()}
+
 
 def encode_result(result, corr_id: int) -> bytes:
     """One service result → a complete response frame."""
+    out = bytearray()
     if isinstance(result, AttendResult):
-        out = bytearray()
         _put_array(out, result.outputs)
         return encode_frame(OP_RESULT_ROWS, corr_id, bytes(out))
-    out = bytearray()
-    if isinstance(result, SessionInfo):
-        _put_json(
-            out,
-            {
-                "kind": "session",
-                "session_id": result.session_id,
-                "n": result.n,
-                "d": result.d,
-                "d_v": result.d_v,
-            },
-        )
-    elif isinstance(result, TierResult):
-        _put_json(out, {"kind": "tier", "previous": result.previous})
-    elif isinstance(result, SnapshotResult):
-        _put_json(out, {"kind": "snapshot", "snapshot": result.snapshot})
-    elif isinstance(result, MetricsResult):
-        _put_json(out, {"kind": "metrics", "text": result.text})
-    elif isinstance(result, Pong):
-        _put_json(out, {"kind": "pong"})
+    if isinstance(result, TelemetryResult):
+        # Samples ride as a raw plane (cheap and bit-exact at any
+        # count); the records as JSON, whose float repr round-trips
+        # every non-NaN double.  Metric label keys are tuples, so the
+        # value maps travel as (key, value) pairs.
+        _put_array(out, np.asarray(result.samples, dtype=np.float64))
+        record = {
+            "snapshot": result.snapshot,
+            "selection": _selection_record(result.selection),
+            "spans": result.spans,
+            "metrics": [
+                dict(family, values=list(family["values"].items()))
+                for family in result.metrics
+            ],
+        }
+        _put_json(out, record)
+        return encode_frame(OP_RESULT_TELEMETRY, corr_id, bytes(out))
+    if isinstance(result, BackendStats):
+        record = {"kind": "selection", **_selection_record(result)}
+    elif type(result) in _JSON_KINDS:
+        record = {"kind": _JSON_KINDS[type(result)], **vars(result)}
     else:
         raise ProtocolError(
             f"result {type(result).__name__} is not wire-encodable"
         )
+    _put_json(out, record)
     return encode_frame(OP_RESULT_JSON, corr_id, bytes(out))
 
 
@@ -613,29 +716,50 @@ def decode_result(opcode: int, payload: bytes):
         outputs = _take_array(cursor)
         cursor.done()
         return AttendResult(outputs=outputs)
-    if opcode == OP_RESULT_JSON:
+    if opcode == OP_RESULT_TELEMETRY:
+        cursor = _Cursor(payload)
+        samples = _take_array(cursor)
+        record = _json(cursor.take(len(payload) - cursor.offset))
         try:
-            record = json.loads(payload.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise BadFrameError(f"undecodable JSON result: {exc}") from exc
-        kind = record.get("kind") if isinstance(record, dict) else None
-        if kind == "session":
-            return SessionInfo(
-                session_id=record["session_id"],
-                n=int(record["n"]),
-                d=int(record["d"]),
-                d_v=int(record["d_v"]),
+            return TelemetryResult(
+                snapshot=dict(record["snapshot"]),
+                samples=samples.ravel().tolist(),
+                selection=_selection(record["selection"]),
+                spans=list(record["spans"]),
+                metrics=[
+                    dict(
+                        family,
+                        labelnames=tuple(family["labelnames"]),
+                        buckets=(
+                            None
+                            if family["buckets"] is None
+                            else tuple(family["buckets"])
+                        ),
+                        values={tuple(k): v for k, v in family["values"]},
+                    )
+                    for family in record["metrics"]
+                ],
             )
-        if kind == "tier":
-            return TierResult(previous=record["previous"])
-        if kind == "snapshot":
-            return SnapshotResult(snapshot=record["snapshot"])
-        if kind == "metrics":
-            return MetricsResult(text=record["text"])
-        if kind == "pong":
-            return Pong()
-        raise BadFrameError(f"unknown JSON result kind {kind!r}")
+        except (KeyError, TypeError, ValueError) as exc:
+            raise BadFrameError(f"malformed telemetry record: {exc}") from exc
+    if opcode == OP_RESULT_JSON:
+        record = _json(payload)
+        try:
+            fields = dict(record)
+            kind = fields.pop("kind")
+            if kind == "selection":
+                return _selection(fields)
+            return _JSON_RESULTS[kind](**fields)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise BadFrameError(f"malformed JSON result: {exc}") from exc
     raise BadFrameError(f"unknown response op 0x{opcode:02x}")
+
+
+def _json(raw: bytes):
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise BadFrameError(f"undecodable JSON result: {exc}") from exc
 
 
 def encode_error(error: BaseException, corr_id: int) -> bytes:
@@ -650,7 +774,7 @@ def decode_error(payload: bytes) -> Exception:
     code = cursor.u16()
     message = cursor.string() or ""
     cursor.done()
-    cls = _map_errors().get(code)
+    cls = _ERRORS.get(code)
     if cls is None:
         return ReproError(f"unknown wire error code {code}: {message}")
     if cls is FrameTooLargeError:

@@ -31,6 +31,8 @@ __all__ = [
     "ServeError",
     "ServerClosedError",
     "ServerOverloadedError",
+    "ShardError",
+    "ShardUnavailableError",
     "UnknownSessionError",
     "resolve_request",
 ]
@@ -50,6 +52,29 @@ class ServerOverloadedError(ServeError):
 
 class UnknownSessionError(ServeError):
     """A request referenced a session id that was never registered."""
+
+
+class ShardError(ServeError):
+    """A shard replica failed a request for a *shard-level* reason.
+
+    The base class is **fatal** from the retry path's point of view:
+    an error the shard's own backend raised while actually processing
+    the request (a poisoned batch, a protocol violation) would fail
+    identically on any replica, so retrying it elsewhere just burns a
+    healthy shard's time — the failover retry loop only ever retries
+    :class:`ShardUnavailableError`.
+    """
+
+
+class ShardUnavailableError(ShardError):
+    """The shard died or became unreachable before answering — retryable.
+
+    Raised when the child process is gone, its connection broke, or a
+    fault injector simulates either.  The request itself was never
+    refused on its merits, so the cluster's request path may safely
+    re-dispatch it to a surviving replica (the backends are
+    deterministic: a retried read returns the bit-identical row).
+    """
 
 
 @dataclass(frozen=True)

@@ -351,7 +351,7 @@ class AttentionServer:
         The segment (packed by :meth:`ApproximateBackend.export_artifact`
         with the value payload) was prepared once by the cluster front
         door; adopting it costs one attach plus an O(n d) fingerprint
-        verification instead of re-sorting or unpickling full copies.
+        verification instead of re-sorting or receiving full copies.
         This server never owns the segment: the handle is closed when
         the cached entry retires, and unlinking stays with the creator.
         """
@@ -435,11 +435,11 @@ class AttentionServer:
         controller may have degraded below the configured default —
         counted as a downgraded request when it has.
 
-        ``trace_ctx`` is the cluster's trace-context propagation hook:
-        when set (and tracing is enabled on this server), the request's
-        root span parents under the context's span id instead of
-        starting a fresh trace — how a spawn shard's spans link back to
-        the cluster-side ``rpc`` span across the pipe.
+        ``trace_ctx`` is the trace-context propagation hook: when set
+        (and tracing is enabled on this server), the request's root
+        span parents under the context's span id instead of starting a
+        fresh trace — how a spawn shard's spans link back to the
+        cluster-side ``rpc`` span, and a frontend's to its client's.
         """
         if self._stopped:
             raise ServerClosedError("server is stopped")
@@ -581,11 +581,6 @@ class AttentionServer:
             labelnames=("tier",),
         ).labels(tier=self._default_tier).set(1)
         return registry
-
-    def metrics_samples(self) -> list[dict]:
-        """The metrics registry in picklable :meth:`MetricsRegistry.collect`
-        form — the cluster merge path (including over the spawn pipe)."""
-        return self.metrics_registry().collect()
 
     def metrics_text(self) -> str:
         """Prometheus text exposition of the server's metrics."""

@@ -4,19 +4,22 @@ Until now every consumer of :class:`~repro.serve.server.AttentionServer`
 and :class:`~repro.serve.cluster.ShardedAttentionServer` spoke to them
 through their Python method surfaces.  That is fine in-process, but a
 network front end (or any other transport) needs the request surface as
-*data*: a closed vocabulary of picklable request dataclasses, one
-response type per request, and a single dispatch entry point.  This
-module is that vocabulary:
+*data*: a closed vocabulary of request dataclasses, one response type
+per request, and a single dispatch entry point.  This module is that
+vocabulary:
 
 * the **ops** — :class:`AttendOp`, :class:`RegisterSessionOp`,
-  :class:`CloseSessionOp`, :class:`MutateSessionOp`, :class:`SetTierOp`,
-  :class:`SnapshotOp`, :class:`MetricsOp`, :class:`PingOp` — plain
-  frozen dataclasses describing one request each.  Every field is
-  picklable and wire-encodable (ndarrays, strings, typed
-  :class:`~repro.serve.mutator.SessionMutation` records);
+  :class:`AdoptSessionOp`, :class:`CloseSessionOp`,
+  :class:`MutateSessionOp`, :class:`SetTierOp`, :class:`SnapshotOp`,
+  :class:`MetricsOp`, :class:`SessionStatsOp`, :class:`TelemetryOp`,
+  :class:`PingOp` — plain frozen dataclasses describing one request
+  each.  Every field is wire-encodable (ndarrays, strings, typed
+  :class:`~repro.serve.mutator.SessionMutation` records, key
+  fingerprints);
 * the **results** — :class:`AttendResult`, :class:`SessionInfo`,
   :class:`TierResult`, :class:`SnapshotResult`, :class:`MetricsResult`,
-  :class:`Pong` — equally plain dataclasses;
+  :class:`TelemetryResult`, :class:`Pong`, and a session's
+  :class:`~repro.core.backends.BackendStats` counters;
 * :class:`AttentionService` — the one dispatch surface: ``call(op)``
   executes any op against the wrapped target (a single server or a
   sharded cluster) and returns its typed result, raising the serving
@@ -30,7 +33,11 @@ caller builds the *same* op, the wire codec
 it to the same ``AttentionService.call``.  ``AttentionServer.attend`` /
 ``attend_many`` themselves route through the service
 (:meth:`AttentionServer.service`), so there is exactly one gather/
-dispatch implementation to test, trace, and reason about.
+dispatch implementation to test, trace, and reason about.  A cluster
+shard is the same thing again: anything answering ``call(op)`` /
+``submit_attend(op, trace_ctx)`` — an ``AttentionService`` over a local
+server, or an :class:`~repro.serve.client.AttentionClient` connected to
+a spawned one.
 
 The service also exposes the **asynchronous attend seam** the network
 front end is built on: :meth:`AttentionService.submit_attend` returns a
@@ -52,6 +59,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.backends import BackendStats, KeyFingerprint
+from repro.errors import ConfigError
 from repro.serve.mutator import SessionMutation
 from repro.serve.request import resolve_request
 from repro.serve.tracing import TraceContext
@@ -59,17 +68,21 @@ from repro.serve.tracing import TraceContext
 __all__ = [
     "AttendOp",
     "RegisterSessionOp",
+    "AdoptSessionOp",
     "CloseSessionOp",
     "MutateSessionOp",
     "SetTierOp",
     "SnapshotOp",
     "MetricsOp",
+    "SessionStatsOp",
+    "TelemetryOp",
     "PingOp",
     "AttendResult",
     "SessionInfo",
     "TierResult",
     "SnapshotResult",
     "MetricsResult",
+    "TelemetryResult",
     "Pong",
     "AttentionService",
 ]
@@ -106,6 +119,18 @@ class RegisterSessionOp:
 
 
 @dataclass(frozen=True)
+class AdoptSessionOp:
+    """Register (or replace) a session by adopting a shared-memory
+    artifact segment by name — the zero-copy seeding path of spawn
+    shards.  The target verifies ``fingerprint`` against the segment's
+    key before serving from it."""
+
+    session_id: str
+    segment_name: str
+    fingerprint: KeyFingerprint
+
+
+@dataclass(frozen=True)
 class CloseSessionOp:
     session_id: str
 
@@ -133,6 +158,22 @@ class SnapshotOp:
 @dataclass(frozen=True)
 class MetricsOp:
     """Prometheus text exposition of the target's metrics."""
+
+    pass
+
+
+@dataclass(frozen=True)
+class SessionStatsOp:
+    """One session's selection counters, as a
+    :class:`~repro.core.backends.BackendStats` (counters only)."""
+
+    session_id: str
+
+
+@dataclass(frozen=True)
+class TelemetryOp:
+    """A single server's whole telemetry in one read (see
+    :class:`TelemetryResult`); *drains* its finished spans."""
 
     pass
 
@@ -181,6 +222,20 @@ class SnapshotResult:
 @dataclass(frozen=True)
 class MetricsResult:
     text: str
+
+
+@dataclass(frozen=True)
+class TelemetryResult:
+    """Everything a cluster pools from one shard: the snapshot, the
+    raw latency samples (percentiles are recomputed over the pooled
+    samples), the merged selection counters, the drained trace spans
+    and the metric samples in :meth:`MetricsRegistry.collect` form."""
+
+    snapshot: dict
+    samples: list[float]
+    selection: BackendStats
+    spans: list[dict]
+    metrics: list[dict]
 
 
 @dataclass(frozen=True)
@@ -270,9 +325,12 @@ class AttentionService:
         Single servers: each query row becomes one ``server.submit``
         (admission control, batching, and cross-session fusion apply
         exactly as for in-process traffic; ``trace_ctx`` parents each
-        request's span tree under the remote caller's span).  Clusters:
-        the blocking ``attend``/``attend_many`` runs on the service's
-        thread pool, keeping the failover retry ladder intact.
+        request's span tree under the remote caller's span).  A
+        zero-row attend resolves at once to ``(0, d_v)`` after the same
+        session lookup a one-row attend does.  Clusters: the blocking
+        ``attend_many`` runs on the service's thread pool, keeping the
+        failover retry ladder intact, with ``trace_ctx`` parenting the
+        cluster's ``cluster_request`` span.
 
         Backpressure rejects raise *synchronously* (the admission
         decision is immediate); dispatch failures resolve the future.
@@ -280,7 +338,16 @@ class AttentionService:
         queries = np.asarray(op.queries, dtype=np.float64)
         if queries.ndim == 1:
             queries = queries[np.newaxis, :]
-        if self._can_submit:
+        if not self._can_submit:
+            gathered = self._executor().submit(
+                self.target.attend_many, op.session_id, queries,
+                timeout=op.timeout, tier=op.tier, trace_ctx=trace_ctx,
+            )
+        elif not len(queries):
+            session = self.target.cache.get(op.session_id)
+            gathered = Future()
+            gathered.set_result(np.empty((0, session.value.shape[1])))
+        else:
             requests = []
             try:
                 for query in queries:
@@ -303,18 +370,10 @@ class AttentionService:
                         error=RuntimeError("sibling query was rejected"),
                     )
                 raise
-            gathered = _gather_rows([r.future for r in requests])
-        else:
-            kwargs = {"tier": op.tier}
-            if trace_ctx is not None:
-                # Clusters start their own cluster_request root span;
-                # a remote caller's context is accepted when the target
-                # supports parenting under it.
-                kwargs["trace_ctx"] = trace_ctx
-            gathered = self._executor().submit(
-                self._blocking_attend, op.session_id, queries,
-                op.timeout, kwargs,
-            )
+            if len(requests) == 1:  # a lone row's own future carries it
+                gathered = requests[0].future
+            else:
+                gathered = _gather_rows([r.future for r in requests])
         result: Future = Future()
 
         def finish(future) -> None:
@@ -322,28 +381,11 @@ class AttentionService:
             if error is not None:
                 result.set_exception(error)
             else:
-                outputs = future.result()
-                if not isinstance(outputs, AttendResult):
-                    outputs = AttendResult(outputs=np.asarray(outputs))
-                result.set_result(outputs)
+                outputs = np.atleast_2d(future.result())
+                result.set_result(AttendResult(outputs=outputs))
 
         gathered.add_done_callback(finish)
         return result
-
-    def _blocking_attend(self, session_id, queries, timeout, kwargs):
-        try:
-            return self.target.attend_many(
-                session_id, queries, timeout=timeout, **kwargs
-            )
-        except TypeError:
-            if "trace_ctx" not in kwargs:
-                raise
-            # Target's attend_many has no trace hook: drop the context
-            # rather than the request.
-            kwargs = {k: v for k, v in kwargs.items() if k != "trace_ctx"}
-            return self.target.attend_many(
-                session_id, queries, timeout=timeout, **kwargs
-            )
 
     # -- blocking dispatch ---------------------------------------------
     def call(self, op, trace_ctx: TraceContext | None = None):
@@ -364,6 +406,11 @@ class AttentionService:
                 op.session_id, op.key, op.value
             )
             return _session_info(session)
+        if isinstance(op, AdoptSessionOp):
+            session = self._server(op).adopt_session(
+                op.session_id, op.segment_name, op.fingerprint
+            )
+            return _session_info(session)
         if isinstance(op, CloseSessionOp):
             self.target.close_session(op.session_id)
             return Pong()
@@ -377,9 +424,29 @@ class AttentionService:
             return SnapshotResult(snapshot=self.target.snapshot())
         if isinstance(op, MetricsOp):
             return MetricsResult(text=self.target.metrics_text())
+        if isinstance(op, SessionStatsOp):
+            return self.target.cache.session_stats(op.session_id)
+        if isinstance(op, TelemetryOp):
+            server = self._server(op)
+            return TelemetryResult(
+                snapshot=server.snapshot(),
+                samples=server.stats.latency_samples(),
+                selection=server.cache.merged_backend_stats(),
+                spans=server.trace_spans(),
+                metrics=server.metrics_registry().collect(),
+            )
         if isinstance(op, PingOp):
             return Pong()
         raise TypeError(f"unknown service op {type(op).__name__}")
+
+    def _server(self, op):
+        """The wrapped single server, for the shard-level ops a cluster
+        does not answer (it pools these from its shards instead)."""
+        if not self._can_submit:
+            raise ConfigError(
+                f"{type(op).__name__} needs a single-server target"
+            )
+        return self.target
 
     def close(self) -> None:
         """Release the fallback dispatch pool (idempotent)."""

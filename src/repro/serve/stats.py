@@ -301,7 +301,7 @@ class ServerStats:
         compute *cluster-wide* percentiles — percentiles cannot be
         averaged across shards, only recomputed from the pooled
         samples.  Bounded by ``max_samples`` like every reservoir here
-        (and picklable, so process-backed shards can ship it home).
+        (process-backed shards ship it home in their telemetry).
         """
         with self._lock:
             return list(self._latencies)

@@ -14,10 +14,10 @@ its life::
 All timestamps come from :func:`repro.serve.observability.now`, so the
 stage spans are contiguous and their durations telescope exactly to
 the root span's duration (the span-sum invariant pinned by the tests).
-On a cluster, ``ShardedAttentionServer.attend`` adds a
+On a cluster, ``ShardedAttentionServer.attend_many`` adds a
 ``cluster_request -> rpc`` prefix above the shard's ``request`` span
-and propagates a :class:`TraceContext` through the spawn-shard pipe
-protocol, so the shard-side spans parent under the cluster's ``rpc``
+and propagates a :class:`TraceContext` in the attend frame sent to a
+spawn shard, so the shard-side spans parent under the cluster's ``rpc``
 span by id.  Span ids are unique per process (pid + counter); span
 *timestamps* are process-local and only durations are comparable
 across the RPC boundary.
@@ -192,6 +192,17 @@ class Tracer:
                     heapq.heappush(self._exemplars, item)
                 elif self._exemplars and item[0] > self._exemplars[0][0]:
                     heapq.heapreplace(self._exemplars, item)
+
+    def absorb(self, spans) -> None:
+        """Buffer span dicts finished elsewhere — a shard's drained
+        spans — under this tracer's bound, so one :meth:`drain` returns
+        them with the local ones."""
+        spans = list(spans)
+        with self._lock:
+            self.dropped += max(
+                0, len(self._finished) + len(spans) - self._finished.maxlen
+            )
+            self._finished.extend(spans)
 
     def record_stage(
         self,

@@ -16,12 +16,18 @@ from repro.core.backends import ApproximateBackend, ExactBackend
 from repro.core.config import conservative
 from repro.errors import ConfigError, ShapeError
 from repro.serve import (
+    AttendOp,
     BatchPolicy,
+    CloseSessionOp,
     ClusterConfig,
+    ProcessShard,
+    RegisterSessionOp,
     ServedBackend,
     ServerClosedError,
     ServerConfig,
+    SessionStatsOp,
     ShardedAttentionServer,
+    TelemetryOp,
     UnknownSessionError,
 )
 
@@ -281,6 +287,47 @@ class TestSpawnMode:
         finally:
             cluster.stop(timeout=10.0)
 
+    def test_spawned_cluster_empty_attend(self):
+        cluster = _cluster(shards=2, spawn=True)
+        key, value = _memory(25)
+        cluster.register_session("p0", key, value[:, :5])
+        try:
+            with cluster:
+                out = cluster.attend_many("p0", np.empty((0, D)), timeout=5.0)
+                assert out.shape == (0, 5)
+                with pytest.raises(UnknownSessionError):
+                    cluster.attend_many("ghost", np.empty((0, D)))
+        finally:
+            cluster.stop(timeout=10.0)
+
+    def test_drain_stop_answers_in_flight_and_counts_them(self):
+        """The parent is the child's only client: a draining stop waits
+        for the client's in-flight requests (the child still serves
+        them), and the final telemetry, read after, counts them."""
+        shard = ProcessShard(
+            "drainer", ServerConfig(
+                batch=BatchPolicy(max_batch_size=64, max_wait_seconds=0.2),
+                num_workers=1,
+            ),
+        )
+        key, value = _memory(26)
+        try:
+            shard.call(RegisterSessionOp("s", key, value))
+            queries = np.random.default_rng(27).normal(size=(5, D))
+            futures = [
+                shard.submit_attend(AttendOp("s", q[np.newaxis]))
+                for q in queries
+            ]
+        finally:
+            shard.stop(timeout=10.0, drain=True)
+        for future in futures:
+            assert future.result(0).outputs.shape == (1, D)
+        final = shard.call(TelemetryOp())
+        assert final.snapshot["completed"] == 5
+        assert len(final.samples) == 5
+        with pytest.raises(ServerClosedError):
+            shard.call(SessionStatsOp("s"))
+
     def test_spawned_shard_errors_propagate(self):
         cluster = _cluster(shards=1, spawn=True)
         key, value = _memory(23)
@@ -290,12 +337,13 @@ class TestSpawnMode:
                 with pytest.raises(ShapeError):
                     cluster.attend("p0", np.zeros(D + 3))
                 # Shape errors are caught parent-side; unknown sessions
-                # travel across the pipe from the child.
-                cluster._shards["shard-0"].close_session("p0")
+                # travel as typed error frames from the child.
+                shard = cluster._shards["shard-0"]
+                shard.call(CloseSessionOp("p0"))
                 with pytest.raises(UnknownSessionError):
-                    cluster._shards["shard-0"].attend(
-                        "p0", np.zeros(D), timeout=10.0
-                    )
+                    shard.submit_attend(
+                        AttendOp("p0", np.zeros((1, D)))
+                    ).result(10.0)
         finally:
             cluster.stop(timeout=10.0)
 

@@ -25,11 +25,13 @@ import pytest
 from repro.errors import ConfigError
 from repro.serve import (
     AppendRowsMutation,
+    AttendOp,
     BatchPolicy,
     ClusterConfig,
     HeartbeatMonitor,
     MutationLog,
     ProcessShard,
+    RegisterSessionOp,
     ServerConfig,
     ShardError,
     ShardUnavailableError,
@@ -238,7 +240,7 @@ class TestInjectedFailover:
             def poisoned(*args, **kwargs):
                 raise ShardError("backend rejected the request")
 
-            handle.attend = poisoned
+            handle.submit_attend = poisoned
             with pytest.raises(ShardError) as excinfo:
                 cluster.attend("s", np.zeros(D))
             assert not isinstance(excinfo.value, ShardUnavailableError)
@@ -496,10 +498,10 @@ class TestProcessShardCrash:
         )
         key, value = _memory(0)
         shard.start()
-        shard.register_session("s", key, value)
+        shard.call(RegisterSessionOp("s", key, value))
         rng = np.random.default_rng(43)
         futures = [
-            shard._request("submit", "s", rng.normal(size=D), None, None)
+            shard.submit_attend(AttendOp("s", rng.normal(size=(1, D))))
             for _ in range(16)
         ]
         shard.kill()
@@ -517,7 +519,9 @@ class TestProcessShardCrash:
         # classification, and stop() returns without waiting out the
         # full RPC patience.
         with pytest.raises(ShardUnavailableError):
-            shard.attend("s", rng.normal(size=D), timeout=5.0)
+            shard.submit_attend(
+                AttendOp("s", rng.normal(size=(1, D)))
+            ).result(5.0)
         import time
 
         started = time.monotonic()
@@ -535,15 +539,15 @@ class TestProcessShardCrash:
         )
         key, value = _memory(1)
         shard.start()
-        shard.register_session("s", key, value)
+        shard.call(RegisterSessionOp("s", key, value))
         rng = np.random.default_rng(47)
         errors = []
         done = []
 
         def client():
-            q = rng.normal(size=D)
+            q = rng.normal(size=(1, D))
             try:
-                shard.attend("s", q, timeout=15.0)
+                shard.submit_attend(AttendOp("s", q)).result(15.0)
                 done.append(True)
             except ShardUnavailableError:
                 done.append(False)

@@ -18,6 +18,9 @@ import time
 import numpy as np
 import pytest
 
+from repro.core.artifacts import ArtifactBuffer
+from repro.core.backends import KeyFingerprint
+from repro.core.efficient_search import PreprocessedKey
 from repro.errors import ConfigError
 from repro.serve import (
     AsyncAttentionClient,
@@ -32,11 +35,19 @@ from repro.serve import (
     ServerConfig,
     ServerOverloadedError,
     ShardedAttentionServer,
+    ShardUnavailableError,
     UnknownSessionError,
 )
 from repro.serve import protocol
 from repro.serve.client import parse_address
-from repro.serve.service import PingOp, Pong
+from repro.serve.service import (
+    AdoptSessionOp,
+    AttendOp,
+    PingOp,
+    Pong,
+    SessionStatsOp,
+    TelemetryOp,
+)
 
 N, D = 40, 12
 TIERS = ("exact", "conservative", "aggressive")
@@ -133,6 +144,46 @@ class TestBitIdentity:
                             np.testing.assert_array_equal(
                                 over_wire, in_process
                             )
+
+    def test_empty_attend_over_wire_leaves_nothing_pending(self, served):
+        server, frontend, client = served
+        key, value = _memory(9)
+        client.register_session("s", key, value[:, :5])
+        out = client.attend_many("s", np.empty((0, D)), timeout=5.0)
+        assert out.shape == (0, 5)
+        with pytest.raises(UnknownSessionError):
+            client.attend_many("ghost", np.empty((0, D)), timeout=5.0)
+        assert all(not conn.pending for conn in frontend._connections)
+
+    def test_shard_level_ops_over_wire(self, served):
+        """Adoption, session stats and telemetry reach a single server
+        through any frontend, so adoption keeps verifying the
+        fingerprint against the segment's content."""
+        server, _, client = served
+        key, value = _memory(10)
+        artifact = ArtifactBuffer.pack(
+            PreprocessedKey.build(key), value, storage="shm"
+        )
+        try:
+            with pytest.raises(ConfigError):
+                client.call(
+                    AdoptSessionOp("s", artifact.name, KeyFingerprint.of(value))
+                )
+            info = client.call(
+                AdoptSessionOp("s", artifact.name, KeyFingerprint.of(key))
+            )
+            assert (info.n, info.d, info.d_v) == (N, D, D)
+            query = np.random.default_rng(11).normal(size=(1, D))
+            np.testing.assert_array_equal(
+                client.attend_many("s", query), server.attend_many("s", query)
+            )
+            assert client.call(SessionStatsOp("s")).calls == 2
+            telemetry = client.call(TelemetryOp())
+            assert telemetry.snapshot["completed"] == 2
+            assert len(telemetry.samples) == 2
+            client.close_session("s")
+        finally:
+            artifact.release()
 
     def test_mutations_and_control_surface_over_wire(self, served):
         server, _, client = served
@@ -398,9 +449,14 @@ class TestMalformedFrames:
 
 class _NeverServes:
     """A target whose admitted requests never resolve — the shutdown
-    race frozen solid, so the drain contract is the only way out."""
+    race frozen solid, so the drain contract is the only way out.
+    ``admitted`` is set once a request reached it."""
+
+    def __init__(self):
+        self.admitted = threading.Event()
 
     def submit(self, session_id, query, tier=None, trace_ctx=None):
+        self.admitted.set()
         return AttentionRequest(session_id=session_id, query=query)
 
 
@@ -408,12 +464,18 @@ class TestGracefulDrain:
     def test_blocked_client_gets_typed_answer_on_stop(self):
         """The regression mirror of ``test_shutdown``: a client blocked
         on a response when the frontend stops receives a typed
-        ``ServerClosedError`` frame — not a reset, not silence."""
-        service = AttentionService(_NeverServes())
+        ``ServerClosedError`` frame — not a reset, not silence.
+
+        The stop waits until the request reached the target: a frame
+        still unread in the socket buffer when stop lands is not in
+        flight, it is a connection loss (see the sibling test)."""
+        target = _NeverServes()
+        service = AttentionService(target)
         with NetworkFrontend(service) as front:
             client = AttentionClient(front.address)
             try:
                 future = client.submit("s", np.zeros(D))
+                assert target.admitted.wait(10)
                 blocked = threading.Event()
                 answered = []
 
@@ -481,6 +543,42 @@ class TestGracefulDrain:
                 except TimeoutError:
                     pass
                 time.sleep(0.01)
+
+
+class TestClientOverSocketPair:
+    """The client takes over an already-connected socket — how a
+    cluster reaches a spawn shard — and owns the local end of the
+    contract: oversized requests and its own close."""
+
+    def test_oversized_request_fails_locally(self):
+        ours, theirs = socket.socketpair()
+        with AttentionClient(ours, max_payload_bytes=64) as client:
+            key, value = _memory(20)
+            with pytest.raises(protocol.FrameTooLargeError):
+                client.register_session("s", key, value)
+        # Nothing but the goodbye was shipped.
+        frames = _recv_frames(theirs, 2)
+        assert [opcode for opcode, _, _ in frames] == [protocol.OP_GOODBYE]
+        theirs.close()
+
+    def test_close_fails_stranded_requests_as_closed(self):
+        ours, theirs = socket.socketpair()
+        client = AttentionClient(ours)
+        future = client.submit_attend(AttendOp("s", np.zeros((1, D))))
+        assert not client.drain(timeout=0.05)  # nobody answers
+        client.close()
+        with pytest.raises(ServerClosedError):
+            future.result(5)
+        theirs.close()
+
+    def test_lost_connection_is_a_retryable_shard_loss(self):
+        ours, theirs = socket.socketpair()
+        with AttentionClient(ours) as client:
+            future = client.submit_attend(AttendOp("s", np.zeros((1, D))))
+            theirs.close()
+            with pytest.raises(protocol.ConnectionLostError) as excinfo:
+                future.result(5)
+            assert isinstance(excinfo.value, ShardUnavailableError)
 
 
 class TestAsyncClient:

@@ -14,6 +14,7 @@ The contract split pinned here:
 """
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.core.backends import BackendStats, KeyFingerprint
 from repro.errors import ConfigError
 from repro.serve import protocol
 from repro.serve.cluster import ShardUnavailableError
@@ -51,6 +53,7 @@ from repro.serve.request import (
     UnknownSessionError,
 )
 from repro.serve.service import (
+    AdoptSessionOp,
     AttendOp,
     AttendResult,
     CloseSessionOp,
@@ -61,9 +64,12 @@ from repro.serve.service import (
     Pong,
     RegisterSessionOp,
     SessionInfo,
+    SessionStatsOp,
     SetTierOp,
     SnapshotOp,
     SnapshotResult,
+    TelemetryOp,
+    TelemetryResult,
     TierResult,
 )
 from repro.serve.tracing import TraceContext
@@ -93,6 +99,112 @@ _trace_ctxs = st.one_of(
         span_id=st.text(min_size=1, max_size=16),
     ),
 )
+
+
+_u64 = st.integers(0, 2**64 - 1)
+_fingerprints = st.builds(
+    KeyFingerprint,
+    shape=st.lists(st.integers(0, 2**32 - 1), max_size=4).map(tuple),
+    total=_floats,
+    weighted=_floats,
+)
+_selections = st.builds(
+    lambda counters: BackendStats(keep_traces=False, **counters),
+    st.fixed_dictionaries(
+        {
+            name: _u64
+            for name in (
+                "calls", "total_rows", "total_candidates", "total_kept",
+                "topk_included", "topk_total", "dropped_traces",
+            )
+        }
+    ),
+)
+# Span dicts travel as JSON, whose float repr round-trips every finite
+# double (-0.0 and subnormals included); spans never hold NaN or inf.
+_span_floats = st.floats(
+    allow_nan=False, allow_infinity=False, allow_subnormal=True, width=64
+)
+_short = st.text(max_size=8)
+_spans = st.lists(
+    st.fixed_dictionaries(
+        {
+            "name": _short,
+            "trace_id": _short,
+            "span_id": _short,
+            "parent_id": st.one_of(st.none(), _short),
+            "started_at": _span_floats,
+            "ended_at": _span_floats,
+            "duration_seconds": _span_floats,
+            "pid": st.integers(0, 2**31),
+            "attrs": st.dictionaries(
+                _short,
+                st.one_of(_short, st.integers(-(2**53), 2**53), _span_floats),
+                max_size=3,
+            ),
+        }
+    ),
+    max_size=3,
+)
+
+
+@st.composite
+def _metric_families(draw):
+    """:meth:`MetricsRegistry.collect` records with raw-double values."""
+    families = []
+    for name in draw(st.lists(_short, max_size=3)):
+        kind = draw(st.sampled_from(["counter", "gauge", "histogram"]))
+        labelnames = tuple(
+            draw(st.lists(_short, max_size=2, unique=True))
+        )
+        buckets = None
+        if kind == "histogram":
+            buckets = tuple(
+                sorted(draw(st.lists(_span_floats, min_size=1, max_size=3)))
+            )
+        values = {}
+        for key in draw(
+            st.lists(
+                st.tuples(*[_short] * len(labelnames)), max_size=3, unique=True
+            )
+        ):
+            if kind == "histogram":
+                values[key] = {
+                    "counts": draw(
+                        st.lists(
+                            st.integers(0, 2**63 - 1),
+                            min_size=len(buckets) + 1,
+                            max_size=len(buckets) + 1,
+                        )
+                    ),
+                    "sum": draw(_floats),
+                    "count": draw(_u64),
+                }
+            else:
+                values[key] = draw(_floats)
+        families.append(
+            {
+                "name": name,
+                "kind": kind,
+                "help": draw(_short),
+                "labelnames": labelnames,
+                "buckets": buckets,
+                "values": values,
+            }
+        )
+    return families
+
+
+def _bits(value):
+    """``value`` with every float replaced by its IEEE-754 bytes, so
+    equality means bit-identical (``-0.0 != 0.0``, NaN payloads kept)."""
+    if isinstance(value, float):
+        return struct.pack(">d", value)
+    if isinstance(value, dict):
+        return {key: _bits(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return type(value)(_bits(item) for item in value)
+    return value
 
 
 def _identical(a: np.ndarray, b: np.ndarray) -> bool:
@@ -205,8 +317,36 @@ class TestOpRoundTrip:
         else:
             assert _identical(op.mutation.value_row, value_row)
 
+    @given(
+        session_id=_session_ids,
+        segment_name=st.text(max_size=40),
+        fingerprint=_fingerprints,
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_adopt(self, session_id, segment_name, fingerprint):
+        frame = encode_op(
+            AdoptSessionOp(session_id, segment_name, fingerprint), 12
+        )
+        op, ctx = decode_op(*_one_frame(frame)[::2])
+        assert ctx is None
+        assert (op.session_id, op.segment_name) == (session_id, segment_name)
+        assert op.fingerprint.shape == fingerprint.shape
+        assert _bits(
+            (op.fingerprint.total, op.fingerprint.weighted)
+        ) == _bits((fingerprint.total, fingerprint.weighted))
+
+    @given(session_id=_session_ids)
+    @settings(max_examples=20, deadline=None)
+    def test_session_stats(self, session_id):
+        frame = encode_op(SessionStatsOp(session_id), 13)
+        op, _ = decode_op(*_one_frame(frame)[::2])
+        assert op == SessionStatsOp(session_id)
+
     def test_control_ops(self):
-        for op in (SetTierOp(tier="exact"), SnapshotOp(), MetricsOp(), PingOp()):
+        for op in (
+            SetTierOp(tier="exact"), SnapshotOp(), MetricsOp(), PingOp(),
+            TelemetryOp(),
+        ):
             decoded, ctx = decode_op(*_one_frame(encode_op(op, 9))[::2])
             assert decoded == op
             assert ctx is None
@@ -245,6 +385,56 @@ class TestResultRoundTrip:
         for result in cases:
             decoded = decode_result(*_one_frame(encode_result(result, 2))[::2])
             assert decoded == result
+
+    @given(stats=_selections)
+    @settings(max_examples=40, deadline=None)
+    def test_selection_counters(self, stats):
+        decoded = decode_result(*_one_frame(encode_result(stats, 3))[::2])
+        assert decoded == stats
+
+    def test_selection_traces_stay_behind(self):
+        stats = BackendStats(keep_traces=True, calls=2, total_rows=7)
+        stats.traces.append("a per-query trace")
+        decoded = decode_result(*_one_frame(encode_result(stats, 3))[::2])
+        assert (decoded.calls, decoded.total_rows) == (2, 7)
+        assert decoded.traces == [] and not decoded.keep_traces
+
+    @given(
+        samples=st.lists(_floats, max_size=6),
+        selection=_selections,
+        spans=_spans,
+        metrics=_metric_families(),
+        completed=st.integers(0, 2**53),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_telemetry(self, samples, selection, spans, metrics, completed):
+        telemetry = TelemetryResult(
+            snapshot={"completed": completed, "latency": {"p50": 0.25}},
+            samples=samples,
+            selection=selection,
+            spans=spans,
+            metrics=metrics,
+        )
+        frame = encode_result(telemetry, 4)
+        opcode, _, payload = _one_frame(frame)
+        assert opcode == protocol.OP_RESULT_TELEMETRY
+        decoded = decode_result(opcode, payload)
+        assert decoded.selection == selection
+        assert decoded.snapshot == telemetry.snapshot
+        assert _bits(decoded.samples) == _bits(samples)
+        assert _bits(decoded.spans) == _bits(spans)
+        assert _bits(decoded.metrics) == _bits(metrics)
+
+    def test_telemetry_samples_keep_signed_zero_and_subnormals(self):
+        samples = [-0.0, 5e-324, -2.2250738585072014e-308, float("nan")]
+        telemetry = TelemetryResult(
+            snapshot={}, samples=samples,
+            selection=BackendStats(keep_traces=False), spans=[], metrics=[],
+        )
+        decoded = decode_result(
+            *_one_frame(encode_result(telemetry, 5))[::2]
+        )
+        assert _bits(decoded.samples) == _bits(samples)
 
     def test_error_frames_round_trip_types(self):
         cases = [

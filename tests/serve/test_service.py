@@ -155,6 +155,22 @@ class TestCallDispatch:
         np.testing.assert_array_equal(result.outputs[0], target.attend("s", query))
 
 
+class TestEmptyAttend:
+    """A zero-row attend resolves at once to ``(0, d_v)`` — it used to
+    time out on a gather of nothing — and still looks the session up
+    first, like a one-row attend."""
+
+    def test_zero_rows_resolve_immediately(self, target):
+        key, value = _memory()
+        target.register_session("s", key, value[:, :5])
+        out = target.attend_many("s", np.empty((0, D)), timeout=1.0)
+        assert out.shape == (0, 5)
+
+    def test_zero_rows_still_check_the_session(self, target):
+        with pytest.raises(UnknownSessionError):
+            target.attend_many("ghost", np.empty((0, D)), timeout=1.0)
+
+
 class TestSubmitAttend:
     def test_resolves_to_attend_result(self, target):
         service = AttentionService(target)

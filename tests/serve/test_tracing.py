@@ -23,14 +23,17 @@ The load-bearing claims:
 """
 
 import json
+import time
 
 import numpy as np
 import pytest
 
 from repro.serve import (
+    AttentionClient,
     AttentionServer,
     BatchPolicy,
     ClusterConfig,
+    NetworkFrontend,
     ServerConfig,
     ServerOverloadedError,
     ShardedAttentionServer,
@@ -302,6 +305,42 @@ class TestClusterTracing:
             [r for r in roots if r["name"] == "cluster_request"]
         ) == 3
         assert cluster.trace_spans() == []  # drain-once
+
+    def test_remote_trace_crosses_frontend_and_spawn_cluster(self):
+        """One traced client request through a network frontend into a
+        2-shard spawn cluster yields one chain,
+        ``client_request → cluster_request → rpc → request``: the
+        frontend hands the client's context to the cluster, whose root
+        parents under it, and the rpc context rides the attend frame to
+        the child."""
+        cluster = _traced_cluster(spawn=True)
+        key, value = _memory(18)
+        client_tracer = Tracer(sample_rate=1.0)
+        try:
+            with cluster, NetworkFrontend(cluster) as front:
+                with AttentionClient(
+                    front.address, tracer=client_tracer
+                ) as client:
+                    client.register_session("a", key, value)
+                    client.attend_many("a", np.zeros((1, D)))
+                spans = client_tracer.drain() + cluster.trace_spans()
+                # A shard records a batch's spans right after answering
+                # it (span readout stays off the critical path), so the
+                # shard half of the tree may land one drain later.
+                deadline = time.monotonic() + 10.0
+                while not any(s["name"] == "request" for s in spans):
+                    assert time.monotonic() < deadline, "no shard spans"
+                    spans += cluster.trace_spans()
+        finally:
+            cluster.stop(timeout=10.0)
+        roots = span_roots(spans)
+        assert [r["name"] for r in roots] == ["client_request"]
+        chain = [roots[0]]
+        for name in ("cluster_request", "rpc", "request"):
+            (child,) = [c for c in chain[-1]["children"] if c["name"] == name]
+            chain.append(child)
+        assert len({span["trace_id"] for span in chain}) == 1
+        assert chain[-1]["pid"] != chain[1]["pid"]
 
     def test_cluster_tracing_off_by_default(self):
         cluster = ShardedAttentionServer(
