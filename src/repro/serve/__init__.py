@@ -16,8 +16,9 @@ multi-tenant service:
 * :class:`~repro.serve.batcher.DynamicBatcher` — groups single-query
   requests by :class:`~repro.serve.request.BatchKey` (per-session, or
   a cross-session fusable class of equal tier/config/shape) under a
-  max-batch-size / max-wait policy, with bounded admission and
-  reject/block backpressure;
+  max-batch-size / max-wait policy whose wait a group skips when its
+  recent arrivals are too far apart to fill it in time, with bounded
+  admission and reject/block backpressure;
 * :class:`~repro.serve.scheduler.Scheduler` — threaded workers
   dispatching each group through one ``attend_many`` (single session)
   or one fused multi-key

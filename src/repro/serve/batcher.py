@@ -8,12 +8,22 @@ work takes every queued request of the oldest request's
 :class:`~repro.serve.request.BatchKey` group (up to ``max_batch_size``)
 and, while the group is undersized and the oldest member is younger
 than ``max_wait_seconds``, keeps sweeping newly arriving same-group
-requests into it.  Requests of *other* groups stay queued and are
-claimable by other workers concurrently.  The key carries the fusion
-criteria explicitly: a per-session key reproduces the historical
-single-session grouping, while a cross-session key fuses equal-tier
-traffic from many sessions into one ragged multi-key dispatch (segments
-that are config-incompatible land under different keys and fall back to
+requests into it.  The wait is a ceiling, not a promise: the batcher
+keeps each group's last few inter-arrival gaps, and an undersized group
+whose median recent gap exceeds the time left dispatches at once —
+holding a lone request for a batch that cannot form in time only adds
+latency.  A group with no history yet holds as before (both pinned,
+without sleeps, by the fake-clock tests in
+``tests/serve/test_batcher.py``).  Each batch
+records why its fill loop ended (:data:`FILL_EXITS`) on its requests'
+``fill_exit`` and in :meth:`DynamicBatcher.publish_metrics`.
+
+Requests of *other* groups stay queued and are claimable by other
+workers concurrently.  The key carries the fusion criteria explicitly:
+a per-session key reproduces the historical single-session grouping,
+while a cross-session key fuses equal-tier traffic from many sessions
+into one ragged multi-key dispatch (segments that are
+config-incompatible land under different keys and fall back to
 per-session claiming).  Either way a group is single-tier and
 single-config, so per-tier outputs stay bit-identical to direct
 evaluation at that tier.
@@ -36,9 +46,11 @@ may ever downgrade to ``notify``.
 
 from __future__ import annotations
 
+import statistics
 import threading
-from collections import deque
+from collections import Counter, OrderedDict, deque
 from dataclasses import dataclass
+from itertools import pairwise
 
 from repro.errors import ConfigError
 from repro.serve.observability import now
@@ -49,9 +61,21 @@ from repro.serve.request import (
     ServerOverloadedError,
 )
 
-__all__ = ["BatchPolicy", "DynamicBatcher"]
+__all__ = ["FILL_EXITS", "BatchPolicy", "DynamicBatcher"]
 
 _OVERLOAD_POLICIES = ("reject", "block")
+
+#: Why a batch left the fill loop: it reached ``max_batch_size``; its
+#: ``max_wait_seconds`` ran out; its group's median recent arrival gap
+#: exceeded the time left; or the batcher closed.
+FILL_EXITS = ("full", "deadline", "idle", "closed")
+
+#: Inter-arrival gaps remembered per group.
+_GAP_HISTORY = 8
+#: Groups with an arrival history; the least recently arrived group is
+#: forgotten first, so per-session keys of closed sessions cannot pile
+#: up.
+_HISTORY_GROUPS = 4096
 
 
 @dataclass(frozen=True)
@@ -64,10 +88,13 @@ class BatchPolicy:
         Hard cap on the number of requests dispatched in one
         ``attend_many`` call.
     max_wait_seconds:
-        How long a claimed, undersized group may wait for more
+        The longest a claimed, undersized group may wait for more
         same-group arrivals, measured from the oldest member's
-        enqueue time.  ``0`` dispatches whatever is immediately
-        available (pure opportunistic batching).
+        admission.  A ceiling: the group stops waiting as soon as its
+        median recent inter-arrival gap exceeds the time left, so
+        sparse traffic dispatches at once; a group with no arrival
+        history waits the full time.  ``0`` dispatches whatever is
+        immediately available (pure opportunistic batching).
     max_queue_depth:
         Bound on pending (admitted, not yet dispatched) requests.
     overload:
@@ -111,12 +138,19 @@ class DynamicBatcher:
     group whose oldest pending request is oldest overall, so dispatch
     order between groups is the global arrival order while claiming and
     fill-up sweeps stay O(batch) instead of rescanning the whole queue.
+    Admission also records the group's inter-arrival gap (the last
+    ``_GAP_HISTORY`` per group, for at most ``_HISTORY_GROUPS`` groups),
+    which lets the fill loop see that no arrival can come in time.
     """
 
     def __init__(self, policy: BatchPolicy | None = None):
         self.policy = policy or BatchPolicy()
         self._by_group: dict[BatchKey, deque[AttentionRequest]] = {}
         self._claimed: set[BatchKey] = set()
+        # Each group's last _GAP_HISTORY + 1 admission times, least
+        # recently arrived group first.
+        self._arrivals: OrderedDict[BatchKey, deque[float]] = OrderedDict()
+        self._fill_exits: Counter[str] = Counter()
         self._depth = 0
         self._lock = threading.Lock()
         self._arrival = threading.Condition(self._lock)
@@ -153,8 +187,9 @@ class DynamicBatcher:
                         f"{policy.submit_timeout_seconds:.3f}s"
                     )
                 self._room.wait(remaining)
-            request.admitted_at = now()
+            admitted = request.admitted_at = now()
             group = request.group_key
+            self._record_arrival(group, admitted)
             pending = self._by_group.get(group)
             if pending is None:
                 pending = deque()
@@ -162,6 +197,24 @@ class DynamicBatcher:
             pending.append(request)
             self._depth += 1
             self._arrival.notify_all()
+
+    def _record_arrival(self, group: BatchKey, at: float) -> None:
+        """Add an admission to the group's arrival history (lock held)."""
+        times = self._arrivals.get(group)
+        if times is None:
+            times = self._arrivals[group] = deque(maxlen=_GAP_HISTORY + 1)
+            if len(self._arrivals) > _HISTORY_GROUPS:
+                self._arrivals.popitem(last=False)
+        else:
+            self._arrivals.move_to_end(group)
+        times.append(at)
+
+    def _median_gap(self, group: BatchKey) -> float | None:
+        """The group's median recent arrival gap, ``None`` without one."""
+        times = self._arrivals.get(group, ())
+        if len(times) < 2:
+            return None
+        return statistics.median(b - a for a, b in pairwise(times))
 
     @property
     def depth(self) -> int:
@@ -178,7 +231,11 @@ class DynamicBatcher:
         by one worker is *claimed*: other workers leave its new
         arrivals to the filling worker (otherwise a second idle worker
         would steal them mid-wait and the max-wait policy could never
-        form a full batch) and pick a different group or wait.
+        form a full batch) and pick a different group or wait.  The
+        fill loop ends when the batch is full, the group's max wait runs
+        out, the group's median recent arrival gap exceeds the time
+        left (``idle``), or the batcher closes; every returned request's
+        ``fill_exit`` names which.
         """
         policy = self.policy
         with self._lock:
@@ -198,10 +255,19 @@ class DynamicBatcher:
             # Capacity released: broadcast — any number of submitters
             # may be blocked and the batch may have freed many slots.
             self._room.notify_all()
+            exit_reason = "full"
             try:
-                while len(batch) < policy.max_batch_size and not self._closed:
+                while len(batch) < policy.max_batch_size:
+                    if self._closed:
+                        exit_reason = "closed"
+                        break
                     remaining = deadline - now()
                     if remaining <= 0:
+                        exit_reason = "deadline"
+                        break
+                    gap = self._median_gap(group)
+                    if gap is not None and gap > remaining:
+                        exit_reason = "idle"
                         break
                     self._arrival.wait(remaining)
                     more = self._take(
@@ -215,6 +281,9 @@ class DynamicBatcher:
                 if self._by_group.get(group):
                     # Arrivals beyond this batch's cap are up for grabs.
                     self._arrival.notify_all()
+            self._fill_exits[exit_reason] += 1
+            for request in batch:
+                request.fill_exit = exit_reason
             return batch
 
     def _pick_group(self) -> BatchKey | None:
@@ -246,6 +315,23 @@ class DynamicBatcher:
             del self._by_group[group]
         self._depth -= len(taken)
         return taken
+
+    # ------------------------------------------------------------------
+    # telemetry
+    # ------------------------------------------------------------------
+    def publish_metrics(self, registry, labels=None) -> None:
+        """Publish the fill-loop exit counts (every reason, zeros too)."""
+        extra = dict(labels or {})
+        with self._lock:
+            exits = dict(self._fill_exits)
+        counter = registry.counter(
+            "repro_serve_batch_fill_exits_total",
+            "Batches by why their fill loop ended: full, deadline, idle "
+            "(no arrival expected in time) or closed.",
+            labelnames=("reason", *extra),
+        )
+        for reason in FILL_EXITS:
+            counter.labels(reason=reason, **extra).inc(exits.get(reason, 0))
 
     # ------------------------------------------------------------------
     # shutdown

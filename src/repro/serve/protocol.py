@@ -122,7 +122,7 @@ __all__ = [
 ]
 
 MAGIC = b"A3RP"
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 HEADER = struct.Struct(">4sBBQI")
 #: Default payload bound: generous for key/value registration frames,
 #: small enough that a hostile length field cannot balloon memory.
@@ -150,7 +150,7 @@ OP_GOODBYE = 0x0F  # client-initiated graceful connection close
 
 OP_RESULT_ROWS = 0x11  # AttendResult: one ndarray plane
 OP_RESULT_JSON = 0x12  # structured results (SessionInfo, snapshots, ...)
-OP_RESULT_TELEMETRY = 0x13  # TelemetryResult: sample plane + JSON
+OP_RESULT_TELEMETRY = 0x13  # TelemetryResult: two planes + JSON
 OP_ERROR = 0x1F
 
 # -- error codes -------------------------------------------------------
@@ -678,19 +678,18 @@ def encode_result(result, corr_id: int) -> bytes:
         _put_array(out, result.outputs)
         return encode_frame(OP_RESULT_ROWS, corr_id, bytes(out))
     if isinstance(result, TelemetryResult):
-        # Samples ride as a raw plane (cheap and bit-exact at any
-        # count); the records as JSON, whose float repr round-trips
-        # every non-NaN double.  Metric label keys are tuples, so the
-        # value maps travel as (key, value) pairs.
+        # The samples and the metric doubles ride as raw planes (cheap
+        # and bit-exact at any count, NaN payloads included); the
+        # records as JSON, whose float repr round-trips every non-NaN
+        # double.
+        doubles, metrics = _split_metric_doubles(result.metrics)
         _put_array(out, np.asarray(result.samples, dtype=np.float64))
+        _put_array(out, np.asarray(doubles, dtype=np.float64))
         record = {
             "snapshot": result.snapshot,
             "selection": _selection_record(result.selection),
             "spans": result.spans,
-            "metrics": [
-                dict(family, values=list(family["values"].items()))
-                for family in result.metrics
-            ],
+            "metrics": metrics,
         }
         _put_json(out, record)
         return encode_frame(OP_RESULT_TELEMETRY, corr_id, bytes(out))
@@ -719,6 +718,7 @@ def decode_result(opcode: int, payload: bytes):
     if opcode == OP_RESULT_TELEMETRY:
         cursor = _Cursor(payload)
         samples = _take_array(cursor)
+        doubles = _take_array(cursor)
         record = _json(cursor.take(len(payload) - cursor.offset))
         try:
             return TelemetryResult(
@@ -726,19 +726,9 @@ def decode_result(opcode: int, payload: bytes):
                 samples=samples.ravel().tolist(),
                 selection=_selection(record["selection"]),
                 spans=list(record["spans"]),
-                metrics=[
-                    dict(
-                        family,
-                        labelnames=tuple(family["labelnames"]),
-                        buckets=(
-                            None
-                            if family["buckets"] is None
-                            else tuple(family["buckets"])
-                        ),
-                        values={tuple(k): v for k, v in family["values"]},
-                    )
-                    for family in record["metrics"]
-                ],
+                metrics=_join_metric_doubles(
+                    record["metrics"], doubles.ravel().tolist()
+                ),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise BadFrameError(f"malformed telemetry record: {exc}") from exc
@@ -753,6 +743,61 @@ def decode_result(opcode: int, payload: bytes):
         except (KeyError, TypeError, ValueError) as exc:
             raise BadFrameError(f"malformed JSON result: {exc}") from exc
     raise BadFrameError(f"unknown response op 0x{opcode:02x}")
+
+
+def _split_metric_doubles(families) -> tuple[list[float], list[dict]]:
+    """:meth:`MetricsRegistry.collect` records → their doubles (counter
+    and gauge values, histogram sums, in order) and JSON-safe records
+    holding ``None`` in each double's place.  Label keys are tuples, so
+    the value maps travel as ``[key, value]`` pairs."""
+    doubles = []
+    records = []
+    for family in families:
+        pairs = []
+        for key, value in family["values"].items():
+            if family["kind"] == "histogram":
+                doubles.append(value["sum"])
+                value = dict(value, sum=None)
+            else:
+                doubles.append(value)
+                value = None
+            pairs.append((key, value))
+        records.append(dict(family, values=pairs))
+    return doubles, records
+
+
+def _join_metric_doubles(records, doubles: list[float]) -> list[dict]:
+    """The inverse of :func:`_split_metric_doubles`."""
+    remaining = iter(doubles)
+    families = []
+    for family in records:
+        values = {}
+        for key, value in family["values"]:
+            double = next(remaining, None)
+            if double is None:
+                raise BadFrameError(
+                    "telemetry metrics outnumber their doubles"
+                )
+            values[tuple(key)] = (
+                dict(value, sum=double)
+                if family["kind"] == "histogram"
+                else double
+            )
+        families.append(
+            dict(
+                family,
+                labelnames=tuple(family["labelnames"]),
+                buckets=(
+                    None
+                    if family["buckets"] is None
+                    else tuple(family["buckets"])
+                ),
+                values=values,
+            )
+        )
+    if next(remaining, None) is not None:
+        raise BadFrameError("telemetry doubles outnumber their metrics")
+    return families
 
 
 def _json(raw: bytes):

@@ -163,6 +163,11 @@ class AttentionRequest:
         ``enqueued_at`` so admission blocking shows up in the
         percentiles; the batcher's max-wait deadline runs from
         ``admitted_at``.
+    fill_exit:
+        Why the batch carrying this request left the batcher's fill
+        loop — one of :data:`repro.serve.batcher.FILL_EXITS` — set when
+        the batch is returned; the scheduler stamps it on the
+        ``batch_formation`` trace span.
     span:
         The sampled root trace span covering this request, or ``None``
         when the request is untraced (the default).  Set by
@@ -180,6 +185,7 @@ class AttentionRequest:
     admitted_at: float | None = None
     claimed_at: float | None = None
     dispatched_at: float | None = None
+    fill_exit: str | None = None
     span: "Span | None" = field(default=None, repr=False)
     batch_key: "BatchKey | None" = None
 

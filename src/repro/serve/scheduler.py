@@ -267,6 +267,7 @@ class Scheduler:
             tracer.record_stage(
                 "batch_formation", trace_id=tid, parent_id=pid,
                 started_at=claimed, ended_at=dispatched,
+                attrs={"fill_exit": request.fill_exit},
             )
             tracer.record_stage(
                 "dispatch", trace_id=tid, parent_id=pid,

@@ -573,6 +573,7 @@ class AttentionServer:
         extra is recorded on the request path)."""
         registry = MetricsRegistry()
         self.stats.publish_metrics(registry)
+        self.batcher.publish_metrics(registry)
         self.cache.stats.publish_metrics(registry)
         self.cache.publish_metrics(registry)
         registry.gauge(

@@ -6,7 +6,8 @@ its life::
     request                      (root; server.submit -> future resolved)
     ├── submit                   (validation, tier resolution, admission)
     ├── queue                    (admitted, waiting for a worker claim)
-    ├── batch_formation          (claimed, the fill-up sweep window)
+    ├── batch_formation          (claimed, the fill-up sweep window;
+    │                             ``fill_exit`` says why it ended)
     ├── dispatch                 (cache checkout + query stacking)
     ├── kernel                   (backend.attend_many for the batch)
     └── resolve                  (stats recording + future delivery)

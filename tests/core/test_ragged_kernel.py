@@ -1,13 +1,17 @@
 """Core-level tests of the one vectorized pipeline,
 :func:`repro.core.batched_search.attend_many_ragged`.
 
-Three contracts: every malformed slab is rejected up front; every
+Four contracts: every malformed slab is rejected up front; every
 segment of a fused slab is bit-identical to its own one-segment
 dispatch (including shapes the serving layer never produces — empty
 segments, ``M > n * d``, selection-disabled segments, equal-shape fuse
-groups beside lone segments); and the profiled stage timers tile the
-call exactly, checked with a counting clock instead of wall time.
+groups beside lone segments, and groups on both sides of the walk's
+row cutoff); the per-row Python walk and the lockstep NumPy walk agree
+bit for bit; and the profiled stage timers tile the call exactly,
+checked with a counting clock instead of wall time.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -114,14 +118,22 @@ class TestRejectsMalformedSlabs:
 @st.composite
 def fused_slabs(draw):
     """Mixed slabs: equal-shape fuse groups beside lone segments, empty
-    segments, ``M > n * d`` and selection-disabled (``M = 0``) segments."""
+    segments, ``M > n * d`` and selection-disabled (``M = 0``) segments.
+    Two in three segments share one ``(n, M)`` shape with a
+    multi-step walk, so a slab's largest fuse group often passes
+    ``_SCALAR_WALK_MAX_ROWS`` and the fused-equals-solo check compares
+    the lockstep walk (fused) with the per-row walk (solo)."""
     d = draw(st.sampled_from([1, 3, 8]))
     shared_n = draw(st.integers(1, 16))
+    shared_m = draw(st.sampled_from(["half", "beyond"]))
     shapes = []
-    for _ in range(draw(st.integers(1, 7))):
-        n = shared_n if draw(st.booleans()) else draw(st.integers(1, 16))
-        q = draw(st.integers(0, 3))
-        m = draw(st.sampled_from(["off", "one", "half", "beyond"]))
+    for _ in range(draw(st.integers(1, 10))):
+        if draw(st.integers(0, 2)):  # two in three segments share
+            n, m = shared_n, shared_m
+        else:
+            n = draw(st.integers(1, 16))
+            m = draw(st.sampled_from(["off", "one", "half", "beyond"]))
+        q = draw(st.integers(0, 10))
         m = {
             "off": 0,
             "one": 1,
@@ -166,6 +178,60 @@ def test_every_segment_matches_its_one_segment_dispatch(inputs):
             )
         if ms[s] == 0:
             assert (fused.num_candidates[lo:hi] == pres[s].n).all()
+
+
+@st.composite
+def walk_streams(draw):
+    """``(max_vals, min_vals, m, m_eff)`` for :func:`_stream_walk`:
+    values with ties, zeros of both signs and mixed signs, as sorted
+    streams or in arbitrary order, and ``m > m_eff`` tails."""
+    q = draw(st.integers(1, 40))
+    m = draw(st.integers(1, 600))
+    m_eff = max(1, m - draw(st.sampled_from([0, 0, 1, 7, 64])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["palette", "normal", "sparse"]))
+    if kind == "palette":  # heavy ties, zeros of both signs
+        palette = np.array([-2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0])
+        pair = rng.choice(palette, size=(2, q, m_eff))
+    else:
+        pair = rng.normal(size=(2, q, m_eff))
+        if kind == "sparse":  # exact zeros among continuous values
+            pair[rng.random(pair.shape) < 0.3] = 0.0
+    max_vals, min_vals = pair
+    if draw(st.booleans()):  # stream order: max falls, min rises
+        max_vals = -np.sort(-max_vals, axis=1)
+        min_vals = np.sort(min_vals, axis=1)
+    return max_vals, min_vals, m, m_eff
+
+
+def _consumed(min_iter, min_pos):
+    return min_iter[np.arange(min_iter.shape[1]) < min_pos[:, np.newaxis]]
+
+
+@given(walk_streams())
+@settings(max_examples=100, deadline=None)
+def test_scalar_walk_equals_lockstep_walk(streams):
+    max_vals, min_vals, m, m_eff = streams
+    lock_pos, lock_iter, lock_running = batched_search._gated_walk(
+        max_vals, min_vals, m_eff
+    )
+    pos, iters, running = batched_search._scalar_walk(max_vals, min_vals, m_eff)
+    np.testing.assert_array_equal(pos, lock_pos)
+    np.testing.assert_array_equal(_consumed(iters, pos), _consumed(lock_iter, pos))
+    assert running.tobytes() == lock_running.tobytes()
+    # Through _stream_walk, with the row cutoff forcing each path, so the
+    # m > m_eff tail runs on both walks' state.
+    walks = []
+    for cutoff in (0, max_vals.shape[0]):
+        with mock.patch.object(batched_search, "_SCALAR_WALK_MAX_ROWS", cutoff):
+            walks.append(
+                batched_search._stream_walk(max_vals, min_vals, m, m_eff, True)
+            )
+    (lock_pos, lock_iter, lock_its, lock_skip), (pos, iters, its, skip) = walks
+    np.testing.assert_array_equal(pos, lock_pos)
+    np.testing.assert_array_equal(_consumed(iters, pos), _consumed(lock_iter, pos))
+    np.testing.assert_array_equal(its, lock_its)
+    np.testing.assert_array_equal(skip, lock_skip)
 
 
 class _CountingClock:

@@ -1,5 +1,6 @@
 """Unit tests for the dynamic batcher: grouping, waiting, backpressure."""
 
+import sys
 import threading
 import time
 
@@ -11,9 +12,11 @@ from repro.serve import (
     AttentionRequest,
     BatchPolicy,
     DynamicBatcher,
+    MetricsRegistry,
     ServerClosedError,
     ServerOverloadedError,
 )
+from repro.serve import batcher as batcher_module
 
 
 def _request(session_id="s", d=4, tier="conservative"):
@@ -170,6 +173,183 @@ class TestTierGrouping:
         batcher.submit(b)
         assert batcher.next_batch() == [a]
         assert batcher.next_batch() == [b]
+
+
+class _FakeClock:
+    """Stands in for ``repro.serve.batcher.now``: it moves only when a
+    test sets ``t``.  ``read_by_worker`` is set once any thread other
+    than the test's reads it — inside ``next_batch`` that first read is
+    the claim, made while the worker holds the batcher's lock."""
+
+    def __init__(self):
+        self.t = 0.0
+        self.read_by_worker = threading.Event()
+
+    def __call__(self):
+        if threading.current_thread() is not threading.main_thread():
+            self.read_by_worker.set()
+        return self.t
+
+
+def _exits(batcher):
+    registry = MetricsRegistry()
+    batcher.publish_metrics(registry)
+    return {
+        labels["reason"]: value
+        for name, labels, value in registry.samples()
+        if name == "repro_serve_batch_fill_exits_total"
+    }
+
+
+class TestIdleDispatch:
+    """The fill loop stops waiting once a group's median recent arrival
+    gap exceeds the time left.  The batcher reads a fake clock that
+    never moves on its own, so under a plain max-wait hold an undersized
+    group would never reach its deadline: each test either returns at
+    once or is ended by the test itself."""
+
+    @pytest.fixture
+    def clock(self, monkeypatch):
+        clock = _FakeClock()
+        monkeypatch.setattr(batcher_module, "now", clock)
+        return clock
+
+    @staticmethod
+    def _claim_in_thread(batcher):
+        box = []
+        thread = threading.Thread(
+            target=lambda: box.append(batcher.next_batch()), daemon=True
+        )
+        thread.start()
+        return thread, box
+
+    @pytest.mark.parametrize(
+        "max_wait, waited",
+        [(0.005, 0.0), (60.0, 59.97)],
+        ids=["just-arrived", "nearly-expired"],
+    )
+    def test_group_with_sparse_history_dispatches_at_once(
+        self, clock, max_wait, waited
+    ):
+        batcher = DynamicBatcher(
+            BatchPolicy(max_batch_size=4, max_wait_seconds=max_wait)
+        )
+        full = []
+        for k in range(4):  # four arrivals 40 ms apart: a full batch
+            clock.t = 0.04 * k
+            full.append(_request())
+            batcher.submit(full[-1])
+        assert batcher.next_batch() == full
+        clock.t = 0.16  # one more after the same gap, then it waits
+        lone = _request()
+        batcher.submit(lone)
+        clock.t += waited  # 5 ms resp. 30 ms left, a 40 ms median gap
+        started = time.monotonic()
+        thread, box = self._claim_in_thread(batcher)
+        thread.join(1.0)
+        try:
+            assert not thread.is_alive(), "held a lone request"
+            assert time.monotonic() - started < 1.0
+        finally:
+            batcher.close()
+            thread.join(1.0)
+        assert box == [[lone]]
+        assert [r.fill_exit for r in full + [lone]] == ["full"] * 4 + ["idle"]
+        assert _exits(batcher) == {
+            "full": 1, "deadline": 0, "idle": 1, "closed": 0,
+        }
+
+    def test_group_without_history_holds(self, clock):
+        batcher = DynamicBatcher(
+            BatchPolicy(max_batch_size=8, max_wait_seconds=60.0)
+        )
+        first = _request()
+        batcher.submit(first)
+        thread, box = self._claim_in_thread(batcher)
+        assert clock.read_by_worker.wait(5.0)  # the worker has claimed
+        # The worker holds the lock from its claim until it waits (hold)
+        # or returns (dispatch), so this submit lands after one of them.
+        second = _request()
+        batcher.submit(second)
+        batcher.close(drain=True)  # end the hold; keeps what was swept
+        thread.join(5.0)
+        assert not thread.is_alive()
+        assert box == [[first, second]]
+        assert {r.fill_exit for r in box[0]} == {"closed"}
+        assert _exits(batcher)["closed"] == 1
+
+    def test_full_batch_and_deadline_are_reported(self, clock):
+        batcher = DynamicBatcher(
+            BatchPolicy(max_batch_size=2, max_wait_seconds=0.0)
+        )
+        for _ in range(3):
+            batcher.submit(_request())
+        assert {r.fill_exit for r in batcher.next_batch()} == {"full"}
+        assert {r.fill_exit for r in batcher.next_batch()} == {"deadline"}
+        assert _exits(batcher) == {
+            "full": 1, "deadline": 1, "idle": 0, "closed": 0,
+        }
+
+    def test_arrival_history_stays_bounded(self, clock):
+        cap = batcher_module._HISTORY_GROUPS
+        batcher = DynamicBatcher(BatchPolicy(max_queue_depth=10_000))
+        for i in range(10_000):
+            clock.t = 0.001 * i
+            batcher.submit(_request(f"session-{i}"))
+        history = batcher._arrivals
+        assert len(history) <= cap
+        # The least recently arrived groups are the ones forgotten.
+        assert [key.session_id for key in history][-1] == "session-9999"
+        assert all(int(key.session_id.split("-")[1]) >= 10_000 - cap
+                   for key in history)
+
+
+class TestConcurrentBookkeeping:
+    def test_every_request_and_batch_is_counted_once(self):
+        """More submitters and workers than cores, switching threads
+        every 10 us: each admitted request leaves in exactly one batch,
+        and each batch is counted once, under the reason its requests
+        carry."""
+        batcher = DynamicBatcher(
+            BatchPolicy(max_batch_size=4, max_wait_seconds=0.001)
+        )
+        batches = []
+        lock = threading.Lock()
+
+        def work():
+            while (batch := batcher.next_batch()) is not None:
+                with lock:
+                    batches.append(batch)
+
+        def submit(s):
+            for _ in range(200):
+                batcher.submit(_request(f"s{s % 3}"))
+
+        workers = [threading.Thread(target=work) for _ in range(4)]
+        submitters = [
+            threading.Thread(target=submit, args=(s,)) for s in range(6)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in workers + submitters:
+                thread.start()
+            for thread in submitters:
+                thread.join(30.0)
+            batcher.close(drain=True)
+            for thread in workers:
+                thread.join(30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in workers + submitters)
+        taken = [r for batch in batches for r in batch]
+        assert len(taken) == len({id(r) for r in taken}) == 6 * 200
+        reasons = [{r.fill_exit for r in batch} for batch in batches]
+        assert all(len(reason) == 1 for reason in reasons)
+        exits = _exits(batcher)
+        for reason, count in exits.items():
+            assert count == reasons.count({reason})
+        assert sum(exits.values()) == len(batches)
 
 
 class TestBlockedSubmitterWakeups:

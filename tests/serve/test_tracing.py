@@ -171,6 +171,41 @@ class TestServerTracing:
             child_sum = sum(c["duration_seconds"] for c in children)
             assert abs(child_sum - root["duration_seconds"]) < 1e-9
 
+    def test_batch_formation_span_says_why_the_fill_ended(self):
+        """The fill-loop exit is exported twice: on each request's
+        ``batch_formation`` span and in the fill-exits counter.  A group
+        with no arrival history holds to its deadline; the next request
+        of that group comes more than a whole wait later, so it leaves
+        ``idle`` at once; a new group (another tier) holds and fills."""
+        server = _server(
+            trace_sample_rate=1.0,
+            batch=BatchPolicy(max_batch_size=2, max_wait_seconds=0.25),
+        )
+        key, value = _memory(9)
+        server.register_session("a", key, value)
+        rng = np.random.default_rng(10)
+        with server:
+            server.attend("a", rng.normal(size=D))
+            server.attend("a", rng.normal(size=D))
+            server.attend_many("a", rng.normal(size=(2, D)), tier="aggressive")
+            samples = server.metrics_registry().samples()
+        roots = sorted(
+            span_roots(server.trace_spans()), key=lambda s: s["started_at"]
+        )
+        exits = [
+            child["attrs"]["fill_exit"]
+            for root in roots
+            for child in root["children"]
+            if child["name"] == "batch_formation"
+        ]
+        assert exits == ["deadline", "idle", "full", "full"]
+        counted = {
+            labels["reason"]: value
+            for name, labels, value in samples
+            if name == "repro_serve_batch_fill_exits_total"
+        }
+        assert counted == {"full": 1, "deadline": 1, "idle": 1, "closed": 0}
+
     def test_tracing_never_changes_served_outputs(self):
         key, value = _memory(4)
         rng = np.random.default_rng(5)
