@@ -9,20 +9,32 @@ performance trajectory can be diffed against the last:
 
 Each grid cell reports the best-of-``repeats`` wall time; the vectorized
 engine's speedup over the per-query reference loop is computed per cell.
+
+BLAS runs on one thread unless the environment already says otherwise:
+the committed baseline comes from a 1-core container, and a threaded
+BLAS moves the batch-64/320 cells by itself.  The report records the
+thread settings in effect and the core count.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import platform
-import time
+import os
 
-import numpy as np
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# Before NumPy loads its BLAS, which reads them once.
+for _var in BLAS_THREAD_VARS:
+    os.environ.setdefault(_var, "1")
 
-from repro.core.approximate import ENGINES, ApproximateAttention
-from repro.core.config import aggressive, conservative
-from repro.core.efficient_search import PreprocessedKey
+import argparse  # noqa: E402
+import json  # noqa: E402
+import platform  # noqa: E402
+import time  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+from repro.core.approximate import ENGINES, ApproximateAttention  # noqa: E402
+from repro.core.config import aggressive, conservative  # noqa: E402
+from repro.core.efficient_search import PreprocessedKey  # noqa: E402
 
 N, D = 320, 64
 BATCH_SIZES = (1, 16, 64, 320)
@@ -52,6 +64,8 @@ def run(repeats: int = 7) -> dict:
         "repeats": repeats,
         "python": platform.python_version(),
         "numpy": np.__version__,
+        "cpu_count": os.cpu_count(),
+        "blas_threads": {var: os.environ[var] for var in BLAS_THREAD_VARS},
         "preprocess_seconds": _best_seconds(
             lambda: PreprocessedKey.build(key), repeats
         ),

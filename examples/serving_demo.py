@@ -45,9 +45,9 @@ crashes one session's primary shard *mid-traffic* (``SIGKILL`` under
 ``--spawn``, an injected fault in thread mode) while a
 :class:`repro.serve.HeartbeatMonitor` watches: requests that were
 in flight on the dead shard retry onto a surviving replica, lost
-redundancy is rebuilt by mutation-log replay, and the printout shows
-the detection event, the liveness map, and the failover counters —
-with every request still answered.
+redundancy is re-seeded from the cluster's session records, and the
+printout shows the detection event, the liveness map, and the
+failover counters — with every request still answered.
 
 With ``--listen HOST:PORT`` the demo becomes a *network server*: the
 same server (including ``--shards``/``--spawn`` topologies) is wrapped
@@ -392,8 +392,8 @@ def main() -> None:
             print(f"  failover: {failover['failovers']} failover(s), "
                   f"{failover['replica_retries']} rerouted request(s), "
                   f"{failover['replayed_sessions']} session replica(s) "
-                  f"rebuilt from {failover['replayed_mutations']} replayed "
-                  "mutation(s) — every request below was still answered")
+                  "re-seeded from the cluster's session records — every "
+                  "request below was still answered")
             if args.spawn:
                 print("  (a SIGKILLed process takes its telemetry with "
                       "it, so the served count below undercounts; the "

@@ -36,13 +36,12 @@ multi-tenant service:
   own cache/batcher/scheduler stack, sessions placed by consistent
   hashing with explicit minimal-movement rebalancing, and cluster-wide
   aggregated telemetry;
-* **fault tolerance** (:mod:`repro.serve.health` /
-  :mod:`repro.serve.mutation_log`) — per-session replication across
-  the ring's preference list, heartbeat failure detection
-  (:class:`~repro.serve.health.HeartbeatMonitor`), and lossless
-  automatic failover: a dead shard's sessions promote a surviving
-  replica and rebuild redundancy by replaying their
-  :class:`~repro.serve.mutation_log.MutationLog`, while in-flight
+* **fault tolerance** (:mod:`repro.serve.health`) — per-session
+  replication across the ring's preference list, heartbeat failure
+  detection (:class:`~repro.serve.health.HeartbeatMonitor`), and
+  lossless automatic failover: a dead shard's sessions promote a
+  surviving replica and rebuild redundancy from the cluster's own
+  session record (which holds every applied mutation), while in-flight
   requests retry on the promoted primary
   (:class:`~repro.serve.cluster.ShardUnavailableError` is retryable;
   plain :class:`~repro.serve.cluster.ShardError` is fatal);
@@ -79,7 +78,6 @@ from repro.serve.cluster import (
     ThreadShard,
 )
 from repro.serve.health import FaultInjector, HeartbeatMonitor, ShardDownEvent
-from repro.serve.mutation_log import MutationLog, SessionLogRecord
 from repro.serve.mutator import (
     AppendRowsMutation,
     DeleteRowsMutation,
@@ -195,7 +193,6 @@ __all__ = [
     "HeartbeatMonitor",
     "KeyCacheManager",
     "MetricsRegistry",
-    "MutationLog",
     "PreparedSession",
     "ProcessShard",
     "QualityPolicy",
@@ -208,7 +205,6 @@ __all__ = [
     "ServerOverloadedError",
     "ServerStats",
     "Session",
-    "SessionLogRecord",
     "SessionMutation",
     "SessionMutator",
     "ShardDownEvent",

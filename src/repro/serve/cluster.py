@@ -48,11 +48,14 @@ hitting a :class:`ShardUnavailableError`, or explicitly via
 :meth:`ShardedAttentionServer.report_shard_failure` — failover runs as
 one atomic control-plane step: the shard leaves the ring, each of its
 sessions promotes the next surviving replica to primary, and lost
-redundancy is rebuilt by replaying each affected session's
-:class:`~repro.serve.mutation_log.MutationLog` (registration snapshot
-plus ordered mutations) onto the next healthy shard of its preference
-list.  In-flight requests against the dead shard fail parent-side with
-the *retryable* :class:`ShardUnavailableError` (a lost connection is a
+redundancy is rebuilt on the next healthy shards of its preference
+list from the cluster's own :class:`~repro.serve.sessions.Session`
+record — the one copy registration and rebalancing seed from too,
+which already holds every applied mutation (preparing a final key from
+scratch gives the same bits as splicing its mutations in one by one,
+:mod:`repro.core.incremental`).  In-flight requests against the dead
+shard fail parent-side with the *retryable*
+:class:`ShardUnavailableError` (a lost connection is a
 :class:`~repro.serve.protocol.ConnectionLostError`, which is one), and
 the request path retries them on the promoted primary (bounded attempts
 with backoff) — so a shard crash loses no requests, only the dead
@@ -86,7 +89,6 @@ from repro.errors import ConfigError
 from repro.serve import protocol
 from repro.serve.client import AttentionClient
 from repro.serve.health import FaultInjector, HeartbeatMonitor
-from repro.serve.mutation_log import MutationLog
 from repro.serve.mutator import SessionMutator
 from repro.serve.observability import MetricsRegistry
 from repro.serve.request import (
@@ -136,9 +138,9 @@ class SegmentStore:
     :class:`~repro.core.artifacts.ArtifactBuffer` packed into a
     ``/dev/shm`` segment holding the prepared planes plus the value
     matrix — and every replica adopts the segment *by name*: the
-    register/replication fan-out and failover log replay ship a
-    ~100-byte handle instead of R copies of the arrays, and no child
-    ever re-sorts.
+    register/replication fan-out, rebalancing and failover re-seeding
+    ship a ~100-byte handle instead of R copies of the arrays, and no
+    child ever re-sorts.
 
     Lifecycle ownership is strict: the store (the parent) is the sole
     owner of every segment it packs.  Segments are refcounted via
@@ -148,9 +150,9 @@ class SegmentStore:
     mappings survive an unlink (a SIGKILL'd child's mappings are freed
     by the kernel).  Reuse is keyed on *array identity*: a lease for
     the same ``(key, value)`` objects returns the existing segment (the
-    common case — the mutation log records the very registration
-    arrays), while different arrays repack.  All calls run under the
-    cluster lock.
+    common case — every replica is seeded from the one session
+    record), while different arrays — the session was mutated since —
+    repack.  All calls run under the cluster lock.
     """
 
     def __init__(self) -> None:
@@ -217,8 +219,9 @@ class ClusterConfig:
         (the list's head), and a shard death promotes the next
         surviving replica.  R = 1 (the default) is the pre-failover
         behavior: sessions live on exactly one shard, and a shard
-        death recovers them by mutation-log replay alone.  R larger
-        than the live shard count degrades gracefully to every shard.
+        death recovers them by re-seeding a survivor from the
+        cluster's session record alone.  R larger than the live shard
+        count degrades gracefully to every shard.
     failover_attempts:
         Request-path retry budget: how many times one ``attend`` may be
         re-dispatched after a retryable shard failure before the error
@@ -233,10 +236,6 @@ class ClusterConfig:
         Defaults for :meth:`ShardedAttentionServer.monitor`: probe
         cadence and the consecutive-miss count that declares a shard
         dead.
-    log_compact_above:
-        Mutation-log compaction threshold per session (see
-        :class:`~repro.serve.mutation_log.MutationLog`); ``None``
-        disables compaction.
     """
 
     num_shards: int = 2
@@ -249,7 +248,6 @@ class ClusterConfig:
     failover_backoff_seconds: float = 0.05
     heartbeat_interval_seconds: float = 0.25
     heartbeat_misses: int = 3
-    log_compact_above: int | None = 256
 
     def __post_init__(self) -> None:
         if self.num_shards < 1:
@@ -629,9 +627,6 @@ class ShardedAttentionServer:
         #: session id -> its replica shard ids, primary first (always
         #: the session's live ring preference list).
         self._replicas: dict[str, list[str]] = {}
-        self.mutation_log = MutationLog(
-            auto_compact_above=self.config.log_compact_above
-        )
         #: Shared-memory segments for zero-copy seeding of spawn shards
         #: (idle for thread clusters — nothing leases unless a shard
         #: advertises adoption support).
@@ -640,7 +635,6 @@ class ShardedAttentionServer:
         self._failovers = 0
         self._replica_retries = 0
         self._replayed_sessions = 0
-        self._replayed_mutations = 0
         #: (shard id, final telemetry) of every shard that left the
         #: topology; their spans already joined ``self.tracer``.
         self._retired_shards: list[tuple[str, TelemetryResult]] = []
@@ -741,11 +735,14 @@ class ShardedAttentionServer:
         """Register (or replace) a session on its R preference shards.
 
         The write fans out to every replica of the session's ring
-        preference list and is recorded in the mutation log (the
-        session's recovery snapshot).  A replica dying mid-fan-out is
-        failed over inline and the fan-out restarts against the shrunk
-        ring — registration is idempotent per shard, so re-touching a
-        survivor is harmless.
+        preference list, each seeded from the returned
+        :class:`~repro.serve.sessions.Session` record — the parent copy
+        that rebalancing and failover later seed new replicas from.  A
+        replica dying mid-fan-out is failed over inline and the fan-out
+        restarts against the shrunk ring — registration is idempotent
+        per shard, so re-touching a survivor is harmless — until it
+        lands on every target or no live shard is left
+        (:class:`ShardUnavailableError`, and nothing is registered).
         """
         key, value = validate_memory(key, value)
         session = Session(
@@ -765,19 +762,8 @@ class ShardedAttentionServer:
                 )
                 failed = None
                 for shard_id in targets:
-                    # Spawn shards adopt one shared segment by name
-                    # (packed at most once per fan-out); thread shards
-                    # keep their own defensive copy (the cache's
-                    # contract).  The parent copy in `session` is what
-                    # rebalance ships to a session's next home.
                     try:
-                        self._seed_session(
-                            self._shards[shard_id],
-                            session_id,
-                            key,
-                            value,
-                            session.fingerprint,
-                        )
+                        self._seed_session(self._shards[shard_id], session)
                     except ShardUnavailableError:
                         failed = shard_id
                         break
@@ -788,41 +774,26 @@ class ShardedAttentionServer:
                 )
             self._sessions[session_id] = session
             self._replicas[session_id] = targets
-            self.mutation_log.record_register(session_id, key, value)
         return session
 
-    def _segment_exporter(
-        self, session_id: str, base_key: np.ndarray, base_value: np.ndarray
-    ):
-        """Log-replay hook: lease a segment for a session's base
-        snapshot so failover rebuilds also seed by adoption.  Returns
-        ``(segment_name, fingerprint)``, or ``None`` to make the replay
-        fall back to registering the arrays."""
-        try:
-            artifact = self._segments.lease(session_id, base_key, base_value)
-        except OSError:
-            return None
-        return artifact.name, KeyFingerprint.of(base_key)
+    def _seed_session(self, handle, session: Session) -> None:
+        """Place one replica: ship the session's current memory to a
+        shard.  Registration, rebalancing and failover all seed through
+        here, from the parent-side record.
 
-    def _seed_session(
-        self,
-        handle,
-        session_id: str,
-        key: np.ndarray,
-        value: np.ndarray,
-        fingerprint: KeyFingerprint,
-    ) -> None:
-        """Ship one session's memory to a shard: shared-memory segment
-        adoption for shards that support it (one parent-side sort, a
-        name in an :class:`AdoptSessionOp`), the arrays themselves
-        otherwise.  A segment that cannot be packed (e.g. ``/dev/shm``
-        exhausted) falls back to shipping the arrays rather than
-        failing the registration."""
+        Shards that support it adopt a shared-memory segment (one
+        parent-side sort per memory version, a name in an
+        :class:`AdoptSessionOp`); thread shards get the arrays and keep
+        their own defensive copy (the cache's contract).  A segment
+        that cannot be packed (e.g. ``/dev/shm`` exhausted) falls back
+        to shipping the arrays rather than failing the seed."""
+        session_id = session.session_id
+        key, value = session.memory
         op = RegisterSessionOp(session_id, key, value)
         if handle.supports_adopt:
             try:
                 artifact = self._segments.lease(session_id, key, value)
-                op = AdoptSessionOp(session_id, artifact.name, fingerprint)
+                op = AdoptSessionOp(session_id, artifact.name, session.fingerprint)
             except OSError:
                 pass
         handle.call(op)
@@ -836,7 +807,6 @@ class ShardedAttentionServer:
                 for shard_id in targets
                 if shard_id in self._shards
             ]
-            self.mutation_log.forget(session_id)
             self._segments.drop(session_id)
         for handle in handles:
             try:
@@ -847,20 +817,21 @@ class ShardedAttentionServer:
     def mutate_session(self, session_id: str, mutation) -> Session:
         """Apply one session mutation cluster-wide, consistently.
 
-        Runs under the cluster lock, like rebalancing — so a mutation
-        and a topology change serialize.  The mutation is validated
-        parent-side, **logged**, fanned out to every replica, and
-        applied to the parent-side session record as one step; a
-        rebalance that later moves the session re-registers the parent
-        copy, which therefore already contains every applied mutation —
-        the new shard serves the mutated memory from its first request
+        Runs under the cluster lock, like rebalancing and failover — so
+        a mutation and a topology change serialize.  The mutation is
+        validated parent-side, fanned out to every replica, and applied
+        to the parent-side session record as one step; a rebalance or
+        failover that later seeds a new replica ships the parent copy,
+        which therefore already contains every applied mutation — the
+        new shard serves the mutated memory from its first request
         (item 4 of the :mod:`repro.serve.mutator` ordering contract).
 
-        The log append happens *before* the fan-out: if a replica dies
-        mid-fan-out, the failover replay that rebuilds redundancy
-        includes this mutation, while the survivors already received it
-        directly — exactly-once everywhere, because replay only ever
-        targets shards that were never in the session's replica set.
+        The order is fan-out, then the parent record, then reporting
+        replicas that died mid-fan-out: the failover that rebuilds
+        their redundancy seeds from a record that already carries this
+        mutation, while the survivors received it directly —
+        exactly-once everywhere, because failover only seeds shards
+        that were not in the session's replica set.
         """
         with self._lock:
             if self._stopped:
@@ -871,9 +842,8 @@ class ShardedAttentionServer:
                     f"session {session_id!r} is not registered"
                 )
             # Validate parent-side first: a bad mutation must fail
-            # before anything is logged or shipped to any shard.
+            # before anything is shipped to any shard.
             new_key, new_value = mutation.apply(session.key, session.value)
-            self.mutation_log.record_mutation(session_id, mutation)
             dead: list[str] = []
             for shard_id in list(self._replicas[session_id]):
                 try:
@@ -1192,12 +1162,14 @@ class ShardedAttentionServer:
            replica to primary (survivors keep preference order — ring
            removal preserves the relative order of the remaining
            shards);
-        3. lost redundancy is rebuilt by replaying each affected
-           session's mutation log onto the next live shards of its
-           preference list, until the session is back to
-           ``min(R, live_shards)`` replicas.  Replay drives the same
-           register + incremental-mutate path live traffic uses, so
-           the rebuilt prepared state is bit-identical.
+        3. lost redundancy is rebuilt by seeding each affected session
+           onto the next live shards of its preference list from the
+           parent-side session record (:meth:`_seed_session`, as
+           registration and rebalancing do), until the session is back
+           to ``min(R, live_shards)`` replicas.  The record already
+           holds every applied mutation, and preparing that final key
+           afresh gives the same bits the survivors' splices did, so
+           the rebuilt replica serves bit-identical answers.
 
         A replica that dies *during* step 3 is failed over recursively
         once this pass finishes.  Returns ``True`` if this call
@@ -1214,7 +1186,7 @@ class ShardedAttentionServer:
             self._failovers += 1
             self._retire(shard_id, handle, timeout=1.0, drain=False)
             r = self.config.replication
-            for session_id in list(self._replicas):
+            for session_id, session in self._sessions.items():
                 current = [
                     s
                     for s in self._replicas[session_id]
@@ -1231,29 +1203,24 @@ class ShardedAttentionServer:
                     continue
                 # Ring removal keeps the survivors' relative order, so
                 # the filtered `current` is already a prefix-subsequence
-                # of `preference`; missing members are rebuilt by
-                # replaying the session's log.
+                # of `preference`; missing members are seeded from the
+                # session record.
                 rebuilt = [s for s in preference if s in current]
                 for target in preference:
                     if target in rebuilt:
                         continue
                     try:
-                        replayed = self.mutation_log.replay_onto(
-                            session_id,
-                            self._shards[target],
-                            exporter=self._segment_exporter,
-                        )
+                        self._seed_session(self._shards[target], session)
                     except ShardUnavailableError:
                         if target not in cascade:
                             cascade.append(target)
                         continue
                     self._replayed_sessions += 1
-                    self._replayed_mutations += replayed
                     rebuilt.append(target)
                 self._replicas[session_id] = rebuilt
             for dead in cascade:
                 self.report_shard_failure(
-                    dead, reason="died during failover replay"
+                    dead, reason="died during failover re-seeding"
                 )
         return True
 
@@ -1343,9 +1310,8 @@ class ShardedAttentionServer:
         """Re-register every session whose replica set changed; returns
         them.
 
-        Planned topology changes (unlike failover) still hold the
-        session's current parent-side memory, so new replicas are
-        seeded from it directly rather than by log replay.
+        New replicas are seeded from the session's parent-side record
+        (:meth:`_seed_session`, as registration and failover do).
         Registration on the new shards happens *before* the replica
         flip and the close on the old shards, so a concurrent
         ``attend`` either still finds the session on its old home or
@@ -1361,13 +1327,7 @@ class ShardedAttentionServer:
                 continue
             for shard_id in target:
                 if shard_id not in current:
-                    self._seed_session(
-                        self._shards[shard_id],
-                        session_id,
-                        session.key,
-                        session.value,
-                        session.fingerprint,
-                    )
+                    self._seed_session(self._shards[shard_id], session)
             self._replicas[session_id] = target
             for shard_id in current:
                 if shard_id in target:
@@ -1410,15 +1370,6 @@ class ShardedAttentionServer:
         self.tracer.absorb(telemetry.spans)
         return telemetry
 
-    def shard_snapshots(self) -> dict[str, dict]:
-        """Each shard's own :meth:`AttentionServer.snapshot`."""
-        with self._lock:
-            handles = dict(self._shards)
-        return {
-            shard_id: handle.call(SnapshotOp()).snapshot
-            for shard_id, handle in sorted(handles.items())
-        }
-
     def snapshot(self) -> dict:
         """Cluster-wide aggregate plus the per-shard snapshots.
 
@@ -1446,7 +1397,6 @@ class ShardedAttentionServer:
                 "down_shards": sorted(down_shards),
                 "replica_retries": self._replica_retries,
                 "replayed_sessions": self._replayed_sessions,
-                "replayed_mutations": self._replayed_mutations,
             }
         live = {
             shard_id: self._telemetry(handle)
@@ -1570,7 +1520,6 @@ class ShardedAttentionServer:
                 "failovers": self._failovers,
                 "replica_retries": self._replica_retries,
                 "replayed_sessions": self._replayed_sessions,
-                "replayed_mutations": self._replayed_mutations,
             }
             sessions = len(self._sessions)
         live = []

@@ -71,11 +71,6 @@ class SessionMutation:
     def apply_to_backend(self, backend: AttentionBackend) -> None:
         raise NotImplementedError
 
-    @property
-    def touched_rows(self) -> int:
-        """Rows this mutation edits (telemetry / benchmark bookkeeping)."""
-        raise NotImplementedError
-
 
 def _as_matrix(rows: np.ndarray, what: str) -> np.ndarray:
     rows = np.asarray(rows, dtype=np.float64)
@@ -124,10 +119,6 @@ class AppendRowsMutation(SessionMutation):
         if hook is not None:
             hook(_as_matrix(self.key_rows, "appended key rows"))
 
-    @property
-    def touched_rows(self) -> int:
-        return int(_as_matrix(self.key_rows, "appended key rows").shape[0])
-
 
 @dataclass(frozen=True)
 class DeleteRowsMutation(SessionMutation):
@@ -164,10 +155,6 @@ class DeleteRowsMutation(SessionMutation):
         hook = getattr(backend, "delete_rows", None)
         if hook is not None:
             hook(np.asarray(self.rows, dtype=np.int64))
-
-    @property
-    def touched_rows(self) -> int:
-        return len(self.rows)
 
 
 @dataclass(frozen=True)
@@ -212,10 +199,6 @@ class ReplaceKeyMutation(SessionMutation):
                 int(self.row),
                 np.asarray(self.key_row, dtype=np.float64).ravel(),
             )
-
-    @property
-    def touched_rows(self) -> int:
-        return 1
 
 
 class SessionMutator:

@@ -16,7 +16,11 @@ from repro.serve import (
     ShardedAttentionServer,
 )
 from repro.serve.cluster import SegmentStore
-from repro.serve.mutator import AppendRowsMutation, ReplaceKeyMutation
+from repro.serve.mutator import (
+    AppendRowsMutation,
+    DeleteRowsMutation,
+    ReplaceKeyMutation,
+)
 
 N, D = 48, 12
 
@@ -215,6 +219,40 @@ class TestFailoverAdoption:
             )
         finally:
             cluster.stop(timeout=10.0)
+
+    def test_read_from_a_reseeded_child_is_bit_identical(self):
+        """Two failovers after an append, a delete and a replace: the
+        read lands on the child re-seeded from the parent's session
+        record, which adopted one segment of the final memory."""
+        before = set(_segments())
+        cluster = _spawn_cluster(shards=3, replication=2)
+        rng = np.random.default_rng(16)
+        key, value = _memory(41)
+        try:
+            cluster.register_session("s", key, value)
+            for mutation in (
+                AppendRowsMutation(
+                    rng.normal(size=(3, D)), rng.normal(size=(3, D))
+                ),
+                DeleteRowsMutation((0, 7)),
+                ReplaceKeyMutation(2, rng.normal(size=D), rng.normal(size=D)),
+            ):
+                cluster.mutate_session("s", mutation)
+                key, value = mutation.apply(key, value)
+            original = cluster.session_replicas("s")
+            for _ in range(2):
+                victim = cluster.session_shard("s")
+                assert cluster.report_shard_failure(victim, "test kill")
+            assert cluster.session_shard("s") not in original
+            queries = rng.normal(size=(4, D))
+            np.testing.assert_array_equal(
+                cluster.attend_many("s", queries),
+                _direct(key, value, queries),
+            )
+            assert len(cluster._segments.segment_names) == 1
+        finally:
+            cluster.stop(timeout=10.0)
+        assert set(_segments()) == before
 
 
 class TestShmLifecycle:

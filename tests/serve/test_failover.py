@@ -9,9 +9,9 @@ hand); one spawn-mode regression covers the real child-death path of
 * writes fan out to the session's R preference shards, reads come from
   the primary;
 * a dead shard loses **no requests and no session state** — survivors
-  promote, redundancy is rebuilt by mutation-log replay, and the
-  answers stay bit-identical (deterministic backends + the splice ==
-  fresh-build property);
+  promote, redundancy is rebuilt by seeding new replicas from the
+  cluster's own session record, and the answers stay bit-identical
+  (deterministic backends + the splice == fresh-build property);
 * only :class:`~repro.serve.ShardUnavailableError` is retried; a fatal
   :class:`~repro.serve.ShardError` propagates without burning replicas;
 * a SIGKILLed child resolves (never leaks) its pending futures.
@@ -21,22 +21,25 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigError
 from repro.serve import (
     AppendRowsMutation,
     AttendOp,
+    AttentionServer,
     BatchPolicy,
     ClusterConfig,
+    DeleteRowsMutation,
     HeartbeatMonitor,
-    MutationLog,
     ProcessShard,
     RegisterSessionOp,
+    ReplaceKeyMutation,
     ServerConfig,
     ShardError,
     ShardUnavailableError,
     ShardedAttentionServer,
-    UnknownSessionError,
 )
 
 N, D = 48, 12
@@ -170,7 +173,7 @@ class TestInjectedFailover:
 
     def test_mutated_session_survives_primary_death_bit_identically(self):
         """Kill the primary *after* a mutation: the promoted replica
-        (which got the fan-out) and the replay-rebuilt replica must both
+        (which got the fan-out) and the re-seeded replica must both
         serve the mutated memory — compared against a fresh cluster
         registered directly with the final memory."""
         cluster = _cluster(shards=3, replication=2)
@@ -184,9 +187,10 @@ class TestInjectedFailover:
             cluster.mutate_session("s", AppendRowsMutation(rows_k, rows_v))
             cluster.kill_shard(cluster.session_shard("s"))
             survived = cluster.attend("s", query)
-            # Force a read off the replay-rebuilt copy too: kill the
-            # promoted primary as well (log replay rebuilt redundancy,
-            # so a second death is still lossless).
+            # Force a read off the re-seeded copy too: kill the
+            # promoted primary as well (failover rebuilt redundancy
+            # from the session record, so a second death is still
+            # lossless).
             cluster.kill_shard(cluster.session_shard("s"))
             replayed = cluster.attend("s", query)
         fresh = _cluster(shards=3, replication=1)
@@ -201,8 +205,8 @@ class TestInjectedFailover:
         np.testing.assert_array_equal(replayed, expected)
 
     def test_replication_one_recovers_by_replay_alone(self):
-        """Even without redundancy, the mutation log makes a shard death
-        lossless: the session is rebuilt from its log on a survivor."""
+        """Even without redundancy, a shard death is lossless: the
+        session is re-seeded on a survivor from the cluster's record."""
         cluster = _cluster(shards=3, replication=1)
         memories = _register_many(cluster, 10)
         rng = np.random.default_rng(13)
@@ -226,6 +230,18 @@ class TestInjectedFailover:
             with pytest.raises(ShardUnavailableError):
                 cluster.attend("s", np.zeros(D))
         assert cluster.shard_ids == []
+
+    def test_registration_on_a_dead_cluster_registers_nothing(self):
+        """With every shard dead the fan-out restarts until no live
+        shard is left, then fails: it never reports success with zero
+        replicas."""
+        cluster = _cluster(shards=3, replication=2)
+        with cluster:
+            for shard_id in cluster.shard_ids:
+                cluster.fault_injector.kill(shard_id)
+            with pytest.raises(ShardUnavailableError):
+                cluster.register_session("s", *_memory(0))
+            assert cluster.session_ids == []
 
     def test_fatal_shard_error_is_not_retried(self):
         """A backend-poisoned request fails identically everywhere;
@@ -270,9 +286,10 @@ class TestInjectedFailover:
             cluster.register_session("fresh", key, value)
             assert secondary not in cluster.session_replicas("fresh")
         parent = cluster.cache.get(sid)
-        log_key, log_value = cluster.mutation_log.replay_memory(sid)
-        np.testing.assert_array_equal(log_key, parent.key)
-        np.testing.assert_array_equal(log_value, parent.value)
+        for shard_id in cluster.session_replicas(sid):
+            held = cluster._shards[shard_id].server.cache.get(sid)
+            np.testing.assert_array_equal(held.key, parent.key)
+            np.testing.assert_array_equal(held.value, parent.value)
         assert len(memories) + 1 == len(cluster.session_ids)
 
     def test_report_shard_failure_is_idempotent(self):
@@ -294,7 +311,6 @@ class TestInjectedFailover:
             "down_shards": [],
             "replica_retries": 0,
             "replayed_sessions": 0,
-            "replayed_mutations": 0,
         }
         assert snap["liveness"] == {s: True for s in cluster.shard_ids}
         # Primary-only session accounting still sums to the total.
@@ -340,6 +356,73 @@ class TestInjectedFailover:
             assert cluster.session_shard(sid) != primary
             # The cache view rides the same retry.
             cluster.cache.session_stats(sid)
+
+
+# Mutation sequences as (kind, payload seed) pairs; each mutation is
+# built against the row count the session has when it applies.
+mutation_steps = st.lists(
+    st.tuples(st.integers(0, 2), st.integers(0, 2**16)),
+    min_size=1,
+    max_size=6,
+)
+
+
+def _mutation(kind, rng, n):
+    """An append, delete or replace on a session of ``n`` rows, with
+    tie-heavy key rows (the adversarial case for splice tie order)."""
+    if kind == 0:
+        k = int(rng.integers(1, 4))
+        return AppendRowsMutation(
+            rng.integers(-3, 4, size=(k, D)).astype(np.float64),
+            rng.normal(size=(k, D)),
+        )
+    if kind == 1:
+        rows = rng.choice(n, size=int(rng.integers(1, 4)), replace=False)
+        return DeleteRowsMutation(tuple(int(row) for row in rows))
+    return ReplaceKeyMutation(
+        int(rng.integers(n)),
+        rng.integers(-3, 4, size=D).astype(np.float64),
+        rng.normal(size=D),
+    )
+
+
+class TestReseededReplicas:
+    @given(seed=st.integers(0, 2**16), steps=mutation_steps)
+    @settings(max_examples=25, deadline=None)
+    def test_reseeded_replica_serves_the_final_memory(self, seed, steps):
+        """Mixed mutations, then two primary deaths: the read lands on
+        a replica seeded from the parent's session record and equals a
+        fresh single server registered with the final memory, bit for
+        bit.  Every live replica holds exactly the parent's memory."""
+        key, value = _memory(seed)
+        cluster = _cluster(shards=3, replication=2)
+        with cluster:
+            cluster.register_session("s", key, value)
+            for kind, payload in steps:
+                mutation = _mutation(
+                    kind, np.random.default_rng(payload), key.shape[0]
+                )
+                cluster.mutate_session("s", mutation)
+                key, value = mutation.apply(key, value)
+            parent = cluster.cache.get("s")
+            np.testing.assert_array_equal(parent.key, key)
+            np.testing.assert_array_equal(parent.value, value)
+            original = cluster.session_replicas("s")
+            for _ in range(2):
+                victim = cluster.session_shard("s")
+                cluster.kill_shard(victim)
+                cluster.report_shard_failure(victim, reason="test")
+                for shard_id in cluster.session_replicas("s"):
+                    held = cluster._shards[shard_id].server.cache.get("s")
+                    np.testing.assert_array_equal(held.key, parent.key)
+                    np.testing.assert_array_equal(held.value, parent.value)
+            assert cluster.session_shard("s") not in original
+            queries = np.random.default_rng(seed + 1).normal(size=(3, D))
+            served = [cluster.attend("s", q) for q in queries]
+        with AttentionServer(cluster.config.shard) as fresh:
+            fresh.register_session("s", key, value)
+            expected = [fresh.attend("s", q) for q in queries]
+        np.testing.assert_array_equal(served, expected)
 
 
 class TestHeartbeatMonitor:
@@ -421,66 +504,6 @@ class TestHeartbeatMonitor:
         assert cluster.ping_shard("no-such-shard") is False
         with pytest.raises(ConfigError):
             cluster.kill_shard("no-such-shard")
-
-
-class TestMutationLog:
-    def test_replay_memory_folds_the_log(self):
-        log = MutationLog()
-        key, value = _memory(0)
-        log.record_register("s", key, value)
-        rng = np.random.default_rng(31)
-        expected_k, expected_v = key, value
-        for _ in range(5):
-            rows_k = rng.normal(size=(2, D))
-            rows_v = rng.normal(size=(2, D))
-            mutation = AppendRowsMutation(rows_k, rows_v)
-            log.record_mutation("s", mutation)
-            expected_k, expected_v = mutation.apply(expected_k, expected_v)
-        out_k, out_v = log.replay_memory("s")
-        np.testing.assert_array_equal(out_k, expected_k)
-        np.testing.assert_array_equal(out_v, expected_v)
-        assert log.mutation_count("s") == 5
-
-    def test_compaction_preserves_replay_and_bounds_the_log(self):
-        log = MutationLog(auto_compact_above=3)
-        key, value = _memory(1)
-        log.record_register("s", key, value)
-        rng = np.random.default_rng(37)
-        for _ in range(10):
-            log.record_mutation(
-                "s",
-                AppendRowsMutation(
-                    rng.normal(size=(1, D)), rng.normal(size=(1, D))
-                ),
-            )
-        assert log.mutation_count("s") <= 3
-        out_k, _ = log.replay_memory("s")
-        assert out_k.shape == (N + 10, D)
-
-    def test_cluster_log_tracks_parent_memory(self):
-        cluster = _cluster(shards=3, replication=2)
-        cluster.register_session("s", *_memory(2))
-        rng = np.random.default_rng(41)
-        for _ in range(4):
-            cluster.mutate_session(
-                "s",
-                AppendRowsMutation(
-                    rng.normal(size=(2, D)), rng.normal(size=(2, D))
-                ),
-            )
-        parent = cluster.cache.get("s")
-        log_k, log_v = cluster.mutation_log.replay_memory("s")
-        np.testing.assert_array_equal(log_k, parent.key)
-        np.testing.assert_array_equal(log_v, parent.value)
-
-    def test_close_forgets_the_log(self):
-        cluster = _cluster(shards=2)
-        cluster.register_session("s", *_memory(0))
-        assert "s" in cluster.mutation_log.session_ids
-        cluster.close_session("s")
-        assert cluster.mutation_log.session_ids == []
-        with pytest.raises(UnknownSessionError):
-            cluster.mutation_log.replay_memory("s")
 
 
 class TestProcessShardCrash:

@@ -406,8 +406,7 @@ class TestSnapshotSchemaFrozen:
         "batches", "tiers", "quality", "cache", "mean_batch_size",
     }
     FAILOVER_KEYS = {
-        "failovers", "down_shards", "replica_retries",
-        "replayed_sessions", "replayed_mutations",
+        "failovers", "down_shards", "replica_retries", "replayed_sessions",
     }
 
     def test_server_snapshot_schema(self):
