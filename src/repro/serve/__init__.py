@@ -20,10 +20,11 @@ multi-tenant service:
   recent arrivals are too far apart to fill it in time, with bounded
   admission and reject/block backpressure;
 * :class:`~repro.serve.scheduler.Scheduler` — threaded workers
-  dispatching each group through one ``attend_many`` (single session)
-  or one fused multi-key
-  :func:`~repro.core.backends.attend_many_ragged` (cross-session),
-  bit-identical either way;
+  running each group as one kernel call, a multi-key
+  :func:`~repro.core.backends.attend_many_ragged` over its per-session
+  segments (one segment or many), at the tier's config; a segment
+  whose session went away fails alone, and every other segment stays
+  bit-identical to per-session evaluation;
 * :class:`~repro.serve.stats.ServerStats` — latency percentiles, batch
   histogram, queue depth, cache hit rate; aggregates per-session
   :class:`~repro.core.backends.BackendStats`;
@@ -47,8 +48,8 @@ multi-tenant service:
   plain :class:`~repro.serve.cluster.ShardError` is fatal);
 * **quality tiers** (:data:`repro.core.config.TIERS`) — every request
   carries a tier in ``{"exact", "conservative", "aggressive"}``; one
-  prepared key artifact per session serves all tiers through per-tier
-  backend views, batches stay single-tier, and
+  prepared key artifact per session serves all tiers (the scheduler
+  passes the tier's config per call), batches stay single-tier, and
   :class:`~repro.serve.controller.AdaptiveQualityController` degrades
   the default tier of best-effort traffic under sustained SLO
   violation (and restores it on recovery) instead of rejecting load;
@@ -143,7 +144,6 @@ from repro.serve.sessions import (
     KeyCacheManager,
     PreparedSession,
     Session,
-    TierBackendView,
     validate_memory,
 )
 from repro.serve.stats import ServerStats
@@ -215,7 +215,6 @@ __all__ = [
     "StageProfiler",
     "ThreadShard",
     "TIERS",
-    "TierBackendView",
     "TierTransition",
     "TraceContext",
     "Tracer",

@@ -20,13 +20,12 @@ records why its fill loop ended (:data:`FILL_EXITS`) on its requests'
 
 Requests of *other* groups stay queued and are claimable by other
 workers concurrently.  The key carries the fusion criteria explicitly:
-a per-session key reproduces the historical single-session grouping,
-while a cross-session key fuses equal-tier traffic from many sessions
-into one ragged multi-key dispatch (segments that are
-config-incompatible land under different keys and fall back to
-per-session claiming).  Either way a group is single-tier and
-single-config, so per-tier outputs stay bit-identical to direct
-evaluation at that tier.
+a per-session key groups one session's traffic, while a cross-session
+key fuses equal-tier, equal-width traffic from many sessions.  Either
+way a group is single-tier — within one server the tier fixes the
+approximation config — and the scheduler runs it as one kernel call,
+so per-tier outputs stay bit-identical to direct evaluation at that
+tier.
 
 Admission is bounded: once ``max_queue_depth`` requests are pending, a
 submit either raises :class:`~repro.serve.request.ServerOverloadedError`
@@ -85,8 +84,8 @@ class BatchPolicy:
     Attributes
     ----------
     max_batch_size:
-        Hard cap on the number of requests dispatched in one
-        ``attend_many`` call.
+        Hard cap on the number of requests dispatched in one kernel
+        call (the total over its segments when sessions fuse).
     max_wait_seconds:
         The longest a claimed, undersized group may wait for more
         same-group arrivals, measured from the oldest member's

@@ -739,10 +739,13 @@ class ShardedAttentionServer:
         :class:`~repro.serve.sessions.Session` record — the parent copy
         that rebalancing and failover later seed new replicas from.  A
         replica dying mid-fan-out is failed over inline and the fan-out
-        restarts against the shrunk ring — registration is idempotent
-        per shard, so re-touching a survivor is harmless — until it
-        lands on every target or no live shard is left
-        (:class:`ShardUnavailableError`, and nothing is registered).
+        restarts against the shrunk ring, skipping the shards it
+        already seeded, until it lands on every target or no live shard
+        is left (:class:`ShardUnavailableError`, and nothing is
+        registered).  While the fan-out runs, the session's old record
+        is out of the registry, so that inline failover never re-seeds
+        the memory being replaced; it is restored only if registration
+        fails.
         """
         key, value = validate_memory(key, value)
         session = Session(
@@ -754,24 +757,40 @@ class ShardedAttentionServer:
         with self._lock:
             if self._stopped:
                 raise ServerClosedError("cluster is stopped")
-            while True:
-                if not self._shards:
-                    raise ShardUnavailableError("cluster has no live shards")
-                targets = self.router.preference_list(
-                    session_id, self.config.replication
-                )
-                failed = None
-                for shard_id in targets:
-                    try:
-                        self._seed_session(self._shards[shard_id], session)
-                    except ShardUnavailableError:
-                        failed = shard_id
+            old = self._sessions.pop(session_id, None)
+            old_replicas = self._replicas.pop(session_id, None)
+            seeded: set[str] = set()
+            try:
+                while True:
+                    if not self._shards:
+                        raise ShardUnavailableError(
+                            "cluster has no live shards"
+                        )
+                    targets = self.router.preference_list(
+                        session_id, self.config.replication
+                    )
+                    failed = None
+                    for shard_id in targets:
+                        if shard_id in seeded:
+                            continue
+                        try:
+                            self._seed_session(self._shards[shard_id], session)
+                        except ShardUnavailableError:
+                            failed = shard_id
+                            break
+                        seeded.add(shard_id)
+                    if failed is None:
                         break
-                if failed is None:
-                    break
-                self.report_shard_failure(
-                    failed, reason="registration fan-out failed"
-                )
+                    self.report_shard_failure(
+                        failed, reason="registration fan-out failed"
+                    )
+            except BaseException:
+                if old is not None:
+                    self._sessions[session_id] = old
+                    self._replicas[session_id] = [
+                        s for s in old_replicas if s in self._shards
+                    ]
+                raise
             self._sessions[session_id] = session
             self._replicas[session_id] = targets
         return session

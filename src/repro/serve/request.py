@@ -5,10 +5,10 @@ A request is one query against one registered session.  Its lifecycle:
 :class:`BatchKey` and hands it to the
 :class:`~repro.serve.batcher.DynamicBatcher`; a scheduler worker later
 dispatches a whole fusion-compatible group — one session, or several
-sessions fused under one cross-session key — through one ``attend_many``
-or ``attend_many_ragged`` call and resolves every request's future with
-its output row.  Timestamps are kept at each hop so :class:`~repro.serve.stats.ServerStats`
-can split latency into queue wait and service time.
+sessions fused under one cross-session key — as one kernel call and
+resolves every request's future with its output row.  Timestamps are
+kept at each hop so :class:`~repro.serve.stats.ServerStats` can split
+latency into queue wait and service time.
 """
 
 from __future__ import annotations
@@ -83,13 +83,13 @@ class BatchKey:
 
     Two requests may share one dispatched batch exactly when their keys
     compare equal.  A key either names a single session (``session_id``
-    set, the conservative per-session grouping) or describes a
-    *cross-session fusable* class (``session_id`` ``None``): any mix of
-    sessions whose requests agree on tier, effective approximation
-    config, query width, and dtype can then fuse into one ragged
-    multi-key dispatch.  Keeping every criterion an explicit field means
-    future fusion criteria extend this dataclass instead of rippling
-    through the batcher, scheduler, and stats consumers.
+    set, the per-session grouping) or describes a *cross-session
+    fusable* class (``session_id`` ``None``): any mix of sessions whose
+    requests agree on tier and query width can then fuse into one
+    ragged multi-key dispatch.  Nothing else needs comparing: within
+    one server the tier fixes the approximation config, and every
+    session's memory is float64
+    (:func:`~repro.serve.sessions.validate_memory`).
 
     Attributes
     ----------
@@ -100,21 +100,15 @@ class BatchKey:
     session_id:
         The one session this key admits, or ``None`` for a
         cross-session fusable group.
-    fingerprint:
-        The effective :class:`~repro.core.config.ApproximationConfig`
-        of the tier (hashable since the config dataclass is frozen), or
-        ``None`` when ``session_id`` pins the group.  Two sessions fuse
-        only when their tier resolves to the identical operating point.
-    d / dtype:
-        Query width and memory dtype of the sessions this key admits —
-        segments of one ragged dispatch must share the query slab.
+    d:
+        Query width of the requests this key admits — segments of one
+        ragged dispatch share the query slab.  ``None`` only on the
+        default per-session key of a request built without one.
     """
 
     tier: str
     session_id: str | None = None
-    fingerprint: object | None = None
     d: int | None = None
-    dtype: str | None = None
 
     @property
     def fused(self) -> bool:
@@ -197,9 +191,8 @@ class AttentionRequest:
         a cross-session fusable key when the server's backend supports
         ragged dispatch, else a per-session key.  Requests constructed
         without one (direct batcher usage in tests and tools) default
-        lazily to the conservative per-session grouping, under which
-        every dispatch stays single-session/single-config exactly as
-        before cross-session fusion existed.
+        lazily to the per-session grouping, under which every dispatch
+        stays single-session.
         """
         key = self.batch_key
         if key is None:

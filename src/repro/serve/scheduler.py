@@ -4,12 +4,20 @@ Each worker loops: claim the next same-:class:`~repro.serve.request.BatchKey`
 group from the :class:`~repro.serve.batcher.DynamicBatcher`, check out
 the prepared backend of every session in the group from the
 :class:`~repro.serve.sessions.KeyCacheManager`, run the whole group
-under the entries' dispatch locks — one ``attend_many`` for a
-single-session group, one fused ``attend_many_ragged`` for a
-cross-session group — and resolve every request's future with its
-output row.  A dispatch failure resolves the whole group's futures with
-the exception instead of killing the worker, so one poisoned batch
-cannot take the server down.
+under the entries' dispatch locks as **one kernel call** — one
+:func:`~repro.core.backends.attend_many_ragged` over the per-session
+segments, whether the group holds one session or several — and resolve
+every request's future with its output row.  The scheduler holds the
+server's tier → config map and passes the batch's config per call, so
+one prepared artifact per session serves every tier.  Backends that
+cannot run the ragged kernel (such as ``ExactBackend`` or the loop
+engines) get one ``attend_many`` per segment instead.
+
+Failures stay as narrow as they can be: a segment whose session is gone
+or whose key width no longer matches its queries fails alone, and a
+kernel failure resolves the batch's futures with the exception instead
+of killing the worker, so one poisoned batch cannot take the server
+down.
 """
 
 from __future__ import annotations
@@ -20,10 +28,12 @@ from contextlib import ExitStack
 import numpy as np
 
 from repro.core.backends import attend_many_ragged
+from repro.core.config import ApproximationConfig
+from repro.errors import ShapeError
 from repro.serve.batcher import DynamicBatcher
 from repro.serve.observability import now
 from repro.serve.request import AttentionRequest, resolve_request as _resolve
-from repro.serve.sessions import KeyCacheManager
+from repro.serve.sessions import KeyCacheManager, PreparedSession
 from repro.serve.stats import ServerStats
 from repro.serve.tracing import Tracer
 
@@ -31,7 +41,13 @@ __all__ = ["Scheduler"]
 
 
 class Scheduler:
-    """Threaded dispatch loop between the batcher and the backends."""
+    """Threaded dispatch loop between the batcher and the backends.
+
+    ``tier_configs`` maps each quality tier to the
+    :class:`~repro.core.config.ApproximationConfig` its batches run at
+    (``ServerConfig.tier_configs()``); a tier it does not name runs at
+    each backend's own config.
+    """
 
     def __init__(
         self,
@@ -40,6 +56,7 @@ class Scheduler:
         stats: ServerStats,
         num_workers: int = 2,
         tracer: Tracer | None = None,
+        tier_configs: dict[str, ApproximationConfig] | None = None,
     ):
         if num_workers < 1:
             raise ValueError(f"num_workers must be >= 1, got {num_workers}")
@@ -48,6 +65,7 @@ class Scheduler:
         self.stats = stats
         self.num_workers = num_workers
         self.tracer = tracer if tracer is not None else Tracer()
+        self.tier_configs = dict(tier_configs or {})
         self._threads: list[threading.Thread] = []
 
     # ------------------------------------------------------------------
@@ -92,145 +110,141 @@ class Scheduler:
                 self.dispatch(batch)
 
     def dispatch(self, batch: list[AttentionRequest]) -> None:
-        """Run one same-``BatchKey`` group through the backend(s),
-        synchronously.  The batcher guarantees the group is single-tier
-        and single-config.  Every session entry of the group is checked
-        out and its lock acquired in sorted-session-id order (one global
-        order, so concurrent multi-entry dispatches cannot deadlock
-        against each other or against single-entry mutations).  A group
-        spanning several sessions whose backends resolve to a ragged
-        plan runs one fused ``attend_many_ragged`` over the whole slab;
-        otherwise — a single session, or segments that cannot fuse —
-        each session's segment runs one ``attend_many`` through its
-        tier's backend view.  Either way every segment's outputs are
-        bit-identical to direct evaluation at its tier."""
+        """Run one same-``BatchKey`` group as one kernel call,
+        synchronously.
+
+        The batcher guarantees the group is single-tier.  Its requests
+        split into per-session segments (sessions in first-appearance
+        order, each segment's requests in arrival order, so the slab
+        layout is deterministic).  Each segment is checked out on its
+        own: a segment whose session is gone, or whose key width no
+        longer matches its queries, fails alone with that error while
+        the rest dispatch.  The live entries' locks are taken in
+        sorted-session-id order (one global order, so concurrent
+        multi-entry dispatches cannot deadlock against each other or
+        against single-entry mutations).  Every segment's outputs are
+        bit-identical to direct evaluation at its tier, whatever other
+        sessions shared the batch."""
         dispatched_at = now()
         for request in batch:
             request.dispatched_at = dispatched_at
         tier = batch[0].tier
-        # Per-session segments.  Dict insertion order preserves the
-        # first-appearance order of sessions, and each segment keeps its
-        # requests in arrival order, so the slab layout is deterministic.
+        d = batch[0].query.shape[0]
         segments: dict[str, list[AttentionRequest]] = {}
         for request in batch:
             segments.setdefault(request.session_id, []).append(request)
-        session_ids = list(segments)
-        ordered = [r for sid in session_ids for r in segments[sid]]
         queue_depth = self.batcher.depth
-        kernel_started = dispatched_at
-        kernel_ended = dispatched_at
-        fused_segments = len(session_ids)
-        entries: dict[str, object] = {}
+        kernel_started = kernel_ended = dispatched_at
+        entries: dict[str, PreparedSession] = {}
+        errors: dict[str, BaseException] = {}
+        outputs: dict[str, np.ndarray] = {}
         try:
-            for sid in session_ids:
-                entries[sid] = self.cache.checkout(sid)
+            for sid in segments:
+                try:
+                    entries[sid] = self.cache.checkout(sid)
+                except Exception as exc:  # noqa: BLE001 — fails its segment
+                    errors[sid] = exc
             with ExitStack() as stack:
-                for sid in sorted(session_ids):
+                for sid in sorted(entries):
                     stack.enter_context(entries[sid].lock)
-                # One atomic (key, value) snapshot per session: a
-                # concurrent mutation swaps both together, so a pair can
-                # never be torn even when an entry is cold-prepared
-                # while a mutation lands.
-                memories = {
-                    sid: entries[sid].session.memory for sid in session_ids
-                }
-                queries = np.stack([r.query for r in ordered])
-                seg_offsets = np.cumsum(
-                    [0] + [len(segments[sid]) for sid in session_ids]
-                )
-                keys = [memories[sid][0] for sid in session_ids]
-                vals = [memories[sid][1] for sid in session_ids]
-                plan = None
-                if len(session_ids) > 1:
-                    plan = self.cache.ragged_plan(
-                        [entries[sid] for sid in session_ids], tier
-                    )
-                if plan is not None:
-                    backends, cfg = plan
-                    kernel_started = now()
-                    seg_outputs = attend_many_ragged(
-                        backends, keys, vals, queries, seg_offsets,
-                        config=cfg,
-                    )
-                else:
-                    # One session, or segments that cannot fuse
-                    # (config-incompatible backends): per-session
-                    # dispatches through each tier view under the same
-                    # claim and locks.
-                    views = [
-                        self.cache.tier_backend(entries[sid], tier)
-                        for sid in session_ids
-                    ]
-                    kernel_started = now()
-                    seg_outputs = [
-                        view.attend_many(
-                            keys[s], vals[s],
-                            queries[seg_offsets[s] : seg_offsets[s + 1]],
+                live, keys, values = [], [], []
+                for sid, entry in entries.items():
+                    # One atomic (key, value) snapshot per session: a
+                    # concurrent mutation swaps both together, so a pair
+                    # can never be torn even when an entry is
+                    # cold-prepared while a mutation lands.
+                    key, value = entry.session.memory
+                    if key.shape[1] != d:  # re-registered at a new width
+                        errors[sid] = ShapeError(
+                            f"session {sid!r} key width d={key.shape[1]} "
+                            f"does not match query width d={d}"
                         )
-                        for s, view in enumerate(views)
-                    ]
-                kernel_ended = now()
-                flat_outputs = [row for out in seg_outputs for row in out]
+                        continue
+                    live.append(sid)
+                    keys.append(key)
+                    values.append(value)
+                if live:
+                    queries = np.stack(
+                        [r.query for sid in live for r in segments[sid]]
+                    )
+                    offsets = [0]
+                    for sid in live:
+                        offsets.append(offsets[-1] + len(segments[sid]))
+                    backends = [entries[sid].backend for sid in live]
+                    kernel_started = now()
+                    seg_outputs = self._attend(
+                        backends, keys, values, queries, offsets, tier
+                    )
+                    kernel_ended = now()
+                    outputs = dict(zip(live, seg_outputs))
         except BaseException as exc:  # noqa: BLE001 — forwarded to callers
-            service = now() - dispatched_at
-            self._record(ordered, segments, dispatched_at, service,
-                         queue_depth, failed=True, tier=tier)
-            for request in batch:
-                _resolve(request, error=exc)
-            self._emit_spans(batch, kernel_started, kernel_ended,
-                             fused_segments, error=exc)
-            return
+            for sid in segments:
+                errors.setdefault(sid, exc)
         finally:
             for entry in entries.values():
                 self.cache.release(entry)
         done = now()
-        service = done - dispatched_at
+        completed = [r for sid in outputs for r in segments[sid]]
         # Record before resolving: a caller woken by its future must not
         # be able to read stats that don't include its own batch yet.
-        self._record(ordered, segments, dispatched_at, service, queue_depth,
-                     failed=False, done=done, tier=tier)
-        for i, request in enumerate(ordered):
-            _resolve(request, result=flat_outputs[i])
-        self._emit_spans(batch, kernel_started, kernel_ended, fused_segments)
-
-    def _record(
-        self,
-        ordered: list[AttentionRequest],
-        segments: dict[str, list[AttentionRequest]],
-        dispatched_at: float,
-        service: float,
-        queue_depth: int,
-        failed: bool,
-        done: float | None = None,
-        tier: str | None = None,
-    ) -> None:
-        if done is None:
-            done = now()
-        session_ids = list(segments)
         self.stats.record_batch(
-            session_id=session_ids[0],
-            request_ids=[request.request_id for request in ordered],
-            queue_waits=[
-                dispatched_at - request.enqueued_at for request in ordered
-            ],
-            latencies=[done - request.enqueued_at for request in ordered],
-            service_seconds=service,
+            queue_waits=[dispatched_at - r.enqueued_at for r in completed],
+            latencies=[done - r.enqueued_at for r in completed],
+            service_seconds=done - dispatched_at,
             queue_depth=queue_depth,
-            failed=failed,
+            failed=len(batch) - len(completed),
             tier=tier,
-            segments=[
-                (sid, [r.request_id for r in segments[sid]])
-                for sid in session_ids
-            ],
+            segments=len(segments),
         )
+        for sid, requests in segments.items():
+            if sid in outputs:
+                for request, row in zip(requests, outputs[sid]):
+                    _resolve(request, result=row)
+            else:
+                for request in requests:
+                    _resolve(request, error=errors[sid])
+        self._emit_spans(batch, kernel_started, kernel_ended,
+                         len(segments), errors)
+
+    def _attend(
+        self,
+        backends: list,
+        keys: list[np.ndarray],
+        values: list[np.ndarray],
+        queries: np.ndarray,
+        offsets: list[int],
+        tier: str,
+    ) -> list[np.ndarray]:
+        """The batch's one kernel call over its live segments.
+
+        Goes through the module-level ``attend_many_ragged`` when every
+        backend supports it (the default factory's, single-session
+        batches included); otherwise one ``attend_many`` per segment,
+        passing the tier's ``config=`` to backends that take a per-call
+        override.  Called under every live entry's lock."""
+        cfg = self.tier_configs.get(tier)
+        if all(getattr(b, "supports_ragged", False) for b in backends):
+            return attend_many_ragged(
+                backends, keys, values, queries, offsets, config=cfg
+            )
+        outputs = []
+        for s, backend in enumerate(backends):
+            override = cfg is not None and getattr(
+                backend, "supports_config_override", False
+            )
+            outputs.append(backend.attend_many(
+                keys[s], values[s], queries[offsets[s]:offsets[s + 1]],
+                **({"config": cfg} if override else {}),
+            ))
+        return outputs
 
     def _emit_spans(
         self,
         batch: list[AttentionRequest],
         kernel_started: float,
         kernel_ended: float,
-        fused_segments: int = 1,
-        error: BaseException | None = None,
+        fused_segments: int,
+        errors: dict[str, BaseException],
     ) -> None:
         """Emit the per-stage child spans and finish the root span of
         every traced request in the batch.
@@ -238,8 +252,10 @@ class Scheduler:
         The stage boundaries are the request's own stamps (all taken
         from ``observability.now``), so the children are contiguous:
         their durations telescope exactly to the root span's duration.
-        Runs after the futures resolve — span readout is telemetry, not
-        part of the request's critical path.
+        A request whose segment failed (``errors``, keyed by session id)
+        gets only its root span, marked with the error type.  Runs
+        after the futures resolve — span readout is telemetry, not part
+        of the request's critical path.
         """
         tracer = self.tracer
         ended = now()
@@ -248,6 +264,7 @@ class Scheduler:
             span = request.span
             if span is None:
                 continue
+            error = errors.get(request.session_id)
             if error is not None:
                 span.attrs["error"] = type(error).__name__
                 tracer.record(span, ended_at=ended)

@@ -88,8 +88,6 @@ class ServerConfig:
         :meth:`AttentionServer.set_default_tier` (e.g. by an
         :class:`~repro.serve.controller.AdaptiveQualityController`
         shedding load by degrading quality) and restored on recovery.
-    keep_batch_log:
-        Retain each batch's composition in the stats (tests, demos).
     keep_selection_traces:
         Whether session backends retain per-query
         :class:`~repro.core.approximate.AttentionTrace` objects.  Off by
@@ -114,16 +112,17 @@ class ServerConfig:
         once it wraps; the slow-request exemplar ring is kept
         separately and survives wrap-around).
     cross_session_fusion:
-        Whether equal-tier traffic from *different* sessions may fuse
-        into one ragged multi-key dispatch
-        (:func:`~repro.core.backends.attend_many_ragged`).  On by
-        default; it only takes effect when the server uses its default
-        :class:`~repro.core.backends.ApproximateBackend` factory with
-        the vectorized engine (custom backend factories keep the
-        conservative per-session grouping).  Fused or not, every
-        segment's outputs are bit-identical to a per-session dispatch
-        at the same tier — this knob trades batching opportunity
-        against dispatch-time lock breadth, never quality.
+        Whether equal-tier traffic from *different* sessions may share
+        one batch.  A batch is one kernel call either way — one
+        :func:`~repro.core.backends.attend_many_ragged` over its
+        per-session segments — so this only decides how many sessions
+        a call may carry.  On by default; it takes effect only with the
+        default :class:`~repro.core.backends.ApproximateBackend` factory
+        and the vectorized engine (custom backend factories keep
+        per-session grouping).  Fused or not, every segment's outputs
+        are bit-identical to a per-session dispatch at the same tier —
+        this knob trades batching opportunity against dispatch-time
+        lock breadth, never quality.
     """
 
     batch: BatchPolicy = field(default_factory=BatchPolicy)
@@ -134,7 +133,6 @@ class ServerConfig:
     approximation: ApproximationConfig = field(default_factory=conservative)
     engine: str = "vectorized"
     default_tier: str = "conservative"
-    keep_batch_log: bool = False
     keep_selection_traces: bool = False
     rebuild_dirty_fraction: float | None = 0.5
     trace_sample_rate: float = 0.0
@@ -230,7 +228,6 @@ class AttentionServer:
             and self.config.engine == "vectorized"
             and self.config.cross_session_fusion
         )
-        self._tier_configs = self.config.tier_configs()
         if backend_factory is None:
             cfg = self.config
 
@@ -245,11 +242,10 @@ class AttentionServer:
         self.cache = KeyCacheManager(
             backend_factory,
             capacity_bytes=self.config.cache_capacity_bytes,
-            tier_configs=self._tier_configs,
             disk_capacity_bytes=self.config.cache_disk_capacity_bytes,
             spill_dir=self.config.cache_spill_dir,
         )
-        self.stats = ServerStats(keep_batches=self.config.keep_batch_log)
+        self.stats = ServerStats()
         self.batcher = DynamicBatcher(self.config.batch)
         self.tracer = Tracer(
             sample_rate=self.config.trace_sample_rate,
@@ -259,6 +255,7 @@ class AttentionServer:
             self.batcher, self.cache, self.stats,
             num_workers=self.config.num_workers,
             tracer=self.tracer,
+            tier_configs=self.config.tier_configs(),
         )
         self._started = False
         self._stopped = False
@@ -481,23 +478,16 @@ class AttentionServer:
     def _batch_key(self, session: Session, tier: str) -> BatchKey:
         """The :class:`BatchKey` a submission is grouped under.
 
-        Fusable servers stamp a *cross-session* key carrying the tier's
-        effective config plus the session's query width and dtype — any
-        mix of sessions agreeing on all three fuses into one ragged
-        dispatch.  Everything else gets the conservative per-session
-        key, which reproduces the historical single-session grouping
-        exactly.
+        Fusable servers stamp a *cross-session* key of the tier and the
+        session's query width — any mix of sessions agreeing on both
+        fuses into one ragged dispatch.  Everything else gets the
+        per-session key, which carries the width too, so requests
+        queued on either side of a re-registration at another width
+        never share a batch.
         """
         if self._fusable:
-            fingerprint = self._tier_configs.get(tier)
-            if fingerprint is not None:
-                return BatchKey(
-                    tier=tier,
-                    fingerprint=fingerprint,
-                    d=session.d,
-                    dtype=str(session.key.dtype),
-                )
-        return BatchKey(tier=tier, session_id=session.session_id)
+            return BatchKey(tier=tier, d=session.d)
+        return BatchKey(tier=tier, session_id=session.session_id, d=session.d)
 
     def _claim_request_id(self) -> int:
         with self._id_lock:

@@ -17,7 +17,10 @@ on mismatch).  Prepared artifacts are byte-accounted via the
 the configured capacity is exceeded — sessions themselves survive
 eviction (the registration keeps the raw key/value); only the prepared
 state is rebuilt on the next checkout, which the hit/miss counters make
-visible as a cache miss.
+visible as a cache miss.  One prepared artifact serves every quality
+tier: the column sort does not depend on the operating point, so the
+:class:`~repro.serve.scheduler.Scheduler` passes each tier's config per
+call and the cache itself knows nothing of tiers.
 
 The cache is **two-tier** when given a disk budget: instead of throwing
 a cold entry's prepared artifact away, eviction *spills* it — the
@@ -53,7 +56,6 @@ from repro.core.backends import (
     KeyFingerprint,
     prepared_nbytes,
 )
-from repro.core.config import ApproximationConfig
 from repro.errors import ShapeError
 from repro.serve.observability import now
 from repro.serve.request import UnknownSessionError
@@ -64,7 +66,6 @@ __all__ = [
     "SpilledArtifact",
     "CacheStats",
     "KeyCacheManager",
-    "TierBackendView",
     "validate_memory",
 ]
 
@@ -184,66 +185,14 @@ class Session:
         return merged
 
 
-class TierBackendView:
-    """A quality-tier view over one prepared backend.
-
-    The serving layer prepares each session's key **once** (the column
-    sort is config-independent) and attends at any quality through
-    per-call config overrides — this adapter binds one
-    :class:`~repro.core.config.ApproximationConfig` to the shared base
-    backend so the scheduler can dispatch a tier group through the
-    plain ``attend_many`` surface.  Selection statistics stay on the
-    base backend (one per-session aggregate across tiers), and the
-    base's fingerprint guard / mutation splices apply to every view
-    automatically because the prepared state is shared.
-
-    Only meaningful for backends advertising
-    ``supports_config_override`` (see
-    :class:`~repro.core.backends.ApproximateBackend`);
-    :meth:`KeyCacheManager.tier_backend` falls back to the base backend
-    for factories that don't, so a custom exact-only factory serves
-    every tier at its one fixed quality instead of failing.
-    """
-
-    def __init__(self, base: AttentionBackend, config, tier: str):
-        self.base = base
-        self.config = config
-        self.tier = tier
-
-    @property
-    def name(self) -> str:
-        return f"{self.base.name}@{self.tier}"
-
-    @property
-    def stats(self):
-        return getattr(self.base, "stats", None)
-
-    def prepare(self, key: np.ndarray) -> None:
-        self.base.prepare(key)
-
-    def attend(
-        self, key: np.ndarray, value: np.ndarray, query: np.ndarray
-    ) -> np.ndarray:
-        return self.base.attend(key, value, query, config=self.config)
-
-    def attend_many(
-        self, key: np.ndarray, value: np.ndarray, queries: np.ndarray
-    ) -> np.ndarray:
-        return self.base.attend_many(key, value, queries, config=self.config)
-
-
 @dataclass(eq=False)  # identity semantics (held in identity-keyed lists)
 class PreparedSession:
     """A session checkout: the session plus its prepared backend.
 
     ``lock`` serializes dispatches against this backend (backends keep
     mutable stats and prepared state, so two workers must not drive one
-    concurrently — tier views included, since they share the base);
-    distinct sessions dispatch in parallel.
-
-    ``views`` caches the lazily-built per-tier
-    :class:`TierBackendView` adapters; they are created and used only
-    under ``lock`` (dispatch) so the dict needs no lock of its own.
+    concurrently, whatever tier each dispatches at); distinct sessions
+    dispatch in parallel.
 
     ``pins`` counts dispatchers holding a checkout that has not been
     released yet, and ``retired`` marks an entry dropped from the cache
@@ -265,9 +214,6 @@ class PreparedSession:
     backend: AttentionBackend
     nbytes: int
     lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
-    views: dict[str, AttentionBackend] = field(
-        default_factory=dict, repr=False
-    )
     pins: int = 0
     retired: bool = False
     spill_requested: bool = False
@@ -379,12 +325,6 @@ class KeyCacheManager:
         ``None`` disables eviction.  A single entry larger than the
         capacity is still admitted (evicting everything else) so a big
         session degrades to prepare-per-checkout instead of failing.
-    tier_configs:
-        Quality tier name → :class:`~repro.core.config.ApproximationConfig`
-        used by :meth:`tier_backend` to build per-tier views over each
-        entry's one prepared artifact (prepare once, attend at any
-        quality).  ``None`` (or an unknown tier at dispatch) serves
-        every tier through the base backend unchanged.
     disk_capacity_bytes:
         Byte budget of the disk spill tier.  ``None`` (default)
         disables spilling entirely — evictions drop prepared state, the
@@ -401,13 +341,11 @@ class KeyCacheManager:
         self,
         backend_factory: BackendFactory,
         capacity_bytes: int | None = 256 * 1024 * 1024,
-        tier_configs: dict | None = None,
         disk_capacity_bytes: int | None = None,
         spill_dir: str | None = None,
     ):
         self._factory = backend_factory
         self.capacity_bytes = capacity_bytes
-        self.tier_configs = dict(tier_configs) if tier_configs else None
         self.disk_capacity_bytes = disk_capacity_bytes
         self.spill_dir = spill_dir
         self._spill_tmpdir: tempfile.TemporaryDirectory | None = None
@@ -658,61 +596,6 @@ class KeyCacheManager:
         # a crashed process can never leak promoted files.
         _unlink_quietly(record.path)
         return artifact
-
-    def tier_backend(
-        self, entry: PreparedSession, tier: str
-    ) -> AttentionBackend:
-        """The backend to dispatch a ``tier`` group through.
-
-        Returns the lazily-built :class:`TierBackendView` binding the
-        tier's config to the entry's one prepared base backend, or the
-        base itself when no config is registered for the tier or the
-        backend can't override its config per call (custom factories).
-        Must be called under ``entry.lock`` — dispatches against one
-        entry serialize there, which is what makes the lazy ``views``
-        dict safe.
-        """
-        configs = self.tier_configs
-        cfg = configs.get(tier) if configs else None
-        if cfg is None or not getattr(
-            entry.backend, "supports_config_override", False
-        ):
-            return entry.backend
-        view = entry.views.get(tier)
-        if view is None:
-            view = TierBackendView(entry.backend, cfg, tier)
-            entry.views[tier] = view
-        return view
-
-    def ragged_plan(
-        self, entries: list[PreparedSession], tier: str
-    ) -> tuple[list[AttentionBackend], ApproximationConfig] | None:
-        """Resolve N checked-out sessions into one fused ragged plan.
-
-        Returns ``(backends, config)`` — the per-segment base backends
-        in ``entries`` order plus the single effective config a fused
-        ``attend_many_ragged`` dispatch runs at — or ``None`` when the
-        group cannot fuse: no config registered for the tier, or some
-        entry's backend lacks the per-call config override or ragged
-        support (custom factories, non-vectorized engines).  On ``None``
-        the scheduler falls back to per-session ``attend_many``
-        dispatches, which is always correct.  Like :meth:`tier_backend`,
-        call under every entry's lock; stats land on each segment's own
-        backend.
-        """
-        configs = self.tier_configs
-        cfg = configs.get(tier) if configs else None
-        if cfg is None:
-            return None
-        backends = []
-        for entry in entries:
-            backend = entry.backend
-            if not getattr(backend, "supports_config_override", False):
-                return None
-            if not getattr(backend, "supports_ragged", False):
-                return None
-            backends.append(backend)
-        return backends, cfg
 
     # ------------------------------------------------------------------
     # in-place mutation (streaming sessions)

@@ -51,7 +51,7 @@ class ServerStats:
     ----------
     max_samples:
         Bound on retained per-request latency samples (and per-batch
-        records).  Retention is a **uniform reservoir** (Algorithm R):
+        service times).  Retention is a **uniform reservoir** (Algorithm R):
         once full, each new sample replaces a random slot with
         probability ``max_samples / samples_seen``, so the retained set
         stays a uniform sample of *every* request served and the
@@ -60,16 +60,6 @@ class ServerStats:
         ``max_samples`` requests (the old truncation behavior).
         ``dropped_samples`` counts the samples seen beyond the
         reservoir's capacity.
-    keep_batches:
-        Whether to retain each dispatched batch's composition
-        ``(session_id, [request ids], tier)`` — used by the serve-path
-        equivalence tests to replay exact batches (at the exact tier
-        they dispatched at), and by the demo.  A cross-session fused
-        batch logs one entry *per segment* in slab order, so replaying
-        a session's entries reproduces its per-segment sub-batches
-        regardless of how traffic fused.  The batch log keeps plain
-        truncation: replay needs a prefix in dispatch order, not a
-        uniform sample.
     """
 
     #: Bound on the controller's recent-latency window (samples recorded
@@ -77,9 +67,8 @@ class ServerStats:
     #: fall out first, which is exactly what a windowed p95 wants.
     RECENT_WINDOW = 8192
 
-    def __init__(self, max_samples: int = 100_000, keep_batches: bool = False):
+    def __init__(self, max_samples: int = 100_000):
         self.max_samples = max_samples
-        self.keep_batches = keep_batches
         self._lock = threading.Lock()
         self._rng = np.random.default_rng(0x5EED)
         self.submitted = 0
@@ -93,7 +82,6 @@ class ServerStats:
         #: ``{1: n}`` means no cross-session fusion happened; keys > 1
         #: count ragged multi-key dispatches and how wide they fused.
         self.fused_segment_counts: Counter[int] = Counter()
-        self.batch_log: list[tuple[str, list[int], str | None]] = []
         self._latencies: list[float] = []
         self._queue_waits: list[float] = []
         self._samples_seen = 0
@@ -187,44 +175,38 @@ class ServerStats:
 
     def record_batch(
         self,
-        session_id: str,
-        request_ids: list[int],
         queue_waits: list[float],
         latencies: list[float],
         service_seconds: float,
         queue_depth: int,
-        failed: bool = False,
+        failed: int = 0,
         tier: str | None = None,
-        segments: list[tuple[str, list[int]]] | None = None,
+        segments: int = 1,
     ) -> None:
-        """Record one dispatched group and its per-request timings.
+        """Record one dispatched batch and its per-request timings.
 
-        ``segments`` describes a cross-session fused dispatch as
-        ``[(session_id, [request ids]), ...]`` in slab order; omitted
-        (or a single entry) means the historical single-session batch.
-        The batch-level counters see one batch either way — fusion
-        changes how many sessions share a dispatch, not how many
-        dispatches happened — while the batch log gains one entry per
-        segment so per-session replay keeps working unchanged.
+        ``queue_waits`` / ``latencies`` hold one sample per request the
+        batch completed; ``failed`` counts the requests it failed, whose
+        (service-free) timings would deflate the success percentiles
+        and are therefore not taken.  ``segments`` is the number of
+        distinct sessions the batch carried — fusion changes how many
+        sessions share a dispatch, not how many dispatches happened, so
+        the batch counts once either way.
         """
-        size = len(request_ids)
-        segs = segments or [(session_id, list(request_ids))]
+        completed = len(latencies)
         with self._lock:
             self.batches += 1
-            self.batch_size_counts[size] += 1
-            self.fused_segment_counts[len(segs)] += 1
-            if failed:
-                # Failures keep their own counter; their (service-free)
-                # timings would deflate the success percentiles.
-                self.failed += size
-                if tier is not None:
-                    self.tier_failed[tier] += size
-            else:
-                self.completed += size
+            self.batch_size_counts[completed + failed] += 1
+            self.fused_segment_counts[segments] += 1
+            self.failed += failed
+            if tier is not None and failed:
+                self.tier_failed[tier] += failed
+            if completed:
+                self.completed += completed
                 self._reserve(list(latencies), list(queue_waits))
                 self._recent_latencies.extend(latencies)
                 if tier is not None:
-                    self.tier_completed[tier] += size
+                    self.tier_completed[tier] += completed
                     self._tier_reserve(tier, list(latencies))
                 if len(self._service_times) < self.max_samples:
                     self._service_times.append(service_seconds)
@@ -235,13 +217,6 @@ class ServerStats:
                 self._service_seen += 1
             self._queue_depth_sum += queue_depth
             self._queue_depth_peak = max(self._queue_depth_peak, queue_depth)
-            if self.keep_batches:
-                for seg_session_id, seg_ids in segs:
-                    if len(self.batch_log) >= self.max_samples:
-                        break
-                    self.batch_log.append(
-                        (seg_session_id, list(seg_ids), tier)
-                    )
 
     # ------------------------------------------------------------------
     # derived views
@@ -524,7 +499,6 @@ class ServerStats:
             self.dropped_samples = 0
             self.batch_size_counts.clear()
             self.fused_segment_counts.clear()
-            self.batch_log.clear()
             self._latencies.clear()
             self._queue_waits.clear()
             self._service_times.clear()

@@ -9,7 +9,7 @@ its life::
     ├── batch_formation          (claimed, the fill-up sweep window;
     │                             ``fill_exit`` says why it ended)
     ├── dispatch                 (cache checkout + query stacking)
-    ├── kernel                   (backend.attend_many for the batch)
+    ├── kernel                   (the batch's one attend_many_ragged call)
     └── resolve                  (stats recording + future delivery)
 
 All timestamps come from :func:`repro.serve.observability.now`, so the

@@ -42,8 +42,6 @@ def _controller(server, **policy_kw):
 def _hot(server, latency=1.0, count=4):
     """Inject one window of SLO-violating completions."""
     server.stats.record_batch(
-        session_id="synthetic",
-        request_ids=list(range(-count, 0)),
         queue_waits=[0.0] * count,
         latencies=[latency] * count,
         service_seconds=latency,

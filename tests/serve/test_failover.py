@@ -243,6 +243,45 @@ class TestInjectedFailover:
                 cluster.register_session("s", *_memory(0))
             assert cluster.session_ids == []
 
+    def test_re_registration_past_a_dead_replica_seeds_once(self):
+        """Re-registering a session whose secondary died: the inline
+        failover must not re-seed the memory being replaced, and the
+        restarted fan-out must not re-seed shards it already reached —
+        every seed carries the new rows, each shard at most once."""
+        cluster = _cluster(shards=3, replication=2)
+        cluster.register_session("s", *_memory(0))
+        rng = np.random.default_rng(19)
+        key = rng.normal(size=(64, D))
+        value = rng.normal(size=(64, D))
+        query = rng.normal(size=D)
+        seeds = []
+        seed = cluster._seed_session
+
+        def recording_seed(handle, session):
+            shard_id = next(
+                s for s, h in cluster._shards.items() if h is handle
+            )
+            seeds.append((shard_id, session.memory[0].shape[0]))
+            return seed(handle, session)
+
+        cluster._seed_session = recording_seed
+        with cluster:
+            _, secondary = cluster.session_replicas("s")
+            cluster.fault_injector.kill(secondary)
+            cluster.register_session("s", key, value)
+            got = cluster.attend("s", query)
+            assert secondary not in cluster.shard_ids
+            assert len(cluster.session_replicas("s")) == 2
+        assert [rows for _, rows in seeds] == [64] * len(seeds)
+        shards = [shard_id for shard_id, _ in seeds]
+        assert len(shards) == len(set(shards)) == 3
+        snap = cluster.snapshot()["cluster"]
+        assert snap["failover"]["replayed_sessions"] == 0
+        fresh = AttentionServer(cluster.config.shard)
+        fresh.register_session("s", key, value)
+        with fresh:
+            np.testing.assert_array_equal(got, fresh.attend("s", query))
+
     def test_fatal_shard_error_is_not_retried(self):
         """A backend-poisoned request fails identically everywhere;
         retrying it would burn healthy replicas.  Plain ShardError must

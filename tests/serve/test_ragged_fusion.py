@@ -45,13 +45,12 @@ def _server_config(**kw):
     return ServerConfig(
         batch=BatchPolicy(max_batch_size=32, max_wait_seconds=0.05),
         num_workers=2,
-        keep_batch_log=True,
         **kw,
     )
 
 
 @pytest.fixture(scope="module")
-def running_server():
+def running_server(batch_log):
     server = AttentionServer(_server_config())
     with server:
         yield server
@@ -96,7 +95,7 @@ def _memories(rng, sizes):
 
 class TestDeterministicFusedDispatch:
     @pytest.mark.parametrize("tier", TIERS)
-    def test_queued_sessions_fuse_into_one_batch(self, tier):
+    def test_queued_sessions_fuse_into_one_batch(self, tier, batch_log):
         """Same-tier requests of three sessions queued before a
         one-worker server starts must dispatch as ONE fused batch
         (three segments), and every segment's rows must equal direct
@@ -105,7 +104,6 @@ class TestDeterministicFusedDispatch:
             ServerConfig(
                 batch=BatchPolicy(max_batch_size=32, max_wait_seconds=0.0),
                 num_workers=1,
-                keep_batch_log=True,
             )
         )
         rng = np.random.default_rng(7)
@@ -139,8 +137,8 @@ class TestDeterministicFusedDispatch:
         assert snap["fused"]["max_segments"] == 3
         assert snap["batches"] == 1
         # The batch log carries one single-session entry per segment.
-        assert len(server.stats.batch_log) == 3
-        for sid, ids, logged_tier in server.stats.batch_log:
+        assert len(batch_log(server)) == 3
+        for sid, ids, logged_tier in batch_log(server):
             assert logged_tier == tier
             assert ids == [r.request_id for r in requests[sid]]
         for sid, (key, value, queries) in per_session.items():
@@ -160,7 +158,6 @@ class TestDeterministicFusedDispatch:
             ServerConfig(
                 batch=BatchPolicy(max_batch_size=32, max_wait_seconds=0.0),
                 num_workers=1,
-                keep_batch_log=True,
             )
         )
         per_session = {}
@@ -199,7 +196,7 @@ class TestFusedStreamBitIdentity:
     )
     @settings(max_examples=25, deadline=None)
     def test_concurrent_many_session_stream_replays_per_segment(
-        self, running_server, seed, sizes, tier
+        self, running_server, batch_log, seed, sizes, tier
     ):
         """Concurrent same-tier traffic from several sessions (mixed
         segment sizes, mixed memory sizes): however the batcher fused
@@ -215,7 +212,7 @@ class TestFusedStreamBitIdentity:
             sid = f"ragged-{run}-{s}"
             server.register_session(sid, key, value)
             sessions[sid] = (key, value, rng.normal(size=(sizes[s], D)))
-        log_start = len(server.stats.batch_log)
+        log_start = len(batch_log(server))
 
         by_id: dict[int, tuple[str, np.ndarray, np.ndarray]] = {}
         lock = threading.Lock()
@@ -238,7 +235,7 @@ class TestFusedStreamBitIdentity:
         assert len(by_id) == sum(sizes)
 
         replayed = 0
-        for session_id, ids, logged_tier in server.stats.batch_log[
+        for session_id, ids, logged_tier in batch_log(server)[
             log_start:
         ]:
             if session_id not in sessions:
@@ -299,7 +296,7 @@ class TestClusterFusedBitIdentity:
 
 
 class TestFusionGrouping:
-    def test_fusion_off_keeps_per_session_batches(self):
+    def test_fusion_off_keeps_per_session_batches(self, batch_log):
         """``cross_session_fusion=False`` restores the historical
         grouping: per-session keys, every batch a single segment, and
         outputs still bit-identical to direct evaluation."""
@@ -307,7 +304,6 @@ class TestFusionGrouping:
             ServerConfig(
                 batch=BatchPolicy(max_batch_size=32, max_wait_seconds=0.0),
                 num_workers=1,
-                keep_batch_log=True,
                 cross_session_fusion=False,
             )
         )
@@ -332,7 +328,7 @@ class TestFusionGrouping:
         snap = server.snapshot()
         assert snap["fused"]["fused_batches"] == 0
         assert snap["fused"]["max_segments"] == 1
-        assert {sid for sid, _, _ in server.stats.batch_log} == set(sessions)
+        assert {sid for sid, _, _ in batch_log(server)} == set(sessions)
         for sid, (key, value, queries) in sessions.items():
             np.testing.assert_array_equal(
                 outputs[sid], _direct("conservative", key, value, queries)
@@ -380,7 +376,6 @@ class TestFusionGrouping:
             ServerConfig(
                 batch=BatchPolicy(max_batch_size=32, max_wait_seconds=0.0),
                 num_workers=1,
-                keep_batch_log=True,
                 engine="efficient",
             )
         )
@@ -393,10 +388,7 @@ class TestFusionGrouping:
         # Force a fused group despite the non-vectorized engine: craft
         # the shared cross-session key by hand and feed the batcher
         # directly, exactly what a future fusable submit path would do.
-        shared = BatchKey(
-            tier="conservative", fingerprint=conservative(), d=D,
-            dtype="float64",
-        )
+        shared = BatchKey(tier="conservative", d=D)
         requests = {}
         rid = 0
         for sid, (_, _, queries) in sessions.items():

@@ -32,7 +32,6 @@ def _server(max_batch=8, wait=0.01, workers=2, engine="vectorized", **kw):
             batch=BatchPolicy(max_batch_size=max_batch, max_wait_seconds=wait),
             num_workers=workers,
             engine=engine,
-            keep_batch_log=True,
             **kw,
         )
     )
@@ -90,11 +89,13 @@ class TestLifecycle:
 class TestBitIdentity:
     """Serve-path responses == direct ``attend_many`` on the same queries."""
 
-    def _replay_and_compare(self, server, sessions, outputs, queries_by_id):
+    def _replay_and_compare(
+        self, log, server, sessions, outputs, queries_by_id
+    ):
         """Replay every logged batch directly and compare bitwise."""
-        assert server.stats.batch_log, "no batches were dispatched"
+        assert log, "no batches were dispatched"
         replayed = 0
-        for session_id, request_ids, tier in server.stats.batch_log:
+        for session_id, request_ids, tier in log:
             key, value = sessions[session_id]
             direct_backend = ApproximateBackend(
                 server.config.tier_configs()[tier], engine=server.config.engine
@@ -109,7 +110,7 @@ class TestBitIdentity:
                 replayed += 1
         assert replayed == len(outputs)
 
-    def test_single_full_batch_bit_identical(self):
+    def test_single_full_batch_bit_identical(self, batch_log):
         """Deterministic grouping: queue 8 requests before starting a
         one-worker server → exactly one batch in submission order."""
         server = _server(max_batch=8, wait=0.0, workers=1)
@@ -119,8 +120,9 @@ class TestBitIdentity:
         requests = [server.submit("a", q) for q in queries]
         with server:
             outputs = {r.request_id: r.result(10.0) for r in requests}
-        assert [len(ids) for _, ids, _ in server.stats.batch_log] == [8]
+        assert [len(ids) for _, ids, _ in batch_log(server)] == [8]
         self._replay_and_compare(
+            batch_log(server),
             server,
             {"a": (key, value)},
             outputs,
@@ -128,7 +130,7 @@ class TestBitIdentity:
         )
 
     @pytest.mark.parametrize("engine", ["vectorized", "reference"])
-    def test_concurrent_load_bit_identical(self, engine):
+    def test_concurrent_load_bit_identical(self, engine, batch_log):
         """Nondeterministic grouping under threaded load across two
         sessions: every recorded batch replays bit-identically."""
         server = _server(max_batch=4, wait=0.005, workers=2, engine=engine)
@@ -163,9 +165,11 @@ class TestBitIdentity:
             for thread in threads:
                 thread.join()
         assert len(outputs) == 4 * per_thread
-        self._replay_and_compare(server, sessions, outputs, queries_by_id)
+        self._replay_and_compare(
+            batch_log(server), server, sessions, outputs, queries_by_id
+        )
 
-    def test_served_backend_matches_direct_backend(self):
+    def test_served_backend_matches_direct_backend(self, batch_log):
         """The protocol adapter returns the same rows a direct backend
         produces for the same queries (same engine, same key).  The
         caller batch fits one server batch, so the grouping — and
@@ -183,7 +187,7 @@ class TestBitIdentity:
             served.prepare(key)
             got = served.attend_many(key, value, queries)
             one = served.attend(key, value, queries[0])
-        assert [len(ids) for _, ids, _ in server.stats.batch_log][0] == 5
+        assert [len(ids) for _, ids, _ in batch_log(server)][0] == 5
         np.testing.assert_array_equal(
             got, direct.attend_many(key, value, queries)
         )

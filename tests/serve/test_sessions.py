@@ -379,72 +379,3 @@ class TestCacheStatsConvention:
             "hits": 0, "misses": 0, "evictions": 0, "hit_rate": 0.0,
             "spills": 0, "promotes": 0,
         }
-
-
-class TestTierBackendViews:
-    """One prepared artifact per session, attended at any quality."""
-
-    def _tier_manager(self):
-        from repro.core.config import aggressive, exact
-
-        return KeyCacheManager(
-            lambda: ApproximateBackend(conservative(), engine="vectorized"),
-            tier_configs={
-                "exact": exact(),
-                "conservative": conservative(),
-                "aggressive": aggressive(),
-            },
-        )
-
-    def test_views_share_the_prepared_base(self):
-        manager = self._tier_manager()
-        _register(manager, "a")
-        entry = manager.checkout("a")
-        exact_view = manager.tier_backend(entry, "exact")
-        aggressive_view = manager.tier_backend(entry, "aggressive")
-        assert exact_view.base is entry.backend
-        assert aggressive_view.base is entry.backend
-        assert manager.tier_backend(entry, "exact") is exact_view  # cached
-        assert exact_view.stats is entry.backend.stats
-        manager.release(entry)
-        # No extra prepare happened: one miss, no extra byte accounting.
-        assert manager.stats.misses == 1
-
-    def test_view_attends_at_its_config_bit_identically(self):
-        manager = self._tier_manager()
-        session = _register(manager, "a")
-        entry = manager.checkout("a")
-        rng = np.random.default_rng(4)
-        queries = rng.normal(size=(5, 8))
-        for tier in ("exact", "aggressive"):
-            view = manager.tier_backend(entry, tier)
-            got = view.attend_many(session.key, session.value, queries)
-            from repro.core.config import aggressive, exact
-
-            direct = ApproximateBackend(
-                exact() if tier == "exact" else aggressive(),
-                engine="vectorized",
-            )
-            direct.prepare(session.key)
-            np.testing.assert_array_equal(
-                got, direct.attend_many(session.key, session.value, queries)
-            )
-        manager.release(entry)
-
-    def test_unknown_tier_falls_back_to_base(self):
-        manager = self._tier_manager()
-        _register(manager, "a")
-        entry = manager.checkout("a")
-        assert manager.tier_backend(entry, "mystery") is entry.backend
-        manager.release(entry)
-
-    def test_non_overridable_backend_serves_every_tier_as_base(self):
-        from repro.core.config import exact
-
-        manager = KeyCacheManager(
-            ExactBackend, tier_configs={"exact": exact()}
-        )
-        _register(manager, "a")
-        entry = manager.checkout("a")
-        assert manager.tier_backend(entry, "exact") is entry.backend
-        manager.release(entry)

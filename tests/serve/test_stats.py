@@ -5,10 +5,8 @@ from repro.serve import ServerStats
 from repro.serve.sessions import CacheStats
 
 
-def _record(stats, size, latency=0.01, depth=0, session="s", base_id=0):
+def _record(stats, size, latency=0.01, depth=0):
     stats.record_batch(
-        session_id=session,
-        request_ids=list(range(base_id, base_id + size)),
         queue_waits=[latency / 2] * size,
         latencies=[latency] * size,
         service_seconds=latency / 2,
@@ -20,7 +18,7 @@ class TestPercentiles:
     def test_known_distribution(self):
         stats = ServerStats()
         for i in range(100):
-            _record(stats, 1, latency=(i + 1) / 1000.0, base_id=i)
+            _record(stats, 1, latency=(i + 1) / 1000.0)
         pcts = stats.latency_percentiles()
         assert abs(pcts["p50"] - 0.0505) < 1e-6
         assert pcts["p95"] > pcts["p50"]
@@ -39,8 +37,8 @@ class TestHistogramAndCounters:
     def test_batch_size_histogram(self):
         stats = ServerStats()
         _record(stats, 4)
-        _record(stats, 4, base_id=4)
-        _record(stats, 1, base_id=8)
+        _record(stats, 4)
+        _record(stats, 1)
         assert stats.batch_size_histogram() == {1: 1, 4: 2}
         assert stats.mean_batch_size == 3.0
         assert stats.completed == 9
@@ -49,32 +47,31 @@ class TestHistogramAndCounters:
     def test_service_time_exposed(self):
         stats = ServerStats()
         _record(stats, 2, latency=0.02)
-        _record(stats, 2, latency=0.04, base_id=2)
+        _record(stats, 2, latency=0.04)
         assert abs(stats.mean_service_seconds - 0.015) < 1e-12
         assert "mean_service_seconds" in stats.snapshot()
 
     def test_queue_depth_tracking(self):
         stats = ServerStats()
         _record(stats, 1, depth=3)
-        _record(stats, 1, depth=7, base_id=1)
+        _record(stats, 1, depth=7)
         assert stats.mean_queue_depth == 5.0
         assert stats.peak_queue_depth == 7
 
     def test_failed_batches_counted_separately(self):
         stats = ServerStats()
-        stats.record_batch("s", [0, 1], [0.0, 0.0], [0.1, 0.1], 0.1, 0,
-                           failed=True)
+        stats.record_batch([], [], 0.1, 0, failed=2)
         assert stats.failed == 2
         assert stats.completed == 0
         # Failure timings stay out of the success latency percentiles.
         assert stats.latency_percentiles()["max"] == 0.0
-        _record(stats, 1, latency=0.005, base_id=2)
+        _record(stats, 1, latency=0.005)
         assert stats.latency_percentiles()["max"] == 0.005
 
     def test_sample_cap_drops_but_counts(self):
         stats = ServerStats(max_samples=3)
         _record(stats, 2)
-        _record(stats, 2, base_id=2)  # only 1 sample of room left
+        _record(stats, 2)  # only 1 sample of room left
         assert stats.dropped_samples == 1
         assert stats.completed == 4  # counters unaffected by the cap
 
@@ -87,8 +84,6 @@ class TestBoundedReservoir:
         batch = 1000
         for i in range(1000):  # 1M requests total
             stats.record_batch(
-                session_id="s",
-                request_ids=list(range(i * batch, i * batch + batch)),
                 queue_waits=[0.0] * batch,
                 latencies=[(i * batch + j) * 1e-6 for j in range(batch)],
                 service_seconds=0.001,
@@ -111,8 +106,6 @@ class TestBoundedReservoir:
         for i in range(total // batch):
             lats = [(i * batch + j) / total for j in range(batch)]
             stats.record_batch(
-                session_id="s",
-                request_ids=list(range(batch)),
                 queue_waits=[lat / 2 for lat in lats],
                 latencies=lats,
                 service_seconds=0.001,
@@ -126,7 +119,7 @@ class TestBoundedReservoir:
     def test_reservoir_below_capacity_is_exact(self):
         stats = ServerStats(max_samples=1000)
         for i in range(100):
-            _record(stats, 1, latency=(i + 1) / 1000.0, base_id=i)
+            _record(stats, 1, latency=(i + 1) / 1000.0)
         assert len(stats.latency_samples()) == 100
         assert stats.dropped_samples == 0
 
@@ -135,18 +128,12 @@ class TestBoundedReservoir:
         _record(stats, 8)
         stats.reset()
         assert stats._samples_seen == 0
-        _record(stats, 2, base_id=100)
+        _record(stats, 2)
         assert len(stats.latency_samples()) == 2
         assert stats.dropped_samples == 0
 
-    def test_batch_log_kept_when_enabled(self):
-        stats = ServerStats(keep_batches=True)
-        _record(stats, 2, session="a")
-        _record(stats, 1, session="b", base_id=2)
-        assert stats.batch_log == [("a", [0, 1], None), ("b", [2], None)]
-
     def test_reset_clears_everything(self):
-        stats = ServerStats(keep_batches=True)
+        stats = ServerStats()
         stats.record_submitted()
         _record(stats, 2)
         stats.reset()
@@ -181,14 +168,12 @@ class TestTierTelemetry:
         stats.record_submitted(tier="aggressive", downgraded=True)
         _record(stats, 2, latency=0.02)
         stats.record_batch(
-            session_id="s", request_ids=[2, 3], queue_waits=[0.0] * 2,
-            latencies=[0.04] * 2, service_seconds=0.01, queue_depth=0,
-            tier="exact",
+            queue_waits=[0.0] * 2, latencies=[0.04] * 2,
+            service_seconds=0.01, queue_depth=0, tier="exact",
         )
         stats.record_batch(
-            session_id="s", request_ids=[4], queue_waits=[0.0],
-            latencies=[0.08], service_seconds=0.01, queue_depth=0,
-            tier="aggressive", failed=True,
+            queue_waits=[], latencies=[], service_seconds=0.01,
+            queue_depth=0, tier="aggressive", failed=1,
         )
         tiers = stats.tier_snapshot()
         assert tiers["exact"]["submitted"] == 1
@@ -216,7 +201,7 @@ class TestTierTelemetry:
         _record(stats, 3, latency=0.01)
         assert stats.take_recent_latencies() == [0.01] * 3
         assert stats.take_recent_latencies() == []  # drained
-        _record(stats, 1, latency=0.02, base_id=3)
+        _record(stats, 1, latency=0.02)
         assert stats.take_recent_latencies() == [0.02]
         # The lifetime reservoir is unaffected by draining the window.
         assert stats.latency_percentiles()["max"] == 0.02
@@ -224,7 +209,7 @@ class TestTierTelemetry:
     def test_recent_window_is_bounded(self):
         stats = ServerStats()
         for i in range(0, ServerStats.RECENT_WINDOW + 100, 100):
-            _record(stats, 100, latency=0.01, base_id=i)
+            _record(stats, 100, latency=0.01)
         assert len(stats.take_recent_latencies()) == ServerStats.RECENT_WINDOW
 
     def test_snapshot_carries_tiers_and_quality(self):

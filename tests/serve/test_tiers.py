@@ -44,13 +44,12 @@ def _server_config(**kw):
     return ServerConfig(
         batch=BatchPolicy(max_batch_size=16, max_wait_seconds=0.05),
         num_workers=2,
-        keep_batch_log=True,
         **kw,
     )
 
 
 @pytest.fixture(scope="module")
-def running_server():
+def running_server(batch_log):
     server = AttentionServer(_server_config())
     with server:
         yield server
@@ -95,7 +94,7 @@ class TestMixedStreamBitIdentity:
     )
     @settings(max_examples=25, deadline=None)
     def test_concurrent_mixed_stream_replays_per_tier(
-        self, running_server, seed, tiers
+        self, running_server, batch_log, seed, tiers
     ):
         """Requests at random tiers, fired concurrently from one client
         thread per tier: every dispatched batch must be single-tier,
@@ -109,7 +108,7 @@ class TestMixedStreamBitIdentity:
         value = rng.normal(size=(n, D))
         queries = rng.normal(size=(len(tiers), D))
         server.register_session(sid, key, value)
-        log_start = len(server.stats.batch_log)
+        log_start = len(batch_log(server))
 
         by_id: dict[int, tuple[str, np.ndarray, np.ndarray]] = {}
         lock = threading.Lock()
@@ -136,7 +135,7 @@ class TestMixedStreamBitIdentity:
         assert len(by_id) == len(tiers)
 
         replayed = 0
-        for session_id, ids, tier in server.stats.batch_log[log_start:]:
+        for session_id, ids, tier in batch_log(server)[log_start:]:
             if session_id != sid:
                 continue
             batch_tiers = {by_id[rid][0] for rid in ids}
@@ -150,7 +149,7 @@ class TestMixedStreamBitIdentity:
         assert replayed == len(tiers)
         server.close_session(sid)
 
-    def test_queued_mixed_stream_matches_direct_per_tier(self):
+    def test_queued_mixed_stream_matches_direct_per_tier(self, batch_log):
         """Deterministic grouping: round-robin-interleaved tiers queued
         before a one-worker server starts form exactly one batch per
         tier in submission order — each tier's stacked outputs must
@@ -159,7 +158,6 @@ class TestMixedStreamBitIdentity:
             ServerConfig(
                 batch=BatchPolicy(max_batch_size=16, max_wait_seconds=0.0),
                 num_workers=1,
-                keep_batch_log=True,
             )
         )
         rng = np.random.default_rng(3)
@@ -178,7 +176,7 @@ class TestMixedStreamBitIdentity:
                 tier: np.stack([r.result(10.0) for r in requests[tier]])
                 for tier in TIERS
             }
-        assert sorted(tier for _, _, tier in server.stats.batch_log) == sorted(
+        assert sorted(tier for _, _, tier in batch_log(server)) == sorted(
             TIERS
         )
         for tier in TIERS:
@@ -219,10 +217,6 @@ class TestMixedStreamBitIdentity:
 def _overload_evidence(server, count=8):
     """Feed the stats a window of SLO-violating latencies."""
     server.stats.record_batch(
-        session_id="synthetic",
-        # Negative ids: synthetic evidence must never collide with the
-        # ids of real requests in the batch log.
-        request_ids=list(range(-count, 0)),
         queue_waits=[0.0] * count,
         latencies=[1.0] * count,
         service_seconds=1.0,
@@ -232,7 +226,7 @@ def _overload_evidence(server, count=8):
 
 
 class TestDowngradesNeverTouchPinned:
-    def test_controller_downgrade_spares_pinned_exact(self):
+    def test_controller_downgrade_spares_pinned_exact(self, batch_log):
         """After the controller degrades the default tier, unpinned
         submissions follow it — but a request pinned ``exact`` keeps
         its tier, dispatches in an exact-tier batch, and returns the
@@ -264,7 +258,7 @@ class TestDowngradesNeverTouchPinned:
         np.testing.assert_array_equal(
             pinned_rows, _direct("exact", key, value, queries)
         )
-        for _, ids, tier in server.stats.batch_log:
+        for _, ids, tier in batch_log(server):
             pinned_ids = {r.request_id for r in pinned}
             if pinned_ids & set(ids):
                 assert tier == "exact"
