@@ -73,10 +73,10 @@ class TestTierDispatch:
             }
         return key, value, per_tier, outputs
 
-    def test_overridable_factory_serves_tiers_from_one_prepare(self):
+    def test_each_tier_attends_at_its_config_bit_identically(self):
         """A custom factory whose backend takes a per-call config
         answers each tier bit-identically to a backend built at that
-        tier's config, all from the session's one prepared key."""
+        tier's config."""
         server = _queued_server(
             lambda: ApproximateBackend(conservative(), engine="reference")
         )
@@ -87,6 +87,23 @@ class TestTierDispatch:
             np.testing.assert_array_equal(
                 outputs[tier], direct.attend_many(key, value, per_tier[tier])
             )
+
+    def test_tiers_share_the_sessions_one_prepared_key(self):
+        """Serving every tier builds and prepares one backend for the
+        session: no tier prepares its own, and the one cache miss is
+        the only one."""
+        prepared = []
+
+        class CountingBackend(ApproximateBackend):
+            def prepare(self, key):
+                prepared.append(self)
+                return super().prepare(key)
+
+        server = _queued_server(
+            lambda: CountingBackend(conservative(), engine="reference")
+        )
+        self._serve_each_tier(server, 21)
+        assert len(prepared) == 1
         assert server.cache.stats.misses == 1
 
     def test_fixed_quality_factory_serves_every_tier(self):
