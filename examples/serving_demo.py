@@ -371,11 +371,12 @@ def main() -> None:
         exposition = server.metrics_text() if args.metrics else ""
 
     if "shards" in snapshot:  # sharded — locally or behind --connect
-        shard_snaps = snapshot["shards"]
-        aggregate = snapshot["cluster"]
-        print(f"\nper-shard completed: {aggregate['completed_per_shard']} "
-              f"(load imbalance {aggregate['load_imbalance']:.2f}, "
-              f"sessions {aggregate['sessions_per_shard']})")
+        # The aggregate has every single-server key, so the shared
+        # printout below works for both topologies.
+        snapshot = snapshot["cluster"]
+        print(f"\nper-shard completed: {snapshot['completed_per_shard']} "
+              f"(load imbalance {snapshot['load_imbalance']:.2f}, "
+              f"sessions {snapshot['sessions_per_shard']})")
         if args.kill_shard:
             for event in monitor.events:
                 print(f"  monitor: declared {event.shard_id} down after "
@@ -385,9 +386,9 @@ def main() -> None:
                       "dead shard before the heartbeat window elapsed")
             liveness = ", ".join(
                 f"{sid}={'up' if alive else 'DOWN'}"
-                for sid, alive in sorted(aggregate["liveness"].items())
+                for sid, alive in sorted(snapshot["liveness"].items())
             )
-            failover = aggregate["failover"]
+            failover = snapshot["failover"]
             print(f"  liveness: {liveness}")
             print(f"  failover: {failover['failovers']} failover(s), "
                   f"{failover['replica_retries']} rerouted request(s), "
@@ -398,41 +399,6 @@ def main() -> None:
                 print("  (a SIGKILLed process takes its telemetry with "
                       "it, so the served count below undercounts; the "
                       "end-of-run assert still checks every response)")
-        histogram: dict[str, int] = {}
-        fused_hist: dict[str, int] = {}
-        for snap in shard_snaps.values():
-            for size, count in snap["batch_size_histogram"].items():
-                histogram[size] = histogram.get(size, 0) + count
-            for width, count in snap["fused"]["segment_histogram"].items():
-                fused_hist[width] = fused_hist.get(width, 0) + count
-        # Flatten to the single-server snapshot surface so the shared
-        # printout below works for both topologies.
-        snapshot = {
-            **aggregate,
-            "batch_size_histogram": dict(
-                sorted(histogram.items(), key=lambda kv: int(kv[0]))
-            ),
-            "fused": {
-                "fused_batches": sum(
-                    snap["fused"]["fused_batches"]
-                    for snap in shard_snaps.values()
-                ),
-                "max_segments": max(
-                    (snap["fused"]["max_segments"]
-                     for snap in shard_snaps.values()),
-                    default=0,
-                ),
-                "segment_histogram": dict(
-                    sorted(fused_hist.items(), key=lambda kv: int(kv[0]))
-                ),
-            },
-            "mean_queue_depth": float(
-                np.mean([s["mean_queue_depth"] for s in shard_snaps.values()])
-            ),
-            "peak_queue_depth": max(
-                s["peak_queue_depth"] for s in shard_snaps.values()
-            ),
-        }
     total = args.clients * args.requests + streamed
     lifetime = " (server-lifetime counters)" if args.connect else ""
     print(f"served {snapshot['completed']}/{total} requests "
@@ -440,9 +406,8 @@ def main() -> None:
           f"(mean batch {snapshot['mean_batch_size']:.1f}){lifetime}")
 
     histogram = snapshot["batch_size_histogram"]
+    assert sum(histogram.values()) == snapshot["batches"]
     if histogram:
-        # Can be empty after --kill-shard: a dead shard's histogram is
-        # banked into the aggregate counters, not the per-shard snaps.
         print("\nbatch-size histogram:")
         peak = max(histogram.values())
         for size, count in histogram.items():

@@ -57,9 +57,10 @@ multi-tenant service:
   :mod:`repro.serve.tracing`) — sampled per-request trace span trees
   (submit → queue → batch-formation → dispatch → kernel → resolve)
   that propagate across the cluster's shard RPC boundary via
-  :class:`~repro.serve.tracing.TraceContext`, a unified
-  :class:`~repro.serve.observability.MetricsRegistry` with
-  Prometheus-text exposition and cluster-wide merge, and zero-overhead
+  :class:`~repro.serve.tracing.TraceContext`, one record of each
+  server's books (:class:`~repro.serve.service.TelemetryResult`) that
+  every snapshot and Prometheus-text exposition renders — a cluster's
+  per shard and merged — and zero-overhead
   kernel stage profiling hooks
   (:class:`~repro.core.profiling.StageProfiler`).  All of it is
   off by default and never changes served outputs.

@@ -16,7 +16,7 @@ latency.  A group with no history yet holds as before (both pinned,
 without sleeps, by the fake-clock tests in
 ``tests/serve/test_batcher.py``).  Each batch
 records why its fill loop ended (:data:`FILL_EXITS`) on its requests'
-``fill_exit`` and in :meth:`DynamicBatcher.publish_metrics`.
+``fill_exit`` and in :meth:`DynamicBatcher.fill_exits`.
 
 Requests of *other* groups stay queued and are claimable by other
 workers concurrently.  The key carries the fusion criteria explicitly:
@@ -318,19 +318,13 @@ class DynamicBatcher:
     # ------------------------------------------------------------------
     # telemetry
     # ------------------------------------------------------------------
-    def publish_metrics(self, registry, labels=None) -> None:
-        """Publish the fill-loop exit counts (every reason, zeros too)."""
-        extra = dict(labels or {})
+    def fill_exits(self) -> dict[str, int]:
+        """Batches per fill-loop exit reason, every reason (zeros too)."""
         with self._lock:
-            exits = dict(self._fill_exits)
-        counter = registry.counter(
-            "repro_serve_batch_fill_exits_total",
-            "Batches by why their fill loop ended: full, deadline, idle "
-            "(no arrival expected in time) or closed.",
-            labelnames=("reason", *extra),
-        )
-        for reason in FILL_EXITS:
-            counter.labels(reason=reason, **extra).inc(exits.get(reason, 0))
+            return {
+                reason: self._fill_exits.get(reason, 0)
+                for reason in FILL_EXITS
+            }
 
     # ------------------------------------------------------------------
     # shutdown

@@ -61,12 +61,18 @@ the request path retries them on the promoted primary (bounded attempts
 with backoff) — so a shard crash loses no requests, only the dead
 replica's local telemetry.
 
-The cluster aggregates telemetry across shards, one
-:class:`~repro.serve.service.TelemetryResult` per shard:
-:meth:`~ShardedAttentionServer.snapshot` reports per-shard snapshots
-plus cluster-wide percentiles recomputed from the pooled latency
-samples, summed counters, and a load-imbalance metric
-(max/mean completed requests per shard; 1.0 is perfectly balanced).
+Telemetry has one set of books: each shard answers a
+:class:`~repro.serve.service.TelemetryOp` with its record (a
+:class:`~repro.serve.service.TelemetryResult`), and the cluster renders
+those records with the server's own code.
+:meth:`~ShardedAttentionServer.snapshot` reports each live shard's
+snapshot and an aggregate rendered from every live and retired shard's
+records merged into one — so it has every key of a server snapshot,
+with percentiles recomputed over the pooled samples — plus the
+cluster's own keys, such as a load-imbalance metric (max/mean completed
+requests per shard; 1.0 is perfectly balanced).
+:meth:`~ShardedAttentionServer.metrics_registry` renders each shard's
+record under a ``shard`` label.
 """
 
 from __future__ import annotations
@@ -116,7 +122,7 @@ from repro.serve.service import (
     TelemetryResult,
 )
 from repro.serve.sessions import CacheStats, Session, validate_memory
-from repro.serve.stats import ServerStats, latency_summary
+from repro.serve.stats import ServerStats
 from repro.serve.tracing import TraceContext, Tracer
 
 __all__ = [
@@ -541,9 +547,11 @@ class ProcessShard:
             if not isinstance(op, (SnapshotOp, TelemetryOp)):
                 raise
         with self._lock:
-            final = self._final or _empty_telemetry()
+            final = self._final or TelemetryResult(
+                default_tier=self.config.default_tier
+            )
             if isinstance(op, SnapshotOp):
-                return SnapshotResult(snapshot=final.snapshot)
+                return SnapshotResult(snapshot=final.snapshot())
             self._final = replace(final, spans=[])
         return final
 
@@ -1392,17 +1400,26 @@ class ShardedAttentionServer:
     def snapshot(self) -> dict:
         """Cluster-wide aggregate plus the per-shard snapshots.
 
-        Percentiles are recomputed from the pooled per-shard latency
-        samples (percentiles don't average); ``load_imbalance`` is the
-        max/mean ratio of completed requests per shard — 1.0 means the
-        router spread the load perfectly, ``num_shards`` means one
-        shard took everything.
+        Each shard's snapshot renders its record.  The aggregate renders
+        the cluster's books — every live and retired shard's record
+        merged (``ServerStats.merge``, ``CacheStats.merge``,
+        ``BackendStats.merge``), plus the selection history banked from
+        sessions moved off a shard — with the same code, so it has every
+        key a server snapshot has, computed the same way: percentiles
+        over the pooled samples (percentiles don't average),
+        ``mean_batch_size`` as requests per batch, failures included.
+        Retired shards' books keep the aggregate from shrinking on a
+        topology change.  On top come the cluster's own keys;
+        ``load_imbalance`` is the max/mean ratio of completed requests
+        per live shard — 1.0 means the router spread the load
+        perfectly, ``num_shards`` means one shard took everything.
         """
         with self._lock:
             handles = dict(self._shards)
             retired = [telemetry for _, telemetry in self._retired_shards]
-            moved_selection = BackendStats(keep_traces=False)
-            moved_selection.merge(self._moved_selection)
+            selection = BackendStats(keep_traces=False)
+            selection.merge(self._moved_selection)
+            default_tier = self._default_tier
             # Primaries only: replicas are redundancy, not load (reads
             # go to the primary), so the per-shard session count — and
             # the "sums to len(sessions)" invariant — stays primary-based.
@@ -1421,92 +1438,41 @@ class ShardedAttentionServer:
             shard_id: self._telemetry(handle)
             for shard_id, handle in sorted(handles.items())
         }
-        shards = {shard_id: t.snapshot for shard_id, t in live.items()}
-        # Removed replicas contribute their preserved totals/samples so
-        # the cluster aggregate never shrinks on a topology change; the
-        # live per-shard views (and load imbalance) stay topology-only.
-        pooled = [*live.values(), *retired]
-        counter_sources = [t.snapshot for t in pooled]
-        samples = [sample for t in pooled for sample in t.samples]
-        merged = BackendStats(keep_traces=False)
-        merged.merge(moved_selection)
-        for t in pooled:
-            merged.merge(t.selection)
-        completed = [snap["completed"] for snap in shards.values()]
+        shards = {shard_id: t.snapshot() for shard_id, t in live.items()}
+        completed = {
+            shard_id: snap["completed"] for shard_id, snap in shards.items()
+        }
         mean_completed = (
-            sum(completed) / len(completed) if completed else 0.0
+            sum(completed.values()) / len(completed) if completed else 0.0
         )
-        cluster = {
-            "num_shards": len(shards),
-            "retired_shards": len(retired),
-            "sessions": len(self._sessions),
-            "sessions_per_shard": sessions_per_shard,
-            "completed_per_shard": {
-                shard_id: snap["completed"]
-                for shard_id, snap in shards.items()
-            },
-            "load_imbalance": (
-                max(completed) / mean_completed if mean_completed else 1.0
+        stats, cache = ServerStats(), CacheStats()
+        for record in [*live.values(), *retired]:
+            stats.merge(record.stats)
+            cache.merge(record.cache)
+            selection.merge(record.selection)
+        cluster = TelemetryResult(
+            stats=stats,
+            cache=cache,
+            selection=selection,
+            default_tier=default_tier,
+        ).snapshot()
+        cluster.update(
+            num_shards=len(shards),
+            retired_shards=len(retired),
+            sessions=len(self._sessions),
+            sessions_per_shard=sessions_per_shard,
+            completed_per_shard=completed,
+            load_imbalance=(
+                max(completed.values()) / mean_completed
+                if mean_completed
+                else 1.0
             ),
-            "latency_seconds": latency_summary(samples),
-            "selection": {
-                "calls": merged.calls,
-                "candidate_fraction": merged.candidate_fraction,
-                "kept_fraction": merged.kept_fraction,
+            replication=self.config.replication,
+            liveness={
+                **{shard_id: True for shard_id in shards},
+                **{shard_id: False for shard_id in sorted(down_shards)},
             },
-        }
-        cluster["default_tier"] = self._default_tier
-        cluster["replication"] = self.config.replication
-        cluster["liveness"] = {
-            **{shard_id: True for shard_id in shards},
-            **{shard_id: False for shard_id in sorted(down_shards)},
-        }
-        cluster["failover"] = failover
-        for counter in ("submitted", "rejected", "completed", "failed", "batches"):
-            cluster[counter] = sum(snap[counter] for snap in counter_sources)
-        # Per-tier admission/outcome counters pooled across live and
-        # retired shards (latency summaries stay per shard: percentiles
-        # don't sum, and the tier reservoirs aren't shipped home).
-        tiers: dict[str, dict[str, int]] = {}
-        for snap in counter_sources:
-            for tier, cell in snap.get("tiers", {}).items():
-                agg = tiers.setdefault(
-                    tier, {"submitted": 0, "completed": 0, "failed": 0}
-                )
-                for stat in agg:
-                    agg[stat] += cell[stat]
-        cluster["tiers"] = dict(sorted(tiers.items()))
-        # Same key set as the single-server "quality" dict, so readers
-        # of the flat counters work uniformly.  Counters are summed
-        # across shards; a cluster-wide set_default_tier moves every
-        # shard, so one cluster-level transition counts once per shard.
-        cluster["quality"] = {
-            stat: sum(
-                snap.get("quality", {}).get(stat, 0)
-                for snap in counter_sources
-            )
-            for stat in (
-                "downgraded_requests", "tier_downgrades", "tier_upgrades",
-            )
-        }
-        cluster["cache"] = {
-            stat: sum(snap["cache"].get(stat, 0) for snap in counter_sources)
-            for stat in ("hits", "misses", "evictions", "spills", "promotes")
-        }
-        lookups = cluster["cache"]["hits"] + cluster["cache"]["misses"]
-        # 0.0, not 1.0, when nothing was looked up: an idle cluster has
-        # no evidence of cache effectiveness (same convention as
-        # CacheStats.hit_rate — the old 1.0 made an idle cluster report
-        # a perfect cache).
-        cluster["cache"]["hit_rate"] = (
-            cluster["cache"]["hits"] / lookups if lookups else 0.0
-        )
-        # The flat counters double as the AttentionServer.snapshot()
-        # surface, so load generators can read either uniformly.
-        cluster["mean_batch_size"] = (
-            cluster["completed"] / cluster["batches"]
-            if cluster["batches"]
-            else 0.0
+            failover=failover,
         )
         return {"cluster": cluster, "shards": shards}
 
@@ -1526,10 +1492,11 @@ class ShardedAttentionServer:
         return self.tracer.drain()
 
     def metrics_registry(self) -> MetricsRegistry:
-        """One merged :class:`~repro.serve.observability.MetricsRegistry`:
-        every live shard's samples (labelled with its shard id), retired
-        shards' banked samples, and the cluster's own failover/liveness
-        counters."""
+        """One :class:`~repro.serve.observability.MetricsRegistry`:
+        every live and retired shard's record rendered under its
+        ``shard`` label (a shard's samples are exactly its own
+        exposition's), plus the cluster's own failover/liveness
+        families."""
         registry = MetricsRegistry()
         with self._lock:
             handles = dict(self._shards)
@@ -1548,7 +1515,7 @@ class ShardedAttentionServer:
             except Exception:  # noqa: BLE001 — telemetry is best-effort
                 continue
         for shard_id, telemetry in live + retired:
-            registry.absorb(telemetry.metrics, extra_labels={"shard": shard_id})
+            telemetry.publish_metrics(registry, labels={"shard": shard_id})
         registry.gauge(
             "repro_cluster_shards", "Live shard replicas."
         ).set(len(handles))
@@ -1577,20 +1544,3 @@ class ShardedAttentionServer:
         """Prometheus text exposition of the merged cluster metrics."""
         return self.metrics_registry().expose()
 
-
-def _empty_telemetry() -> TelemetryResult:
-    """The telemetry of a shard that never served (or died unbanked).
-
-    Built from the real stats objects so the snapshot's structure can
-    never drift from :meth:`AttentionServer.snapshot`.
-    """
-    selection = BackendStats(keep_traces=False)
-    return TelemetryResult(
-        snapshot=ServerStats().snapshot(
-            cache_stats=CacheStats(), backend=selection
-        ),
-        samples=[],
-        selection=selection,
-        spans=[],
-        metrics=[],
-    )

@@ -220,28 +220,6 @@ class AdaptiveQualityController:
         """Every default-tier move this controller made (oldest first)."""
         return list(self._state.transitions)
 
-    def publish_metrics(self, registry, labels=None) -> None:
-        """Publish the controller's degradation telemetry into a
-        :class:`~repro.serve.observability.MetricsRegistry`."""
-        extra = dict(labels or {})
-        names = tuple(extra)
-        transitions = registry.counter(
-            "repro_serve_controller_transitions_total",
-            "Default-tier moves by direction.",
-            labelnames=("reason", *names),
-        )
-        moves = {"overload": 0, "recovery": 0}
-        for transition in self._state.transitions:
-            moves[transition.reason] = moves.get(transition.reason, 0) + 1
-        for reason, count in sorted(moves.items()):
-            transitions.labels(reason=reason, **extra).inc(count)
-        registry.gauge(
-            "repro_serve_controller_tier_info",
-            "The controller's current default tier "
-            "(value 1 on the active tier).",
-            labelnames=("tier", *names),
-        ).labels(tier=self.current_tier, **extra).set(1)
-
     def tick(self) -> TierTransition | None:
         """Evaluate one control interval; returns the transition made,
         if any.  Thread-hostile by design: call from the controller

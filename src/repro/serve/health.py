@@ -208,26 +208,6 @@ class HeartbeatMonitor:
     def running(self) -> bool:
         return self._thread is not None and self._thread.is_alive()
 
-    # -- telemetry -----------------------------------------------------
-    def publish_metrics(self, registry, labels=None) -> None:
-        """Publish the monitor's probe state into a
-        :class:`~repro.serve.observability.MetricsRegistry`: per-shard
-        consecutive-miss gauges and the down declarations it fired."""
-        extra = dict(labels or {})
-        names = tuple(extra)
-        registry.counter(
-            "repro_serve_heartbeat_down_events_total",
-            "Shards this monitor declared down.",
-            labelnames=names,
-        ).labels(**extra).inc(len(self.events))
-        missed = registry.gauge(
-            "repro_serve_heartbeat_consecutive_misses",
-            "Consecutive failed beats per probed shard.",
-            labelnames=("shard", *names),
-        )
-        for shard_id, count in sorted(self._missed.items()):
-            missed.labels(shard=shard_id, **extra).set(count)
-
     # -- probing -------------------------------------------------------
     def _run(self) -> None:
         while not self._stop.wait(self.interval_seconds):

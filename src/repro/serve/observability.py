@@ -8,19 +8,18 @@ This module is the telemetry spine of :mod:`repro.serve`:
   queue-wait + service arithmetic is consistent and per-request span
   durations telescope exactly to the end-to-end latency.
 * :class:`MetricsRegistry` — counters, gauges, and histograms with
-  labels, rendered in the Prometheus text exposition format.
-  Components publish *into* a registry at scrape time
-  (``ServerStats.publish_metrics``, ``CacheStats.publish_metrics``,
-  ``HeartbeatMonitor.publish_metrics``,
-  ``AdaptiveQualityController.publish_metrics``, and the cluster's
-  failover counters), so the hot request path records nothing beyond
-  what the existing stats objects already track.  Registries merge:
-  :meth:`MetricsRegistry.collect` returns a picklable description that
-  :meth:`MetricsRegistry.absorb` folds into another registry (summing
-  counters and histograms), which is how
-  ``ShardedAttentionServer.metrics_registry`` pools per-shard metrics
-  — spawn shards' included, carried in their telemetry frames — under
-  a ``shard`` label.
+  labels, rendered in the Prometheus text exposition format.  A
+  server's ``repro_serve_*`` families are rendered at scrape time from
+  one record of its books,
+  :class:`~repro.serve.service.TelemetryResult`, by
+  ``TelemetryResult.publish_metrics`` (which delegates the stats and
+  cache counters to ``ServerStats.publish_metrics`` and
+  ``CacheStats.publish_metrics``), so the hot request path records
+  nothing beyond what the stats objects already track.  A cluster
+  renders each shard's record — spawn shards' included, carried in
+  their telemetry frames — with that same code under a ``shard``
+  label, next to its own ``repro_cluster_*`` failover and liveness
+  families.
 * :func:`parse_exposition` — a minimal text-format parser used by the
   round-trip test and by anything that wants to scrape the exposition
   without a Prometheus client library.
@@ -31,8 +30,8 @@ This module is the telemetry spine of :mod:`repro.serve`:
 Metric naming scheme: ``repro_serve_*`` for serving-layer metrics and
 ``repro_kernel_*`` for kernel-stage profiling, with ``_total`` suffixes
 on counters and base-unit (seconds, bytes) value names, following the
-Prometheus conventions.  Label keys in use: ``shard``, ``session``,
-``tier``, ``outcome``, ``stage``, ``path``.
+Prometheus conventions.  Label keys in use: ``shard``, ``tier``,
+``outcome``, ``event``, ``reason``, ``stage``.
 """
 
 from __future__ import annotations
@@ -166,12 +165,6 @@ class _Histogram:
         for value in values:
             self.observe(value)
 
-    def merge(self, counts, total, count) -> None:
-        for i, c in enumerate(counts):
-            self.counts[i] += c
-        self.sum += total
-        self.count += count
-
 
 _KINDS = {"counter": _Counter, "gauge": _Gauge, "histogram": _Histogram}
 
@@ -234,9 +227,8 @@ class MetricsRegistry:
 
     Families are created idempotently: asking for an existing name with
     the same kind and label set returns the same family; a conflicting
-    redeclaration raises.  ``collect()``/``absorb()`` give a picklable
-    merge path (counters and histograms sum; gauges last-write-wins),
-    and ``expose()`` renders the Prometheus text format.
+    redeclaration raises.  ``expose()`` renders the Prometheus text
+    format.
     """
 
     def __init__(self) -> None:
@@ -282,69 +274,6 @@ class MetricsRegistry:
 
     def histogram(self, name, help="", labelnames=(), buckets=DEFAULT_BUCKETS):
         return self._family(name, "histogram", help, labelnames, buckets)
-
-    # ------------------------------------------------------------------
-    # collection / merge
-    # ------------------------------------------------------------------
-    def collect(self) -> list[dict]:
-        """A picklable description of every family and sample."""
-        out = []
-        with self._lock:
-            for family in self._families.values():
-                if family.kind == "histogram":
-                    values = {
-                        key: {
-                            "counts": list(child.counts),
-                            "sum": child.sum,
-                            "count": child.count,
-                        }
-                        for key, child in family._children.items()
-                    }
-                else:
-                    values = {
-                        key: child.value
-                        for key, child in family._children.items()
-                    }
-                out.append(
-                    {
-                        "name": family.name,
-                        "kind": family.kind,
-                        "help": family.help,
-                        "labelnames": family.labelnames,
-                        "buckets": family.buckets,
-                        "values": values,
-                    }
-                )
-        return out
-
-    def absorb(self, collected, extra_labels=None) -> None:
-        """Merge a :meth:`collect` payload into this registry.
-
-        ``extra_labels`` (e.g. ``{"shard": "shard-0"}``) are appended
-        to every sample's label set — the cluster merge path.  Counters
-        and histograms sum; gauges take the incoming value.
-        """
-        extra = dict(extra_labels or {})
-        extra_names = tuple(extra)
-        extra_values = tuple(str(extra[name]) for name in extra_names)
-        for spec in collected:
-            labelnames = tuple(spec["labelnames"]) + extra_names
-            family = self._family(
-                spec["name"],
-                spec["kind"],
-                spec["help"],
-                labelnames,
-                spec["buckets"],
-            )
-            for key, value in spec["values"].items():
-                labels = dict(zip(labelnames, tuple(key) + extra_values))
-                child = family.labels(**labels)
-                if spec["kind"] == "counter":
-                    child.inc(value)
-                elif spec["kind"] == "gauge":
-                    child.set(value)
-                else:
-                    child.merge(value["counts"], value["sum"], value["count"])
 
     def samples(self) -> list[tuple[str, dict, float]]:
         """Every exposition sample as ``(name, labels, value)``,

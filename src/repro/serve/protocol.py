@@ -54,12 +54,26 @@ and :func:`encode_result`)::
     0x05 set tier    0x06 snapshot        0x07 metrics        0x08 ping
     0x09 adopt       0x0A session stats   0x0B telemetry      0x0F goodbye
     0x11 rows        0x12 JSON record     0x13 telemetry      0x1F error
+
+A ``0x13`` telemetry answer carries one server's books (a
+:class:`~repro.serve.service.TelemetryResult`) with every double in a
+raw float64 plane, so reservoirs of any size cross bit-exact::
+
+    plane   latency reservoir
+    plane   queue-wait reservoir
+    plane   service-time reservoir
+    plane   cache prepare seconds (one element)
+    u16     tier count, then per tier: tier name, latency-reservoir plane
+    JSON    {"stats": integer counters and [key, count] pairs,
+             "cache": CacheStats counters, "occupancy", "fill_exits",
+             "selection", "default_tier", "spans"}
 """
 
 from __future__ import annotations
 
 import json
 import struct
+from dataclasses import asdict
 
 import numpy as np
 
@@ -97,6 +111,8 @@ from repro.serve.service import (
     TelemetryResult,
     TierResult,
 )
+from repro.serve.sessions import CacheStats
+from repro.serve.stats import ServerStats
 from repro.serve.tracing import TraceContext
 
 __all__ = [
@@ -122,7 +138,7 @@ __all__ = [
 ]
 
 MAGIC = b"A3RP"
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 HEADER = struct.Struct(">4sBBQI")
 #: Default payload bound: generous for key/value registration frames,
 #: small enough that a hostile length field cannot balloon memory.
@@ -150,7 +166,7 @@ OP_GOODBYE = 0x0F  # client-initiated graceful connection close
 
 OP_RESULT_ROWS = 0x11  # AttendResult: one ndarray plane
 OP_RESULT_JSON = 0x12  # structured results (SessionInfo, snapshots, ...)
-OP_RESULT_TELEMETRY = 0x13  # TelemetryResult: two planes + JSON
+OP_RESULT_TELEMETRY = 0x13  # TelemetryResult: raw float planes + JSON
 OP_ERROR = 0x1F
 
 # -- error codes -------------------------------------------------------
@@ -678,20 +694,7 @@ def encode_result(result, corr_id: int) -> bytes:
         _put_array(out, result.outputs)
         return encode_frame(OP_RESULT_ROWS, corr_id, bytes(out))
     if isinstance(result, TelemetryResult):
-        # The samples and the metric doubles ride as raw planes (cheap
-        # and bit-exact at any count, NaN payloads included); the
-        # records as JSON, whose float repr round-trips every non-NaN
-        # double.
-        doubles, metrics = _split_metric_doubles(result.metrics)
-        _put_array(out, np.asarray(result.samples, dtype=np.float64))
-        _put_array(out, np.asarray(doubles, dtype=np.float64))
-        record = {
-            "snapshot": result.snapshot,
-            "selection": _selection_record(result.selection),
-            "spans": result.spans,
-            "metrics": metrics,
-        }
-        _put_json(out, record)
+        _put_telemetry(out, result)
         return encode_frame(OP_RESULT_TELEMETRY, corr_id, bytes(out))
     if isinstance(result, BackendStats):
         record = {"kind": "selection", **_selection_record(result)}
@@ -716,22 +719,7 @@ def decode_result(opcode: int, payload: bytes):
         cursor.done()
         return AttendResult(outputs=outputs)
     if opcode == OP_RESULT_TELEMETRY:
-        cursor = _Cursor(payload)
-        samples = _take_array(cursor)
-        doubles = _take_array(cursor)
-        record = _json(cursor.take(len(payload) - cursor.offset))
-        try:
-            return TelemetryResult(
-                snapshot=dict(record["snapshot"]),
-                samples=samples.ravel().tolist(),
-                selection=_selection(record["selection"]),
-                spans=list(record["spans"]),
-                metrics=_join_metric_doubles(
-                    record["metrics"], doubles.ravel().tolist()
-                ),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise BadFrameError(f"malformed telemetry record: {exc}") from exc
+        return _take_telemetry(_Cursor(payload))
     if opcode == OP_RESULT_JSON:
         record = _json(payload)
         try:
@@ -745,59 +733,78 @@ def decode_result(opcode: int, payload: bytes):
     raise BadFrameError(f"unknown response op 0x{opcode:02x}")
 
 
-def _split_metric_doubles(families) -> tuple[list[float], list[dict]]:
-    """:meth:`MetricsRegistry.collect` records → their doubles (counter
-    and gauge values, histogram sums, in order) and JSON-safe records
-    holding ``None`` in each double's place.  Label keys are tuples, so
-    the value maps travel as ``[key, value]`` pairs."""
-    doubles = []
-    records = []
-    for family in families:
-        pairs = []
-        for key, value in family["values"].items():
-            if family["kind"] == "histogram":
-                doubles.append(value["sum"])
-                value = dict(value, sum=None)
-            else:
-                doubles.append(value)
-                value = None
-            pairs.append((key, value))
-        records.append(dict(family, values=pairs))
-    return doubles, records
+#: The ServerStats reservoirs a telemetry frame opens with, in order.
+_RESERVOIR_PLANES = ("latencies", "queue_waits", "service_times")
 
 
-def _join_metric_doubles(records, doubles: list[float]) -> list[dict]:
-    """The inverse of :func:`_split_metric_doubles`."""
-    remaining = iter(doubles)
-    families = []
-    for family in records:
-        values = {}
-        for key, value in family["values"]:
-            double = next(remaining, None)
-            if double is None:
-                raise BadFrameError(
-                    "telemetry metrics outnumber their doubles"
-                )
-            values[tuple(key)] = (
-                dict(value, sum=double)
-                if family["kind"] == "histogram"
-                else double
-            )
-        families.append(
-            dict(
-                family,
-                labelnames=tuple(family["labelnames"]),
-                buckets=(
-                    None
-                    if family["buckets"] is None
-                    else tuple(family["buckets"])
-                ),
-                values=values,
-            )
+def _put_telemetry(out: bytearray, result: TelemetryResult) -> None:
+    """One server's books: every double in a raw float64 plane
+    (bit-exact at any count, NaN payloads included) — the three
+    reservoirs, the cache's prepare seconds, then one latency
+    reservoir per tier — and the integers, names and spans as one JSON
+    record."""
+    state = result.stats.state()
+    cache = asdict(result.cache)
+    for plane in (
+        *(state.pop(name) for name in _RESERVOIR_PLANES),
+        [cache.pop("prepare_seconds")],
+    ):
+        _put_array(out, np.asarray(plane, dtype=np.float64))
+    tiers = state.pop("tier_latencies")
+    out.extend(len(tiers).to_bytes(2, "big"))
+    for tier, samples in tiers.items():
+        _put_str(out, tier)
+        _put_array(out, np.asarray(samples, dtype=np.float64))
+    _put_json(
+        out,
+        {
+            "stats": state,
+            "cache": cache,
+            "occupancy": result.occupancy,
+            "fill_exits": result.fill_exits,
+            "selection": _selection_record(result.selection),
+            "default_tier": result.default_tier,
+            "spans": result.spans,
+        },
+    )
+
+
+def _take_f64(cursor: _Cursor) -> list[float]:
+    plane = _take_array(cursor)
+    if plane.dtype != np.float64 or plane.ndim != 1:
+        raise BadFrameError(
+            f"telemetry plane must be 1-D float64, got {plane.dtype} "
+            f"{plane.shape}"
         )
-    if next(remaining, None) is not None:
-        raise BadFrameError("telemetry doubles outnumber their metrics")
-    return families
+    return plane.tolist()
+
+
+def _take_telemetry(cursor: _Cursor) -> TelemetryResult:
+    """The inverse of :func:`_put_telemetry`."""
+    planes = {name: _take_f64(cursor) for name in _RESERVOIR_PLANES}
+    prepare_seconds = _take_f64(cursor)
+    tiers = {}
+    for _ in range(cursor.u16()):
+        tier = cursor.string()
+        tiers[tier] = _take_f64(cursor)
+    record = _json(cursor.take(len(cursor.payload) - cursor.offset))
+    try:
+        (prepare_seconds,) = prepare_seconds
+        return TelemetryResult(
+            stats=ServerStats.from_state(
+                {**record["stats"], **planes, "tier_latencies": tiers}
+            ),
+            cache=CacheStats(
+                **record["cache"], prepare_seconds=prepare_seconds
+            ),
+            occupancy={k: int(v) for k, v in record["occupancy"].items()},
+            fill_exits={k: int(v) for k, v in record["fill_exits"].items()},
+            selection=_selection(record["selection"]),
+            default_tier=str(record["default_tier"]),
+            spans=list(record["spans"]),
+        )
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise BadFrameError(f"malformed telemetry record: {exc}") from exc
 
 
 def _json(raw: bytes):

@@ -43,7 +43,8 @@ from repro.serve.request import (
 )
 from repro.serve.observability import MetricsRegistry
 from repro.serve.scheduler import Scheduler
-from repro.serve.sessions import KeyCacheManager, Session
+from repro.serve.service import TelemetryResult
+from repro.serve.sessions import CacheStats, KeyCacheManager, Session
 from repro.serve.stats import ServerStats
 from repro.serve.tracing import TraceContext, Tracer
 
@@ -548,29 +549,35 @@ class AttentionServer:
     # ------------------------------------------------------------------
     # telemetry
     # ------------------------------------------------------------------
+    def telemetry(self, spans=()) -> TelemetryResult:
+        """This server's books as one detached record (see
+        :class:`~repro.serve.service.TelemetryResult`); ``spans`` ride
+        along (a :class:`~repro.serve.service.TelemetryOp` passes the
+        ones it drained)."""
+        stats = ServerStats()
+        stats.merge(self.stats)
+        cache = CacheStats()
+        cache.merge(self.cache.stats)
+        return TelemetryResult(
+            stats=stats,
+            cache=cache,
+            occupancy=self.cache.occupancy(),
+            fill_exits=self.batcher.fill_exits(),
+            selection=self.cache.merged_backend_stats(),
+            default_tier=self._default_tier,
+            spans=list(spans),
+        )
+
     def snapshot(self) -> dict:
         """JSON-serializable stats: serving, cache, and selection."""
-        snapshot = self.stats.snapshot(
-            cache_stats=self.cache.stats,
-            backend=self.cache.merged_backend_stats(),
-        )
-        snapshot["default_tier"] = self._default_tier
-        return snapshot
+        return self.telemetry().snapshot()
 
     def metrics_registry(self) -> MetricsRegistry:
         """A fresh :class:`~repro.serve.observability.MetricsRegistry`
-        populated from this server's current state (pull-style: nothing
+        populated from this server's current books (pull-style: nothing
         extra is recorded on the request path)."""
         registry = MetricsRegistry()
-        self.stats.publish_metrics(registry)
-        self.batcher.publish_metrics(registry)
-        self.cache.stats.publish_metrics(registry)
-        self.cache.publish_metrics(registry)
-        registry.gauge(
-            "repro_serve_default_tier_info",
-            "The server's live default tier (value 1 on the active tier).",
-            labelnames=("tier",),
-        ).labels(tier=self._default_tier).set(1)
+        self.telemetry().publish_metrics(registry)
         return registry
 
     def metrics_text(self) -> str:

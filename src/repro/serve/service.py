@@ -55,14 +55,18 @@ from __future__ import annotations
 
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.core.backends import BackendStats, KeyFingerprint
 from repro.errors import ConfigError
+from repro.serve.batcher import FILL_EXITS
 from repro.serve.mutator import SessionMutation
+from repro.serve.observability import MetricsRegistry
 from repro.serve.request import resolve_request
+from repro.serve.sessions import CacheStats
+from repro.serve.stats import ServerStats
 from repro.serve.tracing import TraceContext
 
 __all__ = [
@@ -172,8 +176,8 @@ class SessionStatsOp:
 
 @dataclass(frozen=True)
 class TelemetryOp:
-    """A single server's whole telemetry in one read (see
-    :class:`TelemetryResult`); *drains* its finished spans."""
+    """A single server's books in one read — a :class:`TelemetryResult`
+    carrying the finished spans it *drains*."""
 
     pass
 
@@ -224,18 +228,98 @@ class MetricsResult:
     text: str
 
 
+#: Cache occupancy gauges of a record: occupancy key, family, help.
+_OCCUPANCY_GAUGES = (
+    ("sessions", "repro_serve_sessions", "Registered sessions."),
+    (
+        "entries",
+        "repro_serve_cache_entries",
+        "Sessions with live prepared artifacts.",
+    ),
+    (
+        "resident_bytes",
+        "repro_serve_cache_resident_bytes",
+        "Bytes of prepared artifacts currently cached.",
+    ),
+    (
+        "spilled_entries",
+        "repro_serve_cache_spilled_entries",
+        "Sessions with artifacts in the disk spill tier.",
+    ),
+    (
+        "disk_bytes",
+        "repro_serve_cache_disk_bytes",
+        "Bytes of spilled artifact files in the disk tier.",
+    ),
+)
+
+
 @dataclass(frozen=True)
 class TelemetryResult:
-    """Everything a cluster pools from one shard: the snapshot, the
-    raw latency samples (percentiles are recomputed over the pooled
-    samples), the merged selection counters, the drained trace spans
-    and the metric samples in :meth:`MetricsRegistry.collect` form."""
+    """One server's books: the record every telemetry view renders.
 
-    snapshot: dict
-    samples: list[float]
-    selection: BackendStats
-    spans: list[dict]
-    metrics: list[dict]
+    A detached copy of a server's :class:`~repro.serve.stats.ServerStats`
+    counters and reservoirs, its cache's
+    :class:`~repro.serve.sessions.CacheStats` and occupancy, its
+    batcher's fill-exit counts, its sessions' merged selection
+    counters and its live default tier, plus the finished spans the
+    read drained.  :meth:`snapshot` and :meth:`publish_metrics` are the
+    only renderers: ``AttentionServer.snapshot()`` and
+    ``metrics_registry()`` render the server's own record, and a
+    cluster renders each shard's record (its exposition under
+    ``shard=``) and its aggregate — the shards' records merged with
+    ``ServerStats.merge``, ``CacheStats.merge`` and
+    ``BackendStats.merge`` — with the same code.  ``TelemetryResult()``
+    is the empty record of a shard that never served or whose books
+    died with it.
+    """
+
+    stats: ServerStats = field(default_factory=ServerStats)
+    cache: CacheStats = field(default_factory=CacheStats)
+    occupancy: dict[str, int] = field(default_factory=dict)
+    fill_exits: dict[str, int] = field(default_factory=dict)
+    selection: BackendStats = field(
+        default_factory=lambda: BackendStats(keep_traces=False)
+    )
+    default_tier: str = "conservative"
+    spans: list[dict] = field(default_factory=list)
+
+    def snapshot(self) -> dict:
+        """One JSON-serializable dict of every headline signal: the
+        stats, ``cache``, ``selection`` and ``default_tier``."""
+        snapshot = self.stats.snapshot(
+            cache_stats=self.cache, backend=self.selection
+        )
+        snapshot["default_tier"] = self.default_tier
+        return snapshot
+
+    def publish_metrics(self, registry: MetricsRegistry, labels=None) -> None:
+        """Render the record's ``repro_serve_*`` families into
+        ``registry``; ``labels`` (a cluster passes ``{"shard": id}``)
+        is added to every sample."""
+        extra = dict(labels or {})
+        names = tuple(extra)
+        self.stats.publish_metrics(registry, extra)
+        exits = registry.counter(
+            "repro_serve_batch_fill_exits_total",
+            "Batches by why their fill loop ended: full, deadline, idle "
+            "(no arrival expected in time) or closed.",
+            labelnames=("reason", *names),
+        )
+        for reason in FILL_EXITS:
+            exits.labels(reason=reason, **extra).inc(
+                self.fill_exits.get(reason, 0)
+            )
+        self.cache.publish_metrics(registry, extra)
+        for key, name, help in _OCCUPANCY_GAUGES:
+            registry.gauge(name, help, labelnames=names).labels(
+                **extra
+            ).set(self.occupancy.get(key, 0))
+        registry.gauge(
+            "repro_serve_default_tier_info",
+            "The server's live default tier (value 1 on the active tier).",
+            labelnames=("tier", *names),
+        ).labels(tier=self.default_tier, **extra).set(1)
 
 
 @dataclass(frozen=True)
@@ -428,13 +512,7 @@ class AttentionService:
             return self.target.cache.session_stats(op.session_id)
         if isinstance(op, TelemetryOp):
             server = self._server(op)
-            return TelemetryResult(
-                snapshot=server.snapshot(),
-                samples=server.stats.latency_samples(),
-                selection=server.cache.merged_backend_stats(),
-                spans=server.trace_spans(),
-                metrics=server.metrics_registry().collect(),
-            )
+            return server.telemetry(spans=server.trace_spans())
         if isinstance(op, PingOp):
             return Pong()
         raise TypeError(f"unknown service op {type(op).__name__}")

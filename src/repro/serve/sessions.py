@@ -44,7 +44,7 @@ import tempfile
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -266,6 +266,14 @@ class CacheStats:
         """
         total = self.lookups
         return self.hits / total if total else 0.0
+
+    def merge(self, other: "CacheStats") -> None:
+        """Add ``other``'s counters into these (the
+        :meth:`BackendStats.merge` idiom); ``CacheStats().merge(live)``
+        is a detached copy."""
+        for counter in fields(self):
+            name = counter.name
+            setattr(self, name, getattr(self, name) + getattr(other, name))
 
     def publish_metrics(self, registry, labels=None) -> None:
         """Publish the cache counters into a
@@ -820,43 +828,17 @@ class KeyCacheManager:
     # ------------------------------------------------------------------
     # aggregate telemetry
     # ------------------------------------------------------------------
-    def publish_metrics(self, registry, labels=None) -> None:
-        """Publish registry/cache occupancy gauges (sessions, resident
-        prepared entries and bytes) into a
-        :class:`~repro.serve.observability.MetricsRegistry`."""
-        extra = dict(labels or {})
-        names = tuple(extra)
+    def occupancy(self) -> dict[str, int]:
+        """Registry and cache occupancy: registered sessions, resident
+        prepared entries and bytes, spilled entries and disk bytes."""
         with self._lock:
-            sessions = len(self._sessions)
-            entries = len(self._entries)
-            resident = self._bytes_in_use
-            spilled = len(self._spilled)
-            disk = self._disk_bytes_in_use
-        registry.gauge(
-            "repro_serve_sessions",
-            "Registered sessions.",
-            labelnames=names,
-        ).labels(**extra).set(sessions)
-        registry.gauge(
-            "repro_serve_cache_entries",
-            "Sessions with live prepared artifacts.",
-            labelnames=names,
-        ).labels(**extra).set(entries)
-        registry.gauge(
-            "repro_serve_cache_resident_bytes",
-            "Bytes of prepared artifacts currently cached.",
-            labelnames=names,
-        ).labels(**extra).set(resident)
-        registry.gauge(
-            "repro_serve_cache_spilled_entries",
-            "Sessions with artifacts in the disk spill tier.",
-            labelnames=names,
-        ).labels(**extra).set(spilled)
-        registry.gauge(
-            "repro_serve_cache_disk_bytes",
-            "Bytes of spilled artifact files in the disk tier.",
-            labelnames=names,
-        ).labels(**extra).set(disk)
+            return {
+                "sessions": len(self._sessions),
+                "entries": len(self._entries),
+                "resident_bytes": self._bytes_in_use,
+                "spilled_entries": len(self._spilled),
+                "disk_bytes": self._disk_bytes_in_use,
+            }
 
     def session_stats(self, session_id: str) -> BackendStats:
         """One session's selection statistics: retired + live backend +

@@ -8,6 +8,12 @@ into one figure-compatible object via ``BackendStats.merge``, while the
 serving-specific signals — end-to-end latency percentiles, queue-wait
 vs. service split, the batch-size histogram, admission counters, and
 the prepared-key cache hit rate — live here.
+
+:meth:`ServerStats.merge` pools two sets of books the same way
+``BackendStats.merge`` does, which is how a server takes a detached
+copy of its own stats and how a sharded cluster adds its shards' up:
+the cluster aggregate is rendered by the same :meth:`ServerStats.snapshot`
+as every server (see :class:`~repro.serve.service.TelemetryResult`).
 """
 
 from __future__ import annotations
@@ -26,10 +32,10 @@ __all__ = ["ServerStats", "latency_summary"]
 def latency_summary(samples) -> dict[str, float]:
     """The standard p50/p95/p99/mean/max summary of latency samples.
 
-    Shared by :meth:`ServerStats.latency_percentiles` and the sharded
-    cluster's pooled cluster-wide percentiles (percentiles can't be
-    averaged across shards, only recomputed from pooled samples) — one
-    definition, so the two views can never drift.
+    Shared by :meth:`ServerStats.latency_percentiles` (which a
+    cluster's merged books also render, over the pooled samples:
+    percentiles can't be averaged across shards) and the load
+    generator's reports — one definition, so the views can never drift.
     """
     if len(samples) == 0:
         return {"p50": 0.0, "p95": 0.0, "p99": 0.0, "mean": 0.0, "max": 0.0}
@@ -66,6 +72,24 @@ class ServerStats:
     #: since the last ``take_recent_latencies`` drain); oldest samples
     #: fall out first, which is exactly what a windowed p95 wants.
     RECENT_WINDOW = 8192
+
+    #: The books :meth:`state` and :meth:`merge` carry, by attribute:
+    #: integer counters (added), count maps (added key by key) and
+    #: float reservoirs (concatenated).  The peak queue depth takes the
+    #: max and the per-tier reservoirs concatenate tier by tier; the
+    #: controller's recent-latency window is a drain queue, not books,
+    #: and stays behind.
+    _COUNTERS = (
+        "submitted", "rejected", "completed", "failed", "batches",
+        "dropped_samples", "downgraded_requests", "tier_downgrades",
+        "tier_upgrades", "_samples_seen", "_service_seen",
+        "_queue_depth_sum",
+    )
+    _COUNTS = (
+        "batch_size_counts", "fused_segment_counts", "tier_submitted",
+        "tier_completed", "tier_failed", "_tier_seen",
+    )
+    _RESERVOIRS = ("_latencies", "_queue_waits", "_service_times")
 
     def __init__(self, max_samples: int = 100_000):
         self.max_samples = max_samples
@@ -219,6 +243,77 @@ class ServerStats:
             self._queue_depth_peak = max(self._queue_depth_peak, queue_depth)
 
     # ------------------------------------------------------------------
+    # pooling
+    # ------------------------------------------------------------------
+    def state(self) -> dict:
+        """The books as plain data, copied under the lock.
+
+        Keys are the attribute names without their leading underscore:
+        integer counters, count maps as sorted ``[key, count]`` pairs,
+        float reservoirs as lists, ``queue_depth_peak`` and
+        ``tier_latencies`` (tier → reservoir).  :meth:`from_state`
+        inverts it; the wire codec ships it with every reservoir in a
+        raw float plane.
+        """
+        with self._lock:
+            return {
+                **{
+                    name.lstrip("_"): getattr(self, name)
+                    for name in self._COUNTERS
+                },
+                "queue_depth_peak": self._queue_depth_peak,
+                **{
+                    name.lstrip("_"): sorted(getattr(self, name).items())
+                    for name in self._COUNTS
+                },
+                **{
+                    name.lstrip("_"): list(getattr(self, name))
+                    for name in self._RESERVOIRS
+                },
+                "tier_latencies": {
+                    tier: list(samples)
+                    for tier, samples in self._tier_latencies.items()
+                },
+            }
+
+    @classmethod
+    def from_state(cls, state: dict) -> "ServerStats":
+        """Books rebuilt from :meth:`state` data."""
+        stats = cls()
+        stats._add(state)
+        return stats
+
+    def merge(self, other: "ServerStats") -> None:
+        """Pool ``other``'s books into these — the
+        :meth:`BackendStats.merge` idiom.
+
+        Counters and count maps add, the peak queue depth takes the
+        max, and the reservoirs concatenate *uncapped*: a cluster
+        recomputes its percentiles over every shard's retained samples
+        (percentiles don't average), so pooled books are rendered,
+        never recorded into.  ``ServerStats().merge(live)`` is a
+        detached copy of ``live``.
+        """
+        self._add(other.state())
+
+    def _add(self, state: dict) -> None:
+        with self._lock:
+            for name in self._COUNTERS:
+                key = name.lstrip("_")
+                setattr(self, name, getattr(self, name) + state[key])
+            self._queue_depth_peak = max(
+                self._queue_depth_peak, state["queue_depth_peak"]
+            )
+            for name in self._COUNTS:
+                counts = getattr(self, name)
+                for key, count in state[name.lstrip("_")]:
+                    counts[key] += count
+            for name in self._RESERVOIRS:
+                getattr(self, name).extend(state[name.lstrip("_")])
+            for tier, samples in state["tier_latencies"].items():
+                self._tier_latencies.setdefault(tier, []).extend(samples)
+
+    # ------------------------------------------------------------------
     # derived views
     # ------------------------------------------------------------------
     def latency_percentile(self, p: float) -> float:
@@ -270,14 +365,8 @@ class ServerStats:
             }
 
     def latency_samples(self) -> list[float]:
-        """A copy of the retained end-to-end latency samples (seconds).
-
-        The sharded cluster concatenates every shard's samples to
-        compute *cluster-wide* percentiles — percentiles cannot be
-        averaged across shards, only recomputed from the pooled
-        samples.  Bounded by ``max_samples`` like every reservoir here
-        (process-backed shards ship it home in their telemetry).
-        """
+        """A copy of the retained end-to-end latency samples (seconds),
+        bounded by ``max_samples`` like every reservoir here."""
         with self._lock:
             return list(self._latencies)
 

@@ -12,7 +12,6 @@ from repro.serve import (
     AttentionRequest,
     BatchPolicy,
     DynamicBatcher,
-    MetricsRegistry,
     ServerClosedError,
     ServerOverloadedError,
 )
@@ -191,16 +190,6 @@ class _FakeClock:
         return self.t
 
 
-def _exits(batcher):
-    registry = MetricsRegistry()
-    batcher.publish_metrics(registry)
-    return {
-        labels["reason"]: value
-        for name, labels, value in registry.samples()
-        if name == "repro_serve_batch_fill_exits_total"
-    }
-
-
 class TestIdleDispatch:
     """The fill loop stops waiting once a group's median recent arrival
     gap exceeds the time left.  The batcher reads a fake clock that
@@ -255,7 +244,7 @@ class TestIdleDispatch:
             thread.join(1.0)
         assert box == [[lone]]
         assert [r.fill_exit for r in full + [lone]] == ["full"] * 4 + ["idle"]
-        assert _exits(batcher) == {
+        assert batcher.fill_exits() == {
             "full": 1, "deadline": 0, "idle": 1, "closed": 0,
         }
 
@@ -276,7 +265,7 @@ class TestIdleDispatch:
         assert not thread.is_alive()
         assert box == [[first, second]]
         assert {r.fill_exit for r in box[0]} == {"closed"}
-        assert _exits(batcher)["closed"] == 1
+        assert batcher.fill_exits()["closed"] == 1
 
     def test_full_batch_and_deadline_are_reported(self, clock):
         batcher = DynamicBatcher(
@@ -286,7 +275,7 @@ class TestIdleDispatch:
             batcher.submit(_request())
         assert {r.fill_exit for r in batcher.next_batch()} == {"full"}
         assert {r.fill_exit for r in batcher.next_batch()} == {"deadline"}
-        assert _exits(batcher) == {
+        assert batcher.fill_exits() == {
             "full": 1, "deadline": 1, "idle": 0, "closed": 0,
         }
 
@@ -346,7 +335,7 @@ class TestConcurrentBookkeeping:
         assert len(taken) == len({id(r) for r in taken}) == 6 * 200
         reasons = [{r.fill_exit for r in batch} for batch in batches]
         assert all(len(reason) == 1 for reason in reasons)
-        exits = _exits(batcher)
+        exits = batcher.fill_exits()
         for reason, count in exits.items():
             assert count == reasons.count({reason})
         assert sum(exits.values()) == len(batches)

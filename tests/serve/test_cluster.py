@@ -261,6 +261,87 @@ class TestClusterTelemetry:
             assert cluster.session_stats("s0").calls >= 1
 
 
+    def test_one_shard_aggregate_renders_like_its_shard(self):
+        """The aggregate is rendered from the merged books by the
+        server's own snapshot code, so a one-shard cluster's aggregate
+        has every key of its shard's snapshot with the same value —
+        ``mean_batch_size`` included, which counts failed requests."""
+
+        class FailsOnNegativeQuery(ExactBackend):
+            def attend_many(self, key, value, queries):
+                if queries[0, 0] < 0:
+                    raise RuntimeError("injected dispatch failure")
+                return super().attend_many(key, value, queries)
+
+        cluster = ShardedAttentionServer(
+            ClusterConfig(
+                num_shards=1,
+                shard=ServerConfig(
+                    batch=BatchPolicy(max_batch_size=1, max_wait_seconds=0.0),
+                    num_workers=1,
+                ),
+            ),
+            backend_factory=FailsOnNegativeQuery,
+        )
+        key, value = _memory(30)
+        cluster.register_session("s", key, value)
+        failed = 0
+        with cluster:
+            for query in np.random.default_rng(31).normal(size=(40, D)):
+                try:
+                    cluster.attend("s", query)
+                except RuntimeError:
+                    failed += 1
+            snap = cluster.snapshot()
+        assert 0 < failed < 40
+        (shard,) = snap["shards"].values()
+        aggregate = snap["cluster"]
+        assert (aggregate["failed"], aggregate["batches"]) == (failed, 40)
+        for name, value in shard.items():
+            assert aggregate[name] == value, name
+
+    def test_aggregate_keeps_retired_books_whole(self):
+        """After a failover and a removal the aggregate still counts the
+        retired shards' batches, and its histogram adds up to them."""
+        cluster = _cluster(shards=3, replication=2)
+        memories = _register_many(cluster, 6)
+        rng = np.random.default_rng(32)
+
+        def serve_round():
+            for sid in memories:
+                cluster.attend(sid, rng.normal(size=D))
+
+        def check(snap, served):
+            aggregate = snap["cluster"]
+            assert sum(aggregate["batch_size_histogram"].values()) == (
+                aggregate["batches"]
+            )
+            assert aggregate["completed"] == served
+            assert aggregate["selection"]["calls"] == served
+
+        with cluster:
+            serve_round()
+            victim = cluster.session_shard("s0")
+            victim_books = cluster.snapshot()["shards"][victim]
+            assert victim_books["batches"] > 0
+            cluster.kill_shard(victim)
+            cluster.report_shard_failure(victim)
+            serve_round()
+            snap = cluster.snapshot()
+            check(snap, 12)
+            live_batches = sum(
+                shard["batches"] for shard in snap["shards"].values()
+            )
+            assert snap["cluster"]["batches"] == (
+                live_batches + victim_books["batches"]
+            )
+            cluster.remove_shard(cluster.shard_ids[0])
+            serve_round()
+            snap = cluster.snapshot()
+        check(snap, 18)
+        assert snap["cluster"]["retired_shards"] == 2
+
+
 class TestSpawnMode:
     """The process-backed shards speak the same protocol for real."""
 
@@ -323,8 +404,8 @@ class TestSpawnMode:
         for future in futures:
             assert future.result(0).outputs.shape == (1, D)
         final = shard.call(TelemetryOp())
-        assert final.snapshot["completed"] == 5
-        assert len(final.samples) == 5
+        assert final.snapshot()["completed"] == 5
+        assert len(final.stats.latency_samples()) == 5
         with pytest.raises(ServerClosedError):
             shard.call(SessionStatsOp("s"))
 

@@ -179,8 +179,8 @@ class TestBitIdentity:
             )
             assert client.call(SessionStatsOp("s")).calls == 2
             telemetry = client.call(TelemetryOp())
-            assert telemetry.snapshot["completed"] == 2
-            assert len(telemetry.samples) == 2
+            assert telemetry.snapshot()["completed"] == 2
+            assert len(telemetry.stats.latency_samples()) == 2
             client.close_session("s")
         finally:
             artifact.release()

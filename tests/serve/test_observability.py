@@ -8,8 +8,8 @@ The load-bearing claims:
   format never silently drifts from what a real Prometheus scrape
   could ingest;
 * a server's ``metrics_text()`` agrees with its ``snapshot()`` (one
-  source of truth, two surfaces), and the cluster merge relabels every
-  shard's samples and sums them;
+  source of truth, two surfaces), and each shard's samples in the
+  cluster exposition are its own exposition's plus a ``shard`` label;
 * the kernel profiling seam is off by default (``HOOK is None``) and,
   when enabled, captures every vectorized pipeline stage plus the
   splice/rebuild mutation stages;
@@ -31,6 +31,7 @@ from repro.serve import (
     BatchPolicy,
     ClusterConfig,
     FaultInjector,
+    MetricsOp,
     MetricsRegistry,
     ServerConfig,
     ShardedAttentionServer,
@@ -111,31 +112,6 @@ class TestMetricsRegistry:
         assert samples[("repro_test_seconds_bucket", "+Inf")] == 3
         assert samples[("repro_test_seconds_count", None)] == 3
         assert samples[("repro_test_seconds_sum", None)] == pytest.approx(5.55)
-
-    def test_absorb_relabels_and_sums(self):
-        merged = MetricsRegistry()
-        for shard in ("shard-0", "shard-1"):
-            registry = MetricsRegistry()
-            registry.counter("repro_test_total", "help").inc(3)
-            merged.absorb(
-                registry.collect(), extra_labels={"shard": shard}
-            )
-        values = {
-            labels["shard"]: value
-            for name, labels, value in merged.samples()
-            if name == "repro_test_total"
-        }
-        assert values == {"shard-0": 3, "shard-1": 3}
-        # Absorbing the same shard again sums counters (scrape merge).
-        registry = MetricsRegistry()
-        registry.counter("repro_test_total", "help").inc(4)
-        merged.absorb(registry.collect(), extra_labels={"shard": "shard-0"})
-        values = {
-            labels["shard"]: value
-            for name, labels, value in merged.samples()
-            if name == "repro_test_total"
-        }
-        assert values["shard-0"] == 7
 
 
 class TestExpositionRoundTrip:
@@ -299,6 +275,54 @@ class TestKernelProfiling:
         assert seconds[("repro_kernel_stage_seconds_total", key)] == 1.0
 
 
+    @pytest.mark.parametrize("spawn", [False, True], ids=["thread", "spawn"])
+    def test_cluster_exposition_is_each_shards_own(self, spawn):
+        """Each shard's record is rendered by the server's own metrics
+        code, so its samples in the cluster exposition are exactly its
+        own exposition's plus ``shard=``."""
+        cluster = ShardedAttentionServer(
+            ClusterConfig(
+                num_shards=2,
+                spawn=spawn,
+                shard=ServerConfig(
+                    num_workers=1,
+                    batch=BatchPolicy(max_batch_size=8,
+                                      max_wait_seconds=0.002),
+                ),
+            )
+        )
+        key, value = _memory(15)
+        for sid in ("a", "b", "c", "d"):
+            cluster.register_session(sid, key, value)
+        rng = np.random.default_rng(16)
+        with cluster:
+            for _ in range(3):
+                for sid in ("a", "b", "c", "d"):
+                    cluster.attend(sid, rng.normal(size=D))
+            merged = parse_exposition(cluster.metrics_text())
+            own = {
+                shard_id: parse_exposition(
+                    cluster._shards[shard_id].call(MetricsOp()).text
+                )
+                for shard_id in cluster.shard_ids
+            }
+        assert sorted(own) == ["shard-0", "shard-1"]
+        for shard_id, families in own.items():
+            expected = sorted(
+                (name, sorted({**labels, "shard": shard_id}.items()), value)
+                for family in families.values()
+                for name, labels, value in family["samples"]
+            )
+            rendered = sorted(
+                (name, sorted(labels.items()), value)
+                for family, parsed in merged.items()
+                if family.startswith("repro_serve_")
+                for name, labels, value in parsed["samples"]
+                if labels["shard"] == shard_id
+            )
+            assert rendered == expected
+
+
 class TestGrayFailure:
     """S2: a slow-but-alive shard must not be declared down early, and
     its inflated latencies must show up in the pooled percentiles."""
@@ -404,6 +428,9 @@ class TestSnapshotSchemaFrozen:
         "selection", "default_tier", "replication", "liveness",
         "failover", "submitted", "rejected", "completed", "failed",
         "batches", "tiers", "quality", "cache", "mean_batch_size",
+        "batch_size_histogram", "mean_queue_depth", "peak_queue_depth",
+        "mean_queue_wait_seconds", "mean_service_seconds",
+        "dropped_samples", "fused",
     }
     FAILOVER_KEYS = {
         "failovers", "down_shards", "replica_retries", "replayed_sessions",
@@ -452,8 +479,13 @@ class TestSnapshotSchemaFrozen:
         assert set(cluster_view["latency_seconds"]) == self.LATENCY_KEYS
         assert set(cluster_view["cache"]) == {
             "hits", "misses", "evictions", "hit_rate",
-            "spills", "promotes",
+            "spills", "promotes", "prepare_seconds", "spill_reaps",
         }
+        assert self.SERVER_KEYS <= self.CLUSTER_KEYS
+        for cell in cluster_view["tiers"].values():
+            assert set(cell) == {
+                "submitted", "completed", "failed", "latency_seconds",
+            }
         for shard_snapshot in snapshot["shards"].values():
             assert set(shard_snapshot) == self.SERVER_KEYS
 

@@ -15,6 +15,7 @@ The contract split pinned here:
 
 import json
 import struct
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -72,6 +73,8 @@ from repro.serve.service import (
     TelemetryResult,
     TierResult,
 )
+from repro.serve.sessions import CacheStats
+from repro.serve.stats import ServerStats
 from repro.serve.tracing import TraceContext
 
 # Full-width float64 elements: NaN payloads, signed zeros, infinities,
@@ -148,51 +151,43 @@ _spans = st.lists(
 )
 
 
+_int_counts = st.dictionaries(st.integers(0, 2**16), _u64, max_size=3)
+_name_counts = st.dictionaries(_short, _u64, max_size=3)
+_reservoirs = st.lists(_floats, max_size=6)
+
+
 @st.composite
-def _metric_families(draw):
-    """:meth:`MetricsRegistry.collect` records with raw-double values."""
-    families = []
-    for name in draw(st.lists(_short, max_size=3)):
-        kind = draw(st.sampled_from(["counter", "gauge", "histogram"]))
-        labelnames = tuple(
-            draw(st.lists(_short, max_size=2, unique=True))
+def _server_stats(draw):
+    """:class:`ServerStats` books with arbitrary counters and raw-double
+    reservoirs (NaN payloads, signed zeros, subnormals)."""
+    state = {
+        name: draw(_u64)
+        for name in (
+            "submitted", "rejected", "completed", "failed", "batches",
+            "dropped_samples", "downgraded_requests", "tier_downgrades",
+            "tier_upgrades", "samples_seen", "service_seen",
+            "queue_depth_sum", "queue_depth_peak",
         )
-        buckets = None
-        if kind == "histogram":
-            buckets = tuple(
-                sorted(draw(st.lists(_span_floats, min_size=1, max_size=3)))
-            )
-        values = {}
-        for key in draw(
-            st.lists(
-                st.tuples(*[_short] * len(labelnames)), max_size=3, unique=True
-            )
-        ):
-            if kind == "histogram":
-                values[key] = {
-                    "counts": draw(
-                        st.lists(
-                            st.integers(0, 2**63 - 1),
-                            min_size=len(buckets) + 1,
-                            max_size=len(buckets) + 1,
-                        )
-                    ),
-                    "sum": draw(_floats),
-                    "count": draw(_u64),
-                }
-            else:
-                values[key] = draw(_floats)
-        families.append(
-            {
-                "name": name,
-                "kind": kind,
-                "help": draw(_short),
-                "labelnames": labelnames,
-                "buckets": buckets,
-                "values": values,
-            }
-        )
-    return families
+    }
+    for name in ("batch_size_counts", "fused_segment_counts"):
+        state[name] = sorted(draw(_int_counts).items())
+    for name in ("tier_submitted", "tier_completed", "tier_failed",
+                 "tier_seen"):
+        state[name] = sorted(draw(_name_counts).items())
+    for name in ("latencies", "queue_waits", "service_times"):
+        state[name] = draw(_reservoirs)
+    state["tier_latencies"] = draw(
+        st.dictionaries(_short, _reservoirs, max_size=3)
+    )
+    assert set(state) == set(ServerStats().state())
+    return ServerStats.from_state(state)
+
+
+_cache_stats = st.builds(
+    CacheStats,
+    hits=_u64, misses=_u64, evictions=_u64, prepare_seconds=_floats,
+    spills=_u64, promotes=_u64, spill_reaps=_u64,
+)
 
 
 def _bits(value):
@@ -400,41 +395,53 @@ class TestResultRoundTrip:
         assert decoded.traces == [] and not decoded.keep_traces
 
     @given(
-        samples=st.lists(_floats, max_size=6),
+        stats=_server_stats(),
+        cache=_cache_stats,
+        occupancy=_name_counts,
+        fill_exits=_name_counts,
         selection=_selections,
+        default_tier=_short,
         spans=_spans,
-        metrics=_metric_families(),
-        completed=st.integers(0, 2**53),
     )
     @settings(max_examples=60, deadline=None)
-    def test_telemetry(self, samples, selection, spans, metrics, completed):
+    def test_telemetry(
+        self, stats, cache, occupancy, fill_exits, selection, default_tier,
+        spans,
+    ):
         telemetry = TelemetryResult(
-            snapshot={"completed": completed, "latency": {"p50": 0.25}},
-            samples=samples,
+            stats=stats,
+            cache=cache,
+            occupancy=occupancy,
+            fill_exits=fill_exits,
             selection=selection,
+            default_tier=default_tier,
             spans=spans,
-            metrics=metrics,
         )
         frame = encode_result(telemetry, 4)
         opcode, _, payload = _one_frame(frame)
         assert opcode == protocol.OP_RESULT_TELEMETRY
         decoded = decode_result(opcode, payload)
+        assert _bits(decoded.stats.state()) == _bits(stats.state())
+        assert _bits(asdict(decoded.cache)) == _bits(asdict(cache))
+        assert decoded.occupancy == occupancy
+        assert decoded.fill_exits == fill_exits
         assert decoded.selection == selection
-        assert decoded.snapshot == telemetry.snapshot
-        assert _bits(decoded.samples) == _bits(samples)
+        assert decoded.default_tier == default_tier
         assert _bits(decoded.spans) == _bits(spans)
-        assert _bits(decoded.metrics) == _bits(metrics)
 
     def test_telemetry_samples_keep_signed_zero_and_subnormals(self):
         samples = [-0.0, 5e-324, -2.2250738585072014e-308, float("nan")]
-        telemetry = TelemetryResult(
-            snapshot={}, samples=samples,
-            selection=BackendStats(keep_traces=False), spans=[], metrics=[],
-        )
+        stats = ServerStats()
+        stats.record_batch(samples, samples, -0.0, 0, tier="exact")
+        telemetry = TelemetryResult(stats=stats)
         decoded = decode_result(
             *_one_frame(encode_result(telemetry, 5))[::2]
         )
-        assert _bits(decoded.samples) == _bits(samples)
+        state = decoded.stats.state()
+        for name in ("latencies", "queue_waits"):
+            assert _bits(state[name]) == _bits(samples)
+        assert _bits(state["service_times"]) == _bits([-0.0])
+        assert _bits(state["tier_latencies"]) == _bits({"exact": samples})
 
     def test_error_frames_round_trip_types(self):
         cases = [

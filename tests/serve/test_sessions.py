@@ -377,5 +377,6 @@ class TestCacheStatsConvention:
         snapshot = cluster.snapshot()["cluster"]
         assert snapshot["cache"] == {
             "hits": 0, "misses": 0, "evictions": 0, "hit_rate": 0.0,
-            "spills": 0, "promotes": 0,
+            "spills": 0, "promotes": 0, "prepare_seconds": 0.0,
+            "spill_reaps": 0,
         }

@@ -308,6 +308,7 @@ class TestByteAccounting:
 class TestSnapshotCounters:
     def test_spill_counters_reach_metrics(self, tmp_path):
         from repro.serve.observability import MetricsRegistry
+        from repro.serve.service import TelemetryResult
 
         manager = _tiered(tmp_path)
         _register(manager, "a", seed=1)
@@ -316,8 +317,9 @@ class TestSnapshotCounters:
         _touch(manager, "b")
         _touch(manager, "a")
         registry = MetricsRegistry()
-        manager.stats.publish_metrics(registry)
-        manager.publish_metrics(registry)
+        TelemetryResult(
+            cache=manager.stats, occupancy=manager.occupancy()
+        ).publish_metrics(registry)
         samples = {
             name: value for name, _, value in registry.samples()
         }
