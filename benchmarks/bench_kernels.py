@@ -8,9 +8,10 @@ fixed-point pipeline — at the paper's largest operating point
 
 The batched benchmarks sweep batch sizes 1/16/64/320 across the
 ``reference`` (per-query loop), ``efficient`` (heap-and-pointer), and
-``vectorized`` (whole-batch NumPy) engines; ``benchmarks/run_kernels.py``
-replays the same grid without pytest and emits ``BENCH_kernels.json`` so
-the performance trajectory is tracked across PRs.
+``vectorized`` (whole-batch NumPy) engines.  The gated numbers come from
+``benchmarks/run_kernels.py``, which measures the vectorized engine
+against the reference loop (and the serving ratios) as paired,
+interleaved ratios and emits ``BENCH_kernels.json``.
 """
 
 import numpy as np

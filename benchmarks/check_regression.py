@@ -1,28 +1,24 @@
-"""CI benchmark-regression gate over the committed BENCH_*.json baselines.
+"""CI benchmark-regression gate over the committed ``BENCH_kernels.json``.
 
 Compares a freshly measured report against the baseline committed in
 the repo and fails (exit 1) when a gated metric regressed by more than
 the threshold (default 30%).  Usage::
 
     PYTHONPATH=src python benchmarks/run_kernels.py -o ci_kernels.json
-    PYTHONPATH=src python benchmarks/run_serve.py -o ci_serve.json
-    python benchmarks/check_regression.py \\
-        BENCH_kernels.json=ci_kernels.json BENCH_serve.json=ci_serve.json
+    python benchmarks/check_regression.py BENCH_kernels.json=ci_kernels.json
 
 Each positional argument is one ``baseline=current`` pair; a markdown
 table of every comparison goes to stdout and, when running inside
 GitHub Actions, to the job summary (``$GITHUB_STEP_SUMMARY``).
 
-**What is gated.**  Only *dimensionless* metrics — speedup ratios the
-benchmarks measure as interleaved pairs on one machine — are gated:
-absolute throughput and latency depend on the runner's hardware, so a
-committed-on-laptop baseline would make a slower CI runner fail every
-build.  Those still appear in the table as informational rows.  The
-shard-scaling speedup is additionally core-bound (a replica sweep on a
-one-core container is pinned to ~1.0x no matter the code), so it is
-extracted only from reports taken on >= 4 cores; reports from smaller
-machines simply don't contribute the metric and the row shows as
-skipped rather than failing.
+**What is gated.**  Every cell of the report is a dimensionless ratio
+that ``run_kernels.py`` measures as interleaved pairs in one process
+(the median of its per-round ratios), and every cell's ratio is gated:
+all of them are higher-is-better speedups.  Each side's per-call
+seconds appear as informational rows: absolute times depend on the
+runner's hardware, so a baseline committed on one machine would fail a
+slower one.  A cell present in only one of the two reports shows as
+skipped, never failing.
 """
 
 from __future__ import annotations
@@ -34,7 +30,7 @@ import sys
 from dataclasses import dataclass
 
 DEFAULT_THRESHOLD = 0.30
-_MIN_SHARD_GATE_CORES = 4
+REPORT_ID = "kernels/paired_ratios"
 
 
 @dataclass(frozen=True)
@@ -47,312 +43,17 @@ class Metric:
 
 
 def extract_metrics(report: dict) -> list[Metric]:
-    """Pull the comparable signals out of one BENCH_*.json report."""
+    """Pull the comparable signals out of one ``run_kernels.py`` report."""
     benchmark = report.get("benchmark", "")
-    # "kernels/attend_batch" is the report id's pre-rename spelling;
-    # committed baselines may still carry it.
-    if benchmark in ("kernels/attend_many", "kernels/attend_batch"):
-        return _kernel_metrics(report)
-    if benchmark == "serve/dynamic_batching":
-        return _serve_metrics(report)
-    raise ValueError(f"unknown benchmark report {benchmark!r}")
-
-
-def _kernel_metrics(report: dict) -> list[Metric]:
+    if benchmark != REPORT_ID:
+        raise ValueError(f"unknown benchmark report {benchmark!r}")
     metrics = []
-    for cell in report.get("cells", []):
-        label = f"kernels/{cell['config']}/batch{cell['batch']}"
-        # The batched pipeline only targets batch >= 16; batch-1 cells
-        # measure dispatch overhead and flake, so they stay ungated.
-        gated = cell["batch"] >= 16
-        metrics.append(
-            Metric(
-                f"{label}/vectorized_speedup_vs_reference",
-                float(cell["vectorized_speedup_vs_reference"]),
-                gated,
-            )
-        )
-        metrics.append(
-            Metric(
-                f"{label}/vectorized_qps",
-                float(cell["batch"] / cell["seconds"]["vectorized"]),
-                False,
-            )
-        )
-    return metrics
-
-
-def _serve_metrics(report: dict) -> list[Metric]:
-    metrics = []
-    headline = report.get("headline")
-    if headline:
-        metrics.append(
-            Metric(
-                "serve/batched_speedup_vs_serial",
-                float(headline["batched_speedup_vs_serial"]),
-                True,
-            )
-        )
-        metrics.append(
-            Metric(
-                "serve/served_throughput_qps",
-                float(headline["served_throughput_qps"]),
-                False,
-            )
-        )
-    for cell in report.get("served", []):
-        label = f"serve/c{cell['concurrency']}x{cell['sessions']}"
-        metrics.append(
-            Metric(
-                f"{label}/p99_latency_seconds",
-                float(cell["latency_seconds"]["p99"]),
-                False,
-            )
-        )
-        # Queue-wait vs batch-service split of the mean latency:
-        # informational (absolute seconds are hardware-dependent), and
-        # absent from reports older than the observability PR.
-        if "mean_queue_wait_seconds" in cell:
+    for cell in report["cells"]:
+        metrics.append(Metric(cell["name"], float(cell["ratio"]), True))
+        for side, seconds in cell["seconds"].items():
             metrics.append(
-                Metric(
-                    f"{label}/mean_queue_wait_seconds",
-                    float(cell["mean_queue_wait_seconds"]),
-                    False,
-                )
+                Metric(f"{cell['name']}/{side}_seconds", float(seconds), False)
             )
-            metrics.append(
-                Metric(
-                    f"{label}/mean_service_seconds",
-                    float(cell["mean_service_seconds"]),
-                    False,
-                )
-            )
-    quality = report.get("quality_headline")
-    if quality:
-        # Dimensionless paired in-round ratios, gated like the other
-        # headline speedups.  The conservative/aggressive ratio is the
-        # serving-layer width of the paper's dial — losing it means the
-        # aggressive tier stopped buying latency and the degradation
-        # controller has nothing to trade.  The exact ratio sits below
-        # 1 (exact = one BLAS GEMM in software); gating it still pins
-        # the three tiers' relative cost against drift.
-        metrics.append(
-            Metric(
-                "serve/quality_aggressive_speedup_vs_conservative",
-                float(quality["aggressive_speedup_vs_conservative"]),
-                True,
-            )
-        )
-        metrics.append(
-            Metric(
-                "serve/quality_aggressive_speedup_vs_exact",
-                float(quality["aggressive_speedup_vs_exact"]),
-                True,
-            )
-        )
-    for cell in report.get("quality_tiers", []):
-        # Per-tier rows in the job-summary table: absolute throughput
-        # and p95 per tier are hardware-dependent, informational only.
-        label = f"serve/tier_{cell['tier']}"
-        metrics.append(
-            Metric(f"{label}/throughput_qps", float(cell["throughput_qps"]), False)
-        )
-        metrics.append(
-            Metric(
-                f"{label}/p95_latency_seconds",
-                float(cell["latency_seconds"]["p95"]),
-                False,
-            )
-        )
-    adaptive = report.get("adaptive")
-    if adaptive:
-        # Controller benefit depends on machine speed and thread timing,
-        # so the relief ratio stays informational; the benchmark itself
-        # asserts the hard invariant (zero rejections) at run time.
-        metrics.append(
-            Metric("serve/adaptive_p95_relief", float(adaptive["p95_relief"]), False)
-        )
-        metrics.append(
-            Metric("serve/adaptive_rejected", float(adaptive["rejected"]), False)
-        )
-    failover = report.get("failover")
-    if failover:
-        # The p95 degradation of losing a shard is timing-dependent on
-        # a small container (thread-mode cluster, kill detection races
-        # the epoch), so all failover rows are informational; the hard
-        # contract — zero lost requests across both epochs — is
-        # asserted at run time by the benchmark and by the chaos suite.
-        metrics.append(
-            Metric(
-                "serve/failover_steady_p95_ms",
-                float(failover["steady"]["p95_ms"]),
-                False,
-            )
-        )
-        metrics.append(
-            Metric(
-                "serve/failover_kill_window_p95_ms",
-                float(failover["kill_window"]["p95_ms"]),
-                False,
-            )
-        )
-        metrics.append(
-            Metric(
-                "serve/failover_p95_degradation",
-                float(failover["p95_degradation"]),
-                False,
-            )
-        )
-        metrics.append(
-            Metric(
-                "serve/failover_lost_requests",
-                float(
-                    failover["steady"]["errors"]
-                    + failover["kill_window"]["errors"]
-                ),
-                False,
-            )
-        )
-    observability = report.get("observability")
-    if observability:
-        # All informational: the disabled A/A ratio rides on the run's
-        # noise floor (the benchmark records it for the <5% acceptance
-        # bar, read from the committed report, not gated here), and the
-        # traced/sampled overheads price an off-by-default feature.
-        # Older baselines lack the section entirely — these rows then
-        # show as skipped, never failing.
-        metrics.append(
-            Metric(
-                "serve/observability_disabled_vs_headline",
-                float(observability["disabled_vs_headline"]),
-                False,
-            )
-        )
-        metrics.append(
-            Metric(
-                "serve/observability_tracing_overhead",
-                float(observability["tracing_overhead"]),
-                False,
-            )
-        )
-        metrics.append(
-            Metric(
-                "serve/observability_sampled_overhead",
-                float(observability["sampled_overhead"]),
-                False,
-            )
-        )
-    many_tenant = report.get("many_tenant")
-    if many_tenant:
-        # The fused/unfused ratio is a paired in-round wall ratio on
-        # one machine — dimensionless, so it gates like the other
-        # headline speedups.  Absent from baselines older than the
-        # cross-session-fusion PR: those rows show as skipped.
-        metrics.append(
-            Metric(
-                "serve/many_tenant_fused_speedup_vs_unfused",
-                float(many_tenant["fused_speedup_vs_unfused"]),
-                True,
-            )
-        )
-        metrics.append(
-            Metric(
-                "serve/many_tenant_fused_throughput_qps",
-                float(many_tenant["fused_throughput_qps"]),
-                False,
-            )
-        )
-        metrics.append(
-            Metric(
-                "serve/many_tenant_max_segments",
-                float(many_tenant["max_segments"]),
-                False,
-            )
-        )
-    network = report.get("network")
-    if network:
-        # All informational: localhost wire latency prices framing plus
-        # two loopback socket hops and is entirely container-dependent.
-        # The hard contract — zero request errors in the open-loop
-        # drive — is asserted by the benchmark (and the CI network
-        # smoke job) at run time.  Baselines older than the network PR
-        # lack the section; rows then show as skipped.
-        metrics.append(
-            Metric(
-                "serve/network_wire_overhead_ratio",
-                float(network["wire_overhead_ratio"]),
-                False,
-            )
-        )
-        metrics.append(
-            Metric(
-                "serve/network_wire_overhead_seconds_mean",
-                float(network["wire_overhead_seconds_mean"]),
-                False,
-            )
-        )
-        open_loop = network.get("open_loop")
-        if open_loop:
-            metrics.append(
-                Metric(
-                    "serve/network_open_loop_p99_seconds",
-                    float(open_loop["latency_seconds"]["p99"]),
-                    False,
-                )
-            )
-            metrics.append(
-                Metric(
-                    "serve/network_open_loop_errors",
-                    float(open_loop["errors"]),
-                    False,
-                )
-            )
-    sharded = report.get("sharded_headline")
-    if sharded and int(sharded.get("cores", 1)) >= _MIN_SHARD_GATE_CORES:
-        # A replica sweep on a small machine measures the core bound,
-        # not the code, so such reports don't contribute the metric at
-        # all — a one-sided comparison then shows as "skipped" instead
-        # of gating against a meaningless baseline.
-        metrics.append(
-            Metric(
-                f"serve/sharded_speedup_{sharded['shards']}x_vs_1",
-                float(sharded["speedup_vs_one_shard"]),
-                True,
-            )
-        )
-    streaming = report.get("streaming_headline")
-    if streaming:
-        # Gated like the other dimensionless interleaved-pair ratios.
-        # No core filter here: the streaming pair is single-threaded
-        # (splice vs full re-prepare on one session), so the ratio is
-        # meaningful on any machine, 1-core CI containers included.
-        metrics.append(
-            Metric(
-                "serve/streaming_append_speedup_vs_reprepare",
-                float(streaming["append_speedup_vs_reprepare"]),
-                True,
-            )
-        )
-    cell = report.get("streaming")
-    if cell:
-        metrics.append(
-            Metric(
-                "serve/streaming_append_rows_per_second",
-                float(cell["append_throughput_rows_per_second"]),
-                False,  # absolute throughput: informational only
-            )
-        )
-    spill = report.get("spill_headline")
-    if spill:
-        # Same regime as the streaming pair: single-threaded,
-        # dimensionless, paired inside each round — gated everywhere.
-        metrics.append(
-            Metric(
-                "serve/spill_promote_speedup_vs_reprepare",
-                float(spill["promote_speedup_vs_reprepare"]),
-                True,
-            )
-        )
     return metrics
 
 
@@ -383,8 +84,8 @@ def compare(
     A gated metric present on both sides fails when the current value
     drops more than ``threshold`` below the baseline (all gated metrics
     are higher-is-better speedups).  A gated metric present on only one
-    side — e.g. the shard-scaling speedup when one report came from a
-    small machine — is reported as skipped, never failed.
+    side — a cell added or removed since the baseline was taken — is
+    reported as skipped, never failed.
     """
     baseline_by_name = {metric.name: metric for metric in baseline}
     current_by_name = {metric.name: metric for metric in current}
@@ -427,12 +128,11 @@ def render_table(rows: list[Row], threshold: float) -> str:
         "|---|---:|---:|---:|---|",
     ]
     for row in rows:
-        baseline = "—" if row.baseline is None else f"{row.baseline:.3f}"
-        current = "—" if row.current is None else f"{row.current:.3f}"
+        baseline = "—" if row.baseline is None else f"{row.baseline:.3g}"
+        current = "—" if row.current is None else f"{row.current:.3g}"
         change = "—" if row.change is None else f"{row.change:+.1%}"
         lines.append(
-            f"| {row.name} | {baseline} | {current} | {change} "
-            f"| {row.status} |"
+            f"| {row.name} | {baseline} | {current} | {change} | {row.status} |"
         )
     return "\n".join(lines)
 

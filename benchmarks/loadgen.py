@@ -319,7 +319,7 @@ def wire_overhead_pair(
 
 
 # ----------------------------------------------------------------------
-# self-contained network benchmark (the BENCH `network` cell)
+# self-contained network benchmark (the self-hosted network cell)
 # ----------------------------------------------------------------------
 
 
@@ -332,7 +332,7 @@ def network_cell(
     seed: int = 0,
 ) -> dict:
     """Self-hosted localhost benchmark: wire-overhead pair plus an
-    open-loop many-tenant curve, as one BENCH_serve.json cell."""
+    open-loop many-tenant curve, as one JSON report."""
     from repro.serve import AttentionServer, ServerConfig
     from repro.serve.client import AttentionClient
     from repro.serve.frontend import NetworkFrontend

@@ -65,8 +65,11 @@ multi-tenant service:
   (:class:`~repro.core.profiling.StageProfiler`).  All of it is
   off by default and never changes served outputs.
 
-See ``examples/serving_demo.py`` for an end-to-end tour and
-``benchmarks/run_serve.py`` for the throughput and shard-scaling study.
+See ``examples/serving_demo.py`` for an end-to-end tour,
+``benchmarks/run_kernels.py`` for the gated serving ratios (burst vs
+one-at-a-time dispatch, the tier dial, cross-session fusion, append
+splice and disk-tier promote), and ``perfbench/`` for open-loop
+serving over a socket.
 """
 
 from repro.core.config import TIERS

@@ -234,7 +234,8 @@ class DynamicBatcher:
         fill loop ends when the batch is full, the group's max wait runs
         out, the group's median recent arrival gap exceeds the time
         left (``idle``), or the batcher closes; every returned request's
-        ``fill_exit`` names which.
+        ``fill_exit`` names which, and its ``queue_depth`` is the number
+        of requests pending at the claim, the batch's own included.
         """
         policy = self.policy
         with self._lock:
@@ -250,6 +251,7 @@ class DynamicBatcher:
             self._claimed.add(group)
             oldest = self._by_group[group][0].admitted_at
             deadline = oldest + policy.max_wait_seconds
+            depth = self._depth
             batch = self._take(group, policy.max_batch_size)
             # Capacity released: broadcast — any number of submitters
             # may be blocked and the batch may have freed many slots.
@@ -283,6 +285,7 @@ class DynamicBatcher:
             self._fill_exits[exit_reason] += 1
             for request in batch:
                 request.fill_exit = exit_reason
+                request.queue_depth = depth
             return batch
 
     def _pick_group(self) -> BatchKey | None:

@@ -162,6 +162,11 @@ class AttentionRequest:
         loop — one of :data:`repro.serve.batcher.FILL_EXITS` — set when
         the batch is returned; the scheduler stamps it on the
         ``batch_formation`` trace span.
+    queue_depth:
+        Requests pending in the batcher (every group, this batch's own
+        first members included) when a worker claimed the batch
+        carrying this request; set with ``fill_exit``.  The scheduler
+        records it as the batch's queue depth.
     span:
         The sampled root trace span covering this request, or ``None``
         when the request is untraced (the default).  Set by
@@ -180,6 +185,7 @@ class AttentionRequest:
     claimed_at: float | None = None
     dispatched_at: float | None = None
     fill_exit: str | None = None
+    queue_depth: int = 0
     span: "Span | None" = field(default=None, repr=False)
     batch_key: "BatchKey | None" = None
 

@@ -133,7 +133,6 @@ class Scheduler:
         segments: dict[str, list[AttentionRequest]] = {}
         for request in batch:
             segments.setdefault(request.session_id, []).append(request)
-        queue_depth = self.batcher.depth
         kernel_started = kernel_ended = dispatched_at
         entries: dict[str, PreparedSession] = {}
         errors: dict[str, BaseException] = {}
@@ -191,7 +190,7 @@ class Scheduler:
             queue_waits=[dispatched_at - r.enqueued_at for r in completed],
             latencies=[done - r.enqueued_at for r in completed],
             service_seconds=done - dispatched_at,
-            queue_depth=queue_depth,
+            queue_depth=batch[0].queue_depth,
             failed=len(batch) - len(completed),
             tier=tier,
             segments=len(segments),

@@ -78,7 +78,11 @@ class ServerConfig:
         Operating point and engine of the default
         :class:`~repro.core.backends.ApproximateBackend` factory.
         ``engine="vectorized"`` is the point of the exercise: grouped
-        requests hit the whole-batch pipeline.  ``approximation`` is
+        requests hit the whole-batch pipeline, and equal-tier,
+        equal-width traffic from different sessions fuses into one
+        batch (any other engine, or a custom backend factory, groups
+        per session).  Fused or not, every segment's outputs are
+        bit-identical to a per-session dispatch.  ``approximation`` is
         also what the ``"conservative"`` quality tier dispatches at, so
         a server configured with a custom operating point keeps serving
         untagged traffic exactly as before tiers existed.
@@ -112,18 +116,6 @@ class ServerConfig:
         Bound on the tracer's finished-span buffer (oldest spans drop
         once it wraps; the slow-request exemplar ring is kept
         separately and survives wrap-around).
-    cross_session_fusion:
-        Whether equal-tier traffic from *different* sessions may share
-        one batch.  A batch is one kernel call either way — one
-        :func:`~repro.core.backends.attend_many_ragged` over its
-        per-session segments — so this only decides how many sessions
-        a call may carry.  On by default; it takes effect only with the
-        default :class:`~repro.core.backends.ApproximateBackend` factory
-        and the vectorized engine (custom backend factories keep
-        per-session grouping).  Fused or not, every segment's outputs
-        are bit-identical to a per-session dispatch at the same tier —
-        this knob trades batching opportunity against dispatch-time
-        lock breadth, never quality.
     """
 
     batch: BatchPolicy = field(default_factory=BatchPolicy)
@@ -138,7 +130,6 @@ class ServerConfig:
     rebuild_dirty_fraction: float | None = 0.5
     trace_sample_rate: float = 0.0
     trace_max_spans: int = 16384
-    cross_session_fusion: bool = True
 
     def __post_init__(self) -> None:
         if self.num_workers < 1:
@@ -225,9 +216,7 @@ class AttentionServer:
         # factory gives that guarantee (custom factories may hand back
         # anything satisfying the protocol).
         self._fusable = (
-            backend_factory is None
-            and self.config.engine == "vectorized"
-            and self.config.cross_session_fusion
+            backend_factory is None and self.config.engine == "vectorized"
         )
         if backend_factory is None:
             cfg = self.config

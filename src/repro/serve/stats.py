@@ -215,7 +215,9 @@ class ServerStats:
         and are therefore not taken.  ``segments`` is the number of
         distinct sessions the batch carried — fusion changes how many
         sessions share a dispatch, not how many dispatches happened, so
-        the batch counts once either way.
+        the batch counts once either way.  ``queue_depth`` is the
+        number of requests pending when the batch was claimed, its own
+        included.
         """
         completed = len(latencies)
         with self._lock:
@@ -516,7 +518,8 @@ class ServerStats:
             )
             gauge(
                 "repro_serve_peak_queue_depth",
-                "Peak pending-queue depth observed at dispatch.",
+                "Peak requests pending when a worker claimed a batch, the "
+                "batch's own included.",
             ).labels(**extra).set(self._queue_depth_peak)
             tier_requests = registry.counter(
                 "repro_serve_tier_requests_total",

@@ -3,7 +3,9 @@
 Driven tick by tick (no controller thread) so every scenario is
 deterministic: overload evidence is injected straight into the server's
 stats and :meth:`AdaptiveQualityController.tick` is stepped manually.
-The background-thread path gets one real smoke test at the end.
+The background-thread path gets two real tests: a smoke test, and an
+overload against blocking admission that must shed quality, never
+requests.
 """
 
 import numpy as np
@@ -233,6 +235,67 @@ class TestLifecycle:
             degraded = server.default_tier
         assert degraded != "exact"
         assert server.default_tier == "exact"  # restored on stop
+
+    def test_blocking_admission_sheds_quality_not_requests(self):
+        """Overload against a queue of 8 whose admission blocks: the
+        controller walks the default tier down while 32 closed-loop
+        clients wait for room, and the server refuses nothing — every
+        request completes and ``rejected`` stays 0."""
+        import threading
+
+        server = AttentionServer(
+            ServerConfig(
+                batch=BatchPolicy(
+                    max_batch_size=4,
+                    max_wait_seconds=0.002,
+                    max_queue_depth=8,
+                    overload="block",
+                    submit_timeout_seconds=30.0,
+                ),
+                num_workers=1,
+                default_tier="conservative",
+            )
+        )
+        rng = np.random.default_rng(7)
+        server.register_session(
+            "s", rng.normal(size=(64, D)), rng.normal(size=(64, D))
+        )
+        controller = AdaptiveQualityController(
+            server,
+            QualityPolicy(
+                slo_p95_seconds=1e-9,
+                interval_seconds=0.005,
+                overload_ticks=1,
+                min_window_samples=1,
+            ),
+        )
+        clients, per_client = 32, 12
+        errors = []
+
+        def client(seed):
+            client_rng = np.random.default_rng(seed)
+            try:
+                for _ in range(per_client):
+                    server.attend("s", client_rng.normal(size=D))
+            except Exception as exc:  # surfaced after the join
+                errors.append(exc)
+
+        with server, controller:
+            threads = [
+                threading.Thread(target=client, args=(c,))
+                for c in range(clients)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60.0)
+            assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        snap = server.snapshot()
+        assert snap["rejected"] == 0
+        assert snap["completed"] == clients * per_client
+        assert snap["quality"]["tier_downgrades"] >= 1
+        assert snap["quality"]["downgraded_requests"] > 0
 
 
 class TestNeutralTicks:

@@ -7,9 +7,9 @@ through a fresh backend at the batch's tier, reproduces the served rows
 exactly — on a single server and on a 2-shard cluster in both thread
 and spawn modes, at all three quality tiers, including score ties and
 mixed segment sizes.  Plus the grouping rules: fusable servers stamp
-cross-session :class:`~repro.serve.request.BatchKey`\\ s, fusion can be
-switched off, and config-incompatible traffic falls back to per-session
-dispatch under the same claim.
+cross-session :class:`~repro.serve.request.BatchKey`\\ s, a server that
+cannot fuse groups per session, and config-incompatible traffic falls
+back to per-session dispatch under the same claim.
 """
 
 import itertools
@@ -297,15 +297,18 @@ class TestClusterFusedBitIdentity:
 
 class TestFusionGrouping:
     def test_fusion_off_keeps_per_session_batches(self, batch_log):
-        """``cross_session_fusion=False`` restores the historical
-        grouping: per-session keys, every batch a single segment, and
-        outputs still bit-identical to direct evaluation."""
+        """A server that cannot fuse (here: a custom backend factory)
+        groups per session: per-session keys, every batch a single
+        segment, and outputs still bit-identical to direct
+        evaluation."""
         server = AttentionServer(
             ServerConfig(
                 batch=BatchPolicy(max_batch_size=32, max_wait_seconds=0.0),
                 num_workers=1,
-                cross_session_fusion=False,
-            )
+            ),
+            backend_factory=lambda: ApproximateBackend(
+                conservative(), engine="vectorized"
+            ),
         )
         rng = np.random.default_rng(31)
         sessions = {}

@@ -6,7 +6,8 @@ config is passed per call, so one prepared key per session serves every
 tier — for the default backend and for custom factories alike.  A
 segment whose session went away or changed width while its batch was
 queued fails alone; the other segments are served bit-identically to
-direct evaluation, and each request counts once.
+direct evaluation, and each request counts once.  Each batch records
+the queue depth at its claim, its own requests included.
 """
 
 import numpy as np
@@ -217,14 +218,13 @@ class TestSegmentIsolation:
         self._serve_expecting_b_to_fail(queued, ShapeError)
 
     def test_width_change_between_submits_fails_only_the_stale_request(self):
-        """Per-session grouping: a request queued before its session
-        was re-registered at another width fails with ``ShapeError``,
-        while one queued after it is served from the new memory."""
-        server = AttentionServer(
-            ServerConfig(
-                batch=BatchPolicy(max_batch_size=32, max_wait_seconds=0.0),
-                num_workers=1,
-                cross_session_fusion=False,
+        """Per-session grouping (a server that cannot fuse: a custom
+        backend factory): a request queued before its session was
+        re-registered at another width fails with ``ShapeError``, while
+        one queued after it is served from the new memory."""
+        server = _queued_server(
+            backend_factory=lambda: ApproximateBackend(
+                conservative(), engine="vectorized"
             )
         )
         rng = np.random.default_rng(37)
@@ -243,3 +243,30 @@ class TestSegmentIsolation:
         np.testing.assert_array_equal(
             row, direct.attend_many(key, value, query[None])[0]
         )
+
+
+# ----------------------------------------------------------------------
+# queue depth: taken at the claim, the batch's own requests included
+# ----------------------------------------------------------------------
+
+
+class TestQueueDepth:
+    def test_depth_counts_the_queue_that_formed_each_batch(self):
+        """24 requests queued on one session at ``max_batch_size=8``
+        dispatch as three batches claimed at depths 24, 16 and 8."""
+        server = AttentionServer(
+            ServerConfig(
+                batch=BatchPolicy(max_batch_size=8, max_wait_seconds=0.0),
+                num_workers=1,
+            )
+        )
+        rng = np.random.default_rng(41)
+        server.register_session("s", *_memory(rng))
+        requests = [server.submit("s", q) for q in rng.normal(size=(24, D))]
+        with server:
+            for request in requests:
+                request.result(10.0)
+        snap = server.snapshot()
+        assert snap["batch_size_histogram"] == {"8": 3}
+        assert snap["peak_queue_depth"] == 24
+        assert snap["mean_queue_depth"] == 16.0

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core.backends import ApproximateBackend, ExactBackend
-from repro.core.config import conservative
+from repro.core.config import TIERS, conservative
 from repro.errors import ConfigError, ShapeError
 from repro.serve import (
     AttentionServer,
@@ -290,6 +290,46 @@ class TestTelemetryIntegration:
         assert snapshot["cache"]["hits"] == snapshot["batches"] - 2
         assert snapshot["selection"]["calls"] == 12
         assert snapshot["latency_seconds"]["p99"] > 0.0
+
+    def test_closed_loop_clients_batch_and_complete_per_tier(self):
+        """16 closed-loop clients per tier, four requests each, against
+        a batch cap of 16 and a wait long enough for every client of a
+        tier to arrive: each round of a tier dispatches as one full
+        batch, every request completes, none is rejected, and the
+        per-tier books count each request once."""
+        server = _server(max_batch=16, wait=5.0, workers=1)
+        _register(server, "a", seed=1)
+        clients, rounds = 16, 4
+        start = threading.Barrier(clients * len(TIERS))
+        errors = []
+
+        def client(tier, seed):
+            rng = np.random.default_rng(seed)
+            start.wait()
+            try:
+                for _ in range(rounds):
+                    server.attend("a", rng.normal(size=12), tier=tier)
+            except Exception as exc:  # surfaced after the join
+                errors.append(exc)
+
+        with server:
+            threads = [
+                threading.Thread(target=client, args=(tier, 10 * c + t))
+                for t, tier in enumerate(TIERS)
+                for c in range(clients)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60.0)
+            assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        snapshot = server.snapshot()
+        total = clients * rounds * len(TIERS)
+        assert (snapshot["completed"], snapshot["rejected"]) == (total, 0)
+        assert snapshot["batch_size_histogram"] == {"16": rounds * len(TIERS)}
+        for tier in TIERS:
+            assert snapshot["tiers"][tier]["completed"] == clients * rounds
 
     def test_default_backends_do_not_retain_traces(self):
         """A long-lived server only needs the scalar counters; per-query

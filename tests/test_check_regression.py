@@ -1,13 +1,17 @@
-"""Unit tests for the CI benchmark-regression gate.
+"""Unit tests for the CI benchmark-regression gate and its runner's pairing.
 
-The load-bearing test injects a synthetic slowdown into a copy of the
-committed baseline and asserts the gate fails — so a CI job wired to
-``check_regression.py`` demonstrably catches regressions rather than
-green-lighting everything.
+The load-bearing tests halve one cell of a copy of the committed
+baseline at a time and assert the gate fails naming only that cell — so
+a CI job wired to ``check_regression.py`` demonstrably catches a
+regression in every gated cell rather than green-lighting everything.
+A fake clock pins how ``run_kernels.paired_ratio`` interleaves and
+reports its rounds.
 """
 
 import copy
+import itertools
 import json
+import statistics
 import sys
 from pathlib import Path
 
@@ -16,90 +20,77 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
 
 import check_regression as cr  # noqa: E402
+import run_kernels  # noqa: E402
 
 REPO = Path(__file__).resolve().parents[1]
 
+#: Every cell the committed baseline must carry, each gated.
+KERNEL_CELLS = [
+    f"kernels/{config}/batch{batch}/vectorized_speedup_vs_reference"
+    for config in ("conservative", "aggressive")
+    for batch in (16, 64, 320)
+]
+SERVE_CELLS = [
+    "serve/batched_speedup_vs_serial",
+    "serve/quality_aggressive_speedup_vs_conservative",
+    "serve/quality_aggressive_speedup_vs_exact",
+    "serve/many_tenant_fused_speedup_vs_unfused",
+    "serve/streaming_append_speedup_vs_reprepare",
+    "serve/spill_promote_speedup_vs_reprepare",
+]
+GATED_CELLS = KERNEL_CELLS + SERVE_CELLS
+
 
 @pytest.fixture(scope="module")
-def kernels_report():
+def report():
     with open(REPO / "BENCH_kernels.json") as handle:
         return json.load(handle)
 
 
-@pytest.fixture(scope="module")
-def serve_report():
-    with open(REPO / "BENCH_serve.json") as handle:
-        return json.load(handle)
+def _cell(report, name):
+    return next(cell for cell in report["cells"] if cell["name"] == name)
+
+
+def _failing(rows):
+    return [row.name for row in rows if row.status == "REGRESSION"]
+
+
+def _gated(report, prefix):
+    return sorted(
+        (m.name, m.value)
+        for m in cr.extract_metrics(report)
+        if m.gated and m.name.startswith(prefix)
+    )
 
 
 class TestExtraction:
-    def test_kernel_metrics_extracted_and_gated(self, kernels_report):
-        metrics = cr.extract_metrics(kernels_report)
-        gated = [m for m in metrics if m.gated]
-        assert gated, "no gated kernel metrics extracted"
-        assert all("speedup" in m.name for m in gated)
-        # batch-1 cells are informational only.
-        assert not any("batch1/" in m.name for m in gated)
+    def test_kernel_metrics_extracted_and_gated(self, report):
+        expected = sorted((n, _cell(report, n)["ratio"]) for n in KERNEL_CELLS)
+        assert _gated(report, "kernels/") == expected
+        for metric in cr.extract_metrics(report):
+            assert metric.gated or metric.name.endswith("_seconds")
 
-    def test_serve_metrics_extracted(self, serve_report):
-        names = {m.name for m in cr.extract_metrics(serve_report)}
-        assert "serve/batched_speedup_vs_serial" in names
+    def test_serve_metrics_extracted(self, report):
+        """The serving properties ride the same report, each gated."""
+        expected = sorted((n, _cell(report, n)["ratio"]) for n in SERVE_CELLS)
+        assert _gated(report, "serve/") == expected
 
-    def test_sharded_metric_only_from_big_machines(self, serve_report):
-        """A replica sweep on a small machine measures the core bound,
-        not the code: such reports must not contribute the metric (the
-        comparison then shows one-sided → skipped, never gated against
-        a meaningless 1-core baseline)."""
-        report = copy.deepcopy(serve_report)
-        report["sharded_headline"] = {
-            "shards": 4,
-            "cores": 1,
-            "speedup_vs_one_shard": 1.0,
-        }
-        names = {m.name for m in cr.extract_metrics(report)}
-        assert "serve/sharded_speedup_4x_vs_1" not in names
-        report["sharded_headline"]["cores"] = 8
-        metrics = {m.name: m for m in cr.extract_metrics(report)}
-        assert metrics["serve/sharded_speedup_4x_vs_1"].gated
-        # 1-core baseline vs 8-core current: skipped, not failed.
-        small = copy.deepcopy(report)
-        small["sharded_headline"]["cores"] = 1
-        rows = cr.compare(
-            cr.extract_metrics(small), cr.extract_metrics(report)
-        )
+    def test_cells_keep_their_rounds(self, report):
+        """Each cell's ratio is the median of its per-round ratios."""
+        for cell in report["cells"]:
+            assert len(cell["per_round"]) == report["rounds"]
+            assert cell["ratio"] == statistics.median(cell["per_round"])
+
+    def test_report_without_streaming_cell_skips(self, report):
+        """A cell missing from the baseline shows as skipped, never
+        failing."""
+        name = "serve/streaming_append_speedup_vs_reprepare"
+        old = copy.deepcopy(report)
+        old["cells"] = [cell for cell in old["cells"] if cell["name"] != name]
+        rows = cr.compare(cr.extract_metrics(old), cr.extract_metrics(report))
         by_name = {row.name: row for row in rows}
-        assert by_name["serve/sharded_speedup_4x_vs_1"].status == "skipped"
-        assert not cr.has_regressions(rows)
-
-    def test_streaming_metric_extracted_and_gated(self, serve_report):
-        """The append-speedup cell is dimensionless and single-threaded,
-        so it is gated from any machine — no core filter."""
-        metrics = {m.name: m for m in cr.extract_metrics(serve_report)}
-        assert metrics["serve/streaming_append_speedup_vs_reprepare"].gated
-        assert not metrics["serve/streaming_append_rows_per_second"].gated
-
-    def test_streaming_slowdown_fails_the_gate(self, serve_report):
-        slowed = copy.deepcopy(serve_report)
-        slowed["streaming_headline"]["append_speedup_vs_reprepare"] *= 0.5
-        rows = cr.compare(
-            cr.extract_metrics(serve_report), cr.extract_metrics(slowed)
-        )
-        assert cr.has_regressions(rows)
-        failing = [r.name for r in rows if r.status == "REGRESSION"]
-        assert failing == ["serve/streaming_append_speedup_vs_reprepare"]
-
-    def test_report_without_streaming_cell_skips(self, serve_report):
-        """Old reports predate the streaming cell: one-sided comparison
-        must skip, not fail (same contract as the shard metric)."""
-        old = copy.deepcopy(serve_report)
-        old.pop("streaming_headline", None)
-        old.pop("streaming", None)
-        rows = cr.compare(
-            cr.extract_metrics(old), cr.extract_metrics(serve_report)
-        )
-        by_name = {row.name: row for row in rows}
-        status = by_name["serve/streaming_append_speedup_vs_reprepare"].status
-        assert status == "skipped"
+        assert by_name[name].status == "skipped"
+        assert by_name[name].baseline is None
         assert not cr.has_regressions(rows)
 
     def test_unknown_report_rejected(self):
@@ -108,47 +99,41 @@ class TestExtraction:
 
 
 class TestComparison:
-    def test_identical_reports_pass(self, kernels_report):
-        metrics = cr.extract_metrics(kernels_report)
+    def test_identical_reports_pass(self, report):
+        metrics = cr.extract_metrics(report)
         rows = cr.compare(metrics, metrics)
         assert not cr.has_regressions(rows)
-        assert any(row.status == "ok" for row in rows)
+        assert {row.status for row in rows} == {"ok", "info"}
 
-    def test_small_jitter_passes(self, kernels_report):
-        baseline = cr.extract_metrics(kernels_report)
-        jittered = [
-            cr.Metric(m.name, m.value * 0.9, m.gated) for m in baseline
-        ]
+    def test_small_jitter_passes(self, report):
+        baseline = cr.extract_metrics(report)
+        jittered = [cr.Metric(m.name, m.value * 0.8, m.gated) for m in baseline]
         assert not cr.has_regressions(cr.compare(baseline, jittered))
 
-    def test_injected_slowdown_fails(self, kernels_report):
-        """The acceptance check: halving every speedup must trip the gate."""
-        slowed = copy.deepcopy(kernels_report)
+    def test_injected_slowdown_fails(self, report):
+        """Halving every ratio trips the gate on every cell."""
+        slowed = copy.deepcopy(report)
         for cell in slowed["cells"]:
-            cell["vectorized_speedup_vs_reference"] *= 0.5
-        rows = cr.compare(
-            cr.extract_metrics(kernels_report), cr.extract_metrics(slowed)
-        )
-        assert cr.has_regressions(rows)
-        failing = [row for row in rows if row.status == "REGRESSION"]
-        assert all(row.gated for row in failing)
+            cell["ratio"] *= 0.5
+        rows = cr.compare(cr.extract_metrics(report), cr.extract_metrics(slowed))
+        assert sorted(_failing(rows)) == sorted(GATED_CELLS)
 
-    def test_injected_serve_slowdown_fails(self, serve_report):
-        slowed = copy.deepcopy(serve_report)
-        slowed["headline"]["batched_speedup_vs_serial"] *= 0.5
-        rows = cr.compare(
-            cr.extract_metrics(serve_report), cr.extract_metrics(slowed)
-        )
-        assert cr.has_regressions(rows)
+    @pytest.mark.parametrize("name", GATED_CELLS)
+    def test_halving_one_cell_fails_naming_only_it(self, report, name):
+        slowed = copy.deepcopy(report)
+        _cell(slowed, name)["ratio"] *= 0.5
+        rows = cr.compare(cr.extract_metrics(report), cr.extract_metrics(slowed))
+        assert _failing(rows) == [name]
 
-    def test_ungated_metrics_never_fail(self, serve_report):
-        slowed = copy.deepcopy(serve_report)
-        for cell in slowed["served"]:
-            cell["latency_seconds"]["p99"] *= 100.0
-        rows = cr.compare(
-            cr.extract_metrics(serve_report), cr.extract_metrics(slowed)
-        )
-        assert not cr.has_regressions(rows)
+    def test_ungated_metrics_never_fail(self, report):
+        for factor in (100.0, 0.01):
+            moved = copy.deepcopy(report)
+            for cell in moved["cells"]:
+                for side in cell["seconds"]:
+                    cell["seconds"][side] *= factor
+            rows = cr.compare(cr.extract_metrics(report), cr.extract_metrics(moved))
+            assert not cr.has_regressions(rows)
+            assert {row.status for row in rows if not row.gated} == {"info"}
 
     def test_one_sided_metric_skips_not_fails(self):
         baseline = [cr.Metric("only/in/baseline", 2.0, True)]
@@ -166,22 +151,91 @@ class TestComparison:
 
 
 class TestEndToEnd:
-    def test_main_exits_nonzero_on_regression(
-        self, tmp_path, kernels_report
-    ):
-        slowed = copy.deepcopy(kernels_report)
+    def test_main_exits_nonzero_on_regression(self, tmp_path, report):
+        slowed = copy.deepcopy(report)
         for cell in slowed["cells"]:
-            cell["vectorized_speedup_vs_reference"] *= 0.4
+            cell["ratio"] *= 0.4
         baseline_path = tmp_path / "baseline.json"
         current_path = tmp_path / "current.json"
-        baseline_path.write_text(json.dumps(kernels_report))
+        baseline_path.write_text(json.dumps(report))
         current_path.write_text(json.dumps(slowed))
         assert cr.main([f"{baseline_path}={current_path}"]) == 1
         assert cr.main([f"{baseline_path}={baseline_path}"]) == 0
 
-    def test_table_renders_every_row(self, kernels_report):
-        metrics = cr.extract_metrics(kernels_report)
+    def test_table_renders_every_row(self, report):
+        metrics = cr.extract_metrics(report)
         rows = cr.compare(metrics, metrics)
         table = cr.render_table(rows, 0.3)
         for row in rows:
             assert row.name in table
+
+
+class _FakeTimeline:
+    """A clock that moves only while a side runs, logging every clock
+    read and every call in order."""
+
+    def __init__(self, costs: dict[str, list[float]]):
+        self.now = 0.0
+        self.events: list[tuple[str, object]] = []
+        self._costs = {side: itertools.cycle(c) for side, c in costs.items()}
+
+    def clock(self) -> float:
+        self.events.append(("read", self.now))
+        return self.now
+
+    def side(self, name: str):
+        def call():
+            self.events.append(("call", name))
+            self.now += next(self._costs[name])
+
+        return call
+
+    def blocks(self) -> list[tuple[str, int, float]]:
+        """``(side, calls, duration)`` per timed block.  A block opens
+        with a clock read and reads the clock after each call, so the
+        read that follows another read opens the next block."""
+        reads = [i for i, (kind, _) in enumerate(self.events) if kind == "read"]
+        blocks, start = [], reads[0]
+        for prev, cur in zip(reads, [*reads[1:], None]):
+            if cur is not None and cur != prev + 1:
+                continue
+            calls = [v for kind, v in self.events[start:prev] if kind == "call"]
+            assert len(set(calls)) == 1, "a block runs one side"
+            duration = self.events[prev][1] - self.events[start][1]
+            blocks.append((calls[0], len(calls), duration))
+            start = cur
+        return blocks
+
+
+class TestPairing:
+    def test_rounds_alternate_and_the_ratio_is_their_median(self):
+        timeline = _FakeTimeline(
+            {"slow": [3.0, 5.0, 2.0], "fast": [1.0, 0.5, 2.5, 1.5]}
+        )
+        rounds, minimum = 6, 10.0
+        ratio, per_round, _ = run_kernels.paired_ratio(
+            timeline.side("slow"),
+            timeline.side("fast"),
+            rounds,
+            min_seconds=minimum,
+            clock=timeline.clock,
+        )
+        # One untimed warm-up call per side, then the timed blocks.
+        first_read = next(
+            i for i, (kind, _) in enumerate(timeline.events) if kind == "read"
+        )
+        assert timeline.events[:first_read] == [("call", "slow"), ("call", "fast")]
+        blocks = timeline.blocks()
+        order = [side for side, _, _ in blocks]
+        assert order == ["slow", "fast", "fast", "slow"] * (rounds // 2)
+        assert all(duration >= minimum for _, _, duration in blocks)
+        per_call = [duration / calls for _, calls, duration in blocks]
+        expected = []
+        for r in range(rounds):
+            first, second = per_call[2 * r], per_call[2 * r + 1]
+            slow, fast = (first, second) if r % 2 == 0 else (second, first)
+            expected.append(slow / fast)
+        assert per_round == pytest.approx(expected)
+        assert len(set(per_round)) > 1
+        assert ratio == statistics.median(per_round)
+        assert ratio != pytest.approx(statistics.mean(per_round))
