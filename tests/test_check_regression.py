@@ -75,6 +75,16 @@ class TestExtraction:
         expected = sorted((n, _cell(report, n)["ratio"]) for n in SERVE_CELLS)
         assert _gated(report, "serve/") == expected
 
+    def test_streaming_metric_extracted_and_gated(self, report):
+        """The append-speedup cell is dimensionless, so it is gated from
+        any machine; its absolute timings ride along ungated."""
+        name = "serve/streaming_append_speedup_vs_reprepare"
+        metrics = {m.name: m for m in cr.extract_metrics(report)}
+        assert metrics[name].gated
+        assert metrics[name].value == _cell(report, name)["ratio"]
+        for side in ("reprepare", "splice"):
+            assert not metrics[f"{name}/{side}_seconds"].gated
+
     def test_cells_keep_their_rounds(self, report):
         """Each cell's ratio is the median of its per-round ratios."""
         for cell in report["cells"]:
