@@ -11,7 +11,7 @@ hit rate.
 With ``--sessions N`` the traffic spreads over N tenant sessions
 instead of two.  Requests from *different* sessions at the same tier
 fuse into single multi-key ragged dispatches
-(:meth:`repro.core.ApproximateBackend.attend_many_ragged`), and the
+(:func:`repro.core.backends.attend_many_ragged`), and the
 printout adds the cross-session fusion stats: how many batches fused
 and how many sessions the widest dispatch spanned.  Try
 ``--sessions 16 --clients 16`` — every client pinned to its own tenant
@@ -189,7 +189,6 @@ def main() -> None:
             overload="block",
         ),
         num_workers=2,
-        engine="vectorized",
         trace_sample_rate=1.0 if args.trace else 0.0,
         # The degradation ladder starts at the conservative operating
         # point: conservative -> aggressive is the software latency

@@ -45,7 +45,6 @@ __all__ = [
     "QuantizedBackend",
     "SerialBackend",
     "attend_many_ragged",
-    "prepared_nbytes",
 ]
 
 
@@ -245,20 +244,6 @@ class AttentionBackend(Protocol):
         """Compute attended outputs for a ``(q, d)`` batch of queries."""
 
 
-def prepared_nbytes(backend: AttentionBackend, key: np.ndarray) -> int:
-    """Estimated bytes :meth:`AttentionBackend.prepare` retains for ``key``.
-
-    The serving layer's key-cache accounts capacity in bytes of prepared
-    artifacts.  Backends may expose their own ``prepared_nbytes(key)``;
-    this helper falls back to the key's own size for backends without
-    preprocessing state.
-    """
-    hook = getattr(backend, "prepared_nbytes", None)
-    if hook is not None:
-        return int(hook(key))
-    return int(np.asarray(key).nbytes)
-
-
 class ExactBackend:
     """Float64 exact attention; the accuracy baseline of every figure."""
 
@@ -334,14 +319,12 @@ class ApproximateBackend:
 
     Both attend paths accept a keyword-only ``config`` override: the
     prepared column sort is independent of the operating point, so one
-    prepared key serves any ``(M, T)`` point — advertised through
-    ``supports_config_override`` so the serving layer's quality tiers
-    can share a single prepared artifact across tiers.  Overridden
+    prepared key serves any ``(M, T)`` point — the serving layer's
+    quality tiers share a single prepared artifact this way.  Overridden
     calls are bit-identical to a backend constructed with that config.
     """
 
     name = "approximate"
-    supports_config_override = True
 
     def __init__(
         self,
@@ -526,7 +509,8 @@ class ApproximateBackend:
         )
 
     def prepared_nbytes(self, key: np.ndarray) -> int:
-        """Bytes retained per prepared key: the ``(n, d)`` float64 sorted
+        """Bytes retained per prepared key — what the serving layer's
+        key cache accounts capacity in: the ``(n, d)`` float64 sorted
         values, the int64 row ids, and the float64 key copy."""
         key = np.asarray(key)
         return 3 * key.size * 8

@@ -14,8 +14,8 @@ multi-tenant service:
   (:mod:`repro.core.incremental`), bit-identical to a fresh prepare of
   the final key;
 * :class:`~repro.serve.batcher.DynamicBatcher` — groups single-query
-  requests by :class:`~repro.serve.request.BatchKey` (per-session, or
-  a cross-session fusable class of equal tier/config/shape) under a
+  requests by :class:`~repro.serve.request.BatchKey` (a server stamps
+  the cross-session class of equal tier and query width) under a
   max-batch-size / max-wait policy whose wait a group skips when its
   recent arrivals are too far apart to fill it in time, with bounded
   admission and reject/block backpressure;
@@ -29,8 +29,11 @@ multi-tenant service:
   histogram, queue depth, cache hit rate; aggregates per-session
   :class:`~repro.core.backends.BackendStats`;
 * :class:`~repro.serve.server.AttentionServer` — the synchronous
-  facade, plus :class:`~repro.serve.server.ServedBackend` adapting a
-  running server back to the ``AttentionBackend`` protocol;
+  facade over one served backend (the vectorized
+  :class:`~repro.core.backends.ApproximateBackend`, whose ``"exact"``
+  tier is the exact-serving baseline), plus
+  :class:`~repro.serve.server.ServedBackend` adapting a running server
+  back to the ``AttentionBackend`` protocol;
 * :class:`~repro.serve.router.ConsistentHashRouter` /
   :class:`~repro.serve.cluster.ShardedAttentionServer` — the scale-out
   layer: N shard replicas (thread- or process-backed), each with its

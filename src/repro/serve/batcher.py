@@ -19,12 +19,12 @@ records why its fill loop ended (:data:`FILL_EXITS`) on its requests'
 ``fill_exit`` and in :meth:`DynamicBatcher.fill_exits`.
 
 Requests of *other* groups stay queued and are claimable by other
-workers concurrently.  The key carries the fusion criteria explicitly:
-a per-session key groups one session's traffic, while a cross-session
-key fuses equal-tier, equal-width traffic from many sessions.  Either
-way a group is single-tier — within one server the tier fixes the
-approximation config — and the scheduler runs it as one kernel call,
-so per-tier outputs stay bit-identical to direct evaluation at that
+workers concurrently.  The batcher groups by whatever key a request
+carries; a server stamps the cross-session key of tier and query width,
+so equal-tier, equal-width traffic from many sessions fuses.  A group
+is single-tier — within one server the tier fixes the approximation
+config — and the scheduler runs it as one ragged kernel call, so
+per-tier outputs stay bit-identical to direct evaluation at that
 tier.
 
 Admission is bounded: once ``max_queue_depth`` requests are pending, a
@@ -72,8 +72,7 @@ FILL_EXITS = ("full", "deadline", "idle", "closed")
 #: Inter-arrival gaps remembered per group.
 _GAP_HISTORY = 8
 #: Groups with an arrival history; the least recently arrived group is
-#: forgotten first, so per-session keys of closed sessions cannot pile
-#: up.
+#: forgotten first, so keys that stop arriving cannot pile up.
 _HISTORY_GROUPS = 4096
 
 

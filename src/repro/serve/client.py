@@ -80,6 +80,30 @@ def parse_address(address, port=None) -> tuple[str, int]:
     )
 
 
+def _encode_request(op, corr_id, trace_ctx, max_payload: int) -> bytes:
+    """Encode one request frame, refusing it before anything is sent
+    when its payload exceeds ``max_payload``."""
+    frame = protocol.encode_op(op, corr_id, trace_ctx)
+    size = len(frame) - protocol.HEADER.size
+    if size > max_payload:
+        raise protocol.FrameTooLargeError(
+            f"{type(op).__name__} frame carries {size} payload bytes "
+            f"(bound is {max_payload})",
+            payload_length=size,
+        )
+    return frame
+
+
+def _stranded_error(closed: bool) -> Exception:
+    """What the requests a finished read loop strands fail with: the
+    caller's own close is final, anything else a retryable loss."""
+    if closed:
+        return ServerClosedError("client closed with requests in flight")
+    return protocol.ConnectionLostError(
+        "connection closed with requests in flight"
+    )
+
+
 class _TraceScope:
     """Optional client-side root span around one network request."""
 
@@ -178,13 +202,7 @@ class AttentionClient:
         except OSError:
             pass
         finally:
-            self._fail_pending(
-                ServerClosedError("client closed with requests in flight")
-                if self._closed
-                else protocol.ConnectionLostError(
-                    "connection closed with requests in flight"
-                )
-            )
+            self._fail_pending(_stranded_error(self._closed))
 
     def _dispatch(self, opcode: int, corr_id: int, payload: bytes) -> None:
         with self._lock:
@@ -215,14 +233,9 @@ class AttentionClient:
         if self._closed:
             raise protocol.ConnectionLostError("client is closed")
         corr_id = next(self._corr)
-        frame = protocol.encode_op(op, corr_id, trace_ctx)
-        size = len(frame) - protocol.HEADER.size
-        if size > self._assembler.max_payload:
-            raise protocol.FrameTooLargeError(
-                f"{type(op).__name__} frame carries {size} payload bytes "
-                f"(bound is {self._assembler.max_payload})",
-                payload_length=size,
-            )
+        frame = _encode_request(
+            op, corr_id, trace_ctx, self._assembler.max_payload
+        )
         future: Future = Future()
         with self._lock:
             if self._broken is not None:
@@ -412,7 +425,10 @@ class AsyncAttentionClient:
 
     Build with :meth:`connect`; every method of the sync surface exists
     as a coroutine.  One connection, one reader task, out-of-order
-    correlated responses.
+    correlated responses.  ``max_payload_bytes`` bounds frames in both
+    directions, and :meth:`aclose` fails the requests still in flight
+    with :class:`~repro.serve.request.ServerClosedError`, as the sync
+    client's ``close`` does.
     """
 
     def __init__(self, reader, writer, *, max_payload_bytes, tracer=None):
@@ -470,11 +486,7 @@ class AsyncAttentionClient:
         except (asyncio.CancelledError, OSError):
             pass
         finally:
-            self._fail_pending(
-                protocol.ConnectionLostError(
-                    "connection closed with requests in flight"
-                )
-            )
+            self._fail_pending(_stranded_error(self._closed))
 
     def _fail_pending(self, error: Exception) -> None:
         self._broken = error
@@ -489,7 +501,9 @@ class AsyncAttentionClient:
         if self._broken is not None:
             raise protocol.ConnectionLostError(str(self._broken))
         corr_id = next(self._corr)
-        frame = protocol.encode_op(op, corr_id, trace_ctx)
+        frame = _encode_request(
+            op, corr_id, trace_ctx, self._assembler.max_payload
+        )
         future = asyncio.get_running_loop().create_future()
         self._pending[corr_id] = future
         self._writer.write(frame)

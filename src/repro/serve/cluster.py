@@ -211,8 +211,8 @@ class ClusterConfig:
         replica runs an identical stack.
     spawn:
         ``True`` backs each shard with a ``multiprocessing`` spawn child
-        (true parallelism, default backend factory only); ``False``
-        keeps shards as in-process thread stacks.
+        (true parallelism); ``False`` keeps shards as in-process thread
+        stacks.
     virtual_nodes:
         Consistent-hash ring points per shard (see
         :class:`~repro.serve.router.ConsistentHashRouter`).
@@ -305,10 +305,9 @@ class ThreadShard(AttentionService):
         self,
         shard_id: str,
         config: ServerConfig,
-        backend_factory=None,
         injector: FaultInjector | None = None,
     ):
-        self.server = AttentionServer(config, backend_factory)
+        self.server = AttentionServer(config)
         super().__init__(self.server)
         self.shard_id = shard_id
         self.injector = injector
@@ -417,8 +416,7 @@ class ProcessShard:
     network caller uses, answered by :func:`_shard_main`.  ``start``,
     ``stop``, ``kill`` and ``ping`` manage the child; ``call`` and
     ``submit_attend`` carry the ops (the child is spawned on first
-    use).  Only the default backend factory is supported (factories
-    cannot cross processes).
+    use).
     """
 
     #: Spawn children adopt shared-memory artifact segments by name:
@@ -614,16 +612,9 @@ class ShardedAttentionServer:
     def __init__(
         self,
         config: ClusterConfig | None = None,
-        backend_factory=None,
         fault_injector: FaultInjector | None = None,
     ):
         self.config = config or ClusterConfig()
-        if self.config.spawn and backend_factory is not None:
-            raise ConfigError(
-                "spawned shards cannot ship a backend_factory across "
-                "processes; configure the shard's ServerConfig instead"
-            )
-        self._backend_factory = backend_factory
         self.fault_injector = fault_injector or FaultInjector()
         self._lock = threading.RLock()
         self._shards: dict[str, ThreadShard | ProcessShard] = {}
@@ -680,7 +671,6 @@ class ShardedAttentionServer:
             handle = ThreadShard(
                 shard_id,
                 self.config.shard,
-                self._backend_factory,
                 injector=self.fault_injector,
             )
         return shard_id, handle
@@ -695,6 +685,10 @@ class ShardedAttentionServer:
             self._started = True
             for handle in self._shards.values():
                 handle.start()
+            # A spawn child boots for about a second: return once every
+            # shard answers, so no heartbeat probes a booting child.
+            for handle in self._shards.values():
+                handle.ping(self.config.rpc_timeout_seconds)
         return self
 
     def stop(self, timeout: float | None = 10.0, drain: bool = False) -> None:
@@ -1302,6 +1296,7 @@ class ShardedAttentionServer:
             self._shards[shard_id] = handle
             if self._started:
                 handle.start()
+                handle.ping(self.config.rpc_timeout_seconds)
             if self._default_tier != self.config.shard.default_tier:
                 # The cluster's live default was moved (e.g. by an SLO
                 # controller); a replica joining mid-degradation must

@@ -10,7 +10,9 @@ request-level surface for that:
   (:class:`AppendRowsMutation`, :class:`DeleteRowsMutation`,
   :class:`ReplaceKeyMutation`) that know how to transform a session's
   ``(key, value)`` pair and how to drive a prepared backend's
-  incremental splice hooks (:mod:`repro.core.incremental`);
+  incremental splice hooks (:mod:`repro.core.incremental`, whose
+  validators they share, so a mutation is refused identically before
+  and inside the backend);
 * :class:`SessionMutator`, a tenant-facing handle bound to one session
   on an :class:`~repro.serve.server.AttentionServer` or
   :class:`~repro.serve.cluster.ShardedAttentionServer`.
@@ -41,7 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.backends import AttentionBackend
+from repro.core.backends import ApproximateBackend
+from repro.core.incremental import validate_delete_rows, validate_replace_row
 from repro.errors import ShapeError
 
 __all__ = [
@@ -58,7 +61,7 @@ class SessionMutation:
 
     Subclasses implement ``apply`` (pure: old arrays in, new arrays
     out, with validation) and ``apply_to_backend`` (drive the prepared
-    backend's incremental splice hook, when the backend has one).
+    backend's incremental splice hook).
     Instances are immutable and wire-encodable, so process-backed
     shards receive them as typed protocol frames unchanged.
     """
@@ -68,7 +71,7 @@ class SessionMutation:
     ) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
 
-    def apply_to_backend(self, backend: AttentionBackend) -> None:
+    def apply_to_backend(self, backend: ApproximateBackend) -> None:
         raise NotImplementedError
 
 
@@ -115,9 +118,7 @@ class AppendRowsMutation(SessionMutation):
         )
 
     def apply_to_backend(self, backend):
-        hook = getattr(backend, "append_rows", None)
-        if hook is not None:
-            hook(_as_matrix(self.key_rows, "appended key rows"))
+        backend.append_rows(_as_matrix(self.key_rows, "appended key rows"))
 
 
 @dataclass(frozen=True)
@@ -128,33 +129,16 @@ class DeleteRowsMutation(SessionMutation):
 
     rows: tuple[int, ...]
 
-    def _indices(self, n: int) -> np.ndarray:
-        rows = np.asarray(self.rows, dtype=np.int64).ravel()
+    def apply(self, key, value):
+        rows = validate_delete_rows(self.rows, key.shape[0])
         if rows.size == 0:
             raise ShapeError("delete requires at least one row index")
-        if rows.min() < 0 or rows.max() >= n:
-            raise ShapeError(
-                f"delete rows must lie in [0, {n}), got {rows.tolist()}"
-            )
-        if np.unique(rows).size != rows.size:
-            raise ShapeError(f"duplicate delete rows: {rows.tolist()}")
-        if rows.size >= n:
-            raise ShapeError(
-                "cannot delete every row; the session memory must stay "
-                "non-empty"
-            )
-        return rows
-
-    def apply(self, key, value):
-        rows = self._indices(key.shape[0])
         keep = np.ones(key.shape[0], dtype=bool)
         keep[rows] = False
         return key[keep], value[keep]
 
     def apply_to_backend(self, backend):
-        hook = getattr(backend, "delete_rows", None)
-        if hook is not None:
-            hook(np.asarray(self.rows, dtype=np.int64))
+        backend.delete_rows(np.asarray(self.rows, dtype=np.int64))
 
 
 @dataclass(frozen=True)
@@ -167,17 +151,7 @@ class ReplaceKeyMutation(SessionMutation):
     value_row: np.ndarray | None = None
 
     def apply(self, key, value):
-        row = int(self.row)
-        if not 0 <= row < key.shape[0]:
-            raise ShapeError(
-                f"replace row must lie in [0, {key.shape[0]}), got {row}"
-            )
-        key_row = np.asarray(self.key_row, dtype=np.float64).ravel()
-        if key_row.shape != (key.shape[1],):
-            raise ShapeError(
-                f"replacement key row must have shape ({key.shape[1]},), "
-                f"got {key_row.shape}"
-            )
+        row, key_row = validate_replace_row(self.row, self.key_row, *key.shape)
         new_key = key.copy()
         new_key[row] = key_row
         new_value = value
@@ -193,12 +167,9 @@ class ReplaceKeyMutation(SessionMutation):
         return new_key, new_value
 
     def apply_to_backend(self, backend):
-        hook = getattr(backend, "replace_key", None)
-        if hook is not None:
-            hook(
-                int(self.row),
-                np.asarray(self.key_row, dtype=np.float64).ravel(),
-            )
+        backend.replace_key(
+            int(self.row), np.asarray(self.key_row, dtype=np.float64).ravel()
+        )
 
 
 class SessionMutator:

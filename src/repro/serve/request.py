@@ -82,14 +82,15 @@ class BatchKey:
     """Fusion-compatibility key under which the batcher groups requests.
 
     Two requests may share one dispatched batch exactly when their keys
-    compare equal.  A key either names a single session (``session_id``
-    set, the per-session grouping) or describes a *cross-session
-    fusable* class (``session_id`` ``None``): any mix of sessions whose
-    requests agree on tier and query width can then fuse into one
-    ragged multi-key dispatch.  Nothing else needs comparing: within
-    one server the tier fixes the approximation config, and every
-    session's memory is float64
-    (:func:`~repro.serve.sessions.validate_memory`).
+    compare equal.  ``AttentionServer.submit`` stamps the
+    *cross-session* key of tier and query width (``session_id``
+    ``None``): any mix of sessions whose requests agree on both fuses
+    into one ragged multi-key dispatch.  Nothing else needs comparing:
+    within one server the tier fixes the approximation config, and
+    every session's memory is float64
+    (:func:`~repro.serve.sessions.validate_memory`).  A key naming one
+    session is the batcher's default for a request built without a key
+    (:attr:`AttentionRequest.group_key`).
 
     Attributes
     ----------
@@ -193,12 +194,11 @@ class AttentionRequest:
     def group_key(self) -> BatchKey:
         """The batcher's grouping key (a :class:`BatchKey`).
 
-        ``AttentionServer.submit`` assigns ``batch_key`` at admission —
-        a cross-session fusable key when the server's backend supports
-        ragged dispatch, else a per-session key.  Requests constructed
-        without one (direct batcher usage in tests and tools) default
-        lazily to the per-session grouping, under which every dispatch
-        stays single-session.
+        ``AttentionServer.submit`` assigns ``batch_key`` at admission:
+        the cross-session key of the request's tier and query width.
+        The batcher itself is a generic grouping queue; a request
+        constructed without a key (direct batcher use) defaults lazily
+        to the per-session grouping.
         """
         key = self.batch_key
         if key is None:

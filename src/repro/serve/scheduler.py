@@ -9,9 +9,8 @@ under the entries' dispatch locks as **one kernel call** — one
 segments, whether the group holds one session or several — and resolve
 every request's future with its output row.  The scheduler holds the
 server's tier → config map and passes the batch's config per call, so
-one prepared artifact per session serves every tier.  Backends that
-cannot run the ragged kernel (such as ``ExactBackend`` or the loop
-engines) get one ``attend_many`` per segment instead.
+one prepared artifact per session serves every tier, the exact tier
+included.
 
 Failures stay as narrow as they can be: a segment whose session is gone
 or whose key width no longer matches its queries fails alone, and a
@@ -46,7 +45,7 @@ class Scheduler:
     ``tier_configs`` maps each quality tier to the
     :class:`~repro.core.config.ApproximationConfig` its batches run at
     (``ServerConfig.tier_configs()``); a tier it does not name runs at
-    each backend's own config.
+    the operating point the server's backends were built with.
     """
 
     def __init__(
@@ -110,8 +109,9 @@ class Scheduler:
                 self.dispatch(batch)
 
     def dispatch(self, batch: list[AttentionRequest]) -> None:
-        """Run one same-``BatchKey`` group as one kernel call,
-        synchronously.
+        """Run one same-``BatchKey`` group as one
+        :func:`~repro.core.backends.attend_many_ragged` call at the
+        tier's config, synchronously.
 
         The batcher guarantees the group is single-tier.  Its requests
         split into per-session segments (sessions in first-appearance
@@ -171,8 +171,9 @@ class Scheduler:
                         offsets.append(offsets[-1] + len(segments[sid]))
                     backends = [entries[sid].backend for sid in live]
                     kernel_started = now()
-                    seg_outputs = self._attend(
-                        backends, keys, values, queries, offsets, tier
+                    seg_outputs = attend_many_ragged(
+                        backends, keys, values, queries, offsets,
+                        config=self.tier_configs.get(tier),
                     )
                     kernel_ended = now()
                     outputs = dict(zip(live, seg_outputs))
@@ -204,38 +205,6 @@ class Scheduler:
                     _resolve(request, error=errors[sid])
         self._emit_spans(batch, kernel_started, kernel_ended,
                          len(segments), errors)
-
-    def _attend(
-        self,
-        backends: list,
-        keys: list[np.ndarray],
-        values: list[np.ndarray],
-        queries: np.ndarray,
-        offsets: list[int],
-        tier: str,
-    ) -> list[np.ndarray]:
-        """The batch's one kernel call over its live segments.
-
-        Goes through the module-level ``attend_many_ragged`` when every
-        backend supports it (the default factory's, single-session
-        batches included); otherwise one ``attend_many`` per segment,
-        passing the tier's ``config=`` to backends that take a per-call
-        override.  Called under every live entry's lock."""
-        cfg = self.tier_configs.get(tier)
-        if all(getattr(b, "supports_ragged", False) for b in backends):
-            return attend_many_ragged(
-                backends, keys, values, queries, offsets, config=cfg
-            )
-        outputs = []
-        for s, backend in enumerate(backends):
-            override = cfg is not None and getattr(
-                backend, "supports_config_override", False
-            )
-            outputs.append(backend.attend_many(
-                keys[s], values[s], queries[offsets[s]:offsets[s + 1]],
-                **({"config": cfg} if override else {}),
-            ))
-        return outputs
 
     def _emit_spans(
         self,

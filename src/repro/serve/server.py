@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
-from repro.core.backends import ApproximateBackend, AttentionBackend
+from repro.core.backends import ApproximateBackend
 from repro.core.config import (
     ApproximationConfig,
     aggressive,
@@ -74,22 +73,21 @@ class ServerConfig:
         :class:`~repro.serve.sessions.KeyCacheManager`.
     cache_spill_dir:
         Directory for spill files (``None`` = a private temp dir).
-    approximation / engine:
-        Operating point and engine of the default
-        :class:`~repro.core.backends.ApproximateBackend` factory.
-        ``engine="vectorized"`` is the point of the exercise: grouped
-        requests hit the whole-batch pipeline, and equal-tier,
-        equal-width traffic from different sessions fuses into one
-        batch (any other engine, or a custom backend factory, groups
-        per session).  Fused or not, every segment's outputs are
-        bit-identical to a per-session dispatch.  ``approximation`` is
-        also what the ``"conservative"`` quality tier dispatches at, so
-        a server configured with a custom operating point keeps serving
-        untagged traffic exactly as before tiers existed.
+    approximation:
+        Operating point of every session's backend — an
+        :class:`~repro.core.backends.ApproximateBackend` on the
+        vectorized engine, the one served backend.  Equal-tier,
+        equal-width requests from any sessions fuse into one batch, and
+        every segment's outputs are bit-identical to a per-session
+        dispatch.  ``approximation`` is also what the ``"conservative"``
+        quality tier dispatches at, so a server configured with a
+        custom operating point keeps serving untagged traffic exactly
+        as before tiers existed.
     default_tier:
         Quality tier (one of :data:`repro.core.config.TIERS`) that
-        requests without an explicit tier are dispatched at.  This is
-        the *configured* default; the live default can be moved by
+        requests without an explicit tier are dispatched at;
+        ``"exact"`` makes an exact-serving baseline.  This is the
+        *configured* default; the live default can be moved by
         :meth:`AttentionServer.set_default_tier` (e.g. by an
         :class:`~repro.serve.controller.AdaptiveQualityController`
         shedding load by degrading quality) and restored on recovery.
@@ -99,13 +97,6 @@ class ServerConfig:
         default: a long-lived server only consumes the scalar counters,
         and traces cost kilobytes per request.  Turn on to feed figure
         scripts from served traffic.
-    rebuild_dirty_fraction:
-        Streaming-session cost knob forwarded to the default backend
-        factory: session mutations splice the prepared key structures
-        incrementally until the rows touched since the last full column
-        sort exceed this fraction of the key, then rebuild once (see
-        :class:`~repro.core.backends.ApproximateBackend`).  Purely a
-        cost trade-off — either path is bit-identical.
     trace_sample_rate:
         Fraction of requests traced as span trees (see
         :mod:`repro.serve.tracing`), in ``[0, 1]``.  ``0`` (default)
@@ -124,10 +115,8 @@ class ServerConfig:
     cache_disk_capacity_bytes: int | None = None
     cache_spill_dir: str | None = None
     approximation: ApproximationConfig = field(default_factory=conservative)
-    engine: str = "vectorized"
     default_tier: str = "conservative"
     keep_selection_traces: bool = False
-    rebuild_dirty_fraction: float | None = 0.5
     trace_sample_rate: float = 0.0
     trace_max_spans: int = 16384
 
@@ -137,14 +126,6 @@ class ServerConfig:
                 f"num_workers must be >= 1, got {self.num_workers}"
             )
         tier_rank(self.default_tier)  # raises ConfigError on unknown tiers
-        if (
-            self.rebuild_dirty_fraction is not None
-            and self.rebuild_dirty_fraction < 0
-        ):
-            raise ConfigError(
-                "rebuild_dirty_fraction must be >= 0 or None, got "
-                f"{self.rebuild_dirty_fraction}"
-            )
         if not 0.0 <= self.trace_sample_rate <= 1.0:
             raise ConfigError(
                 "trace_sample_rate must lie in [0, 1], got "
@@ -181,15 +162,18 @@ class ServerConfig:
 class AttentionServer:
     """Dynamic-batching attention service over registered sessions.
 
+    Every session is served by its own
+    :class:`~repro.core.backends.ApproximateBackend` at
+    ``config.approximation`` on the vectorized engine, so every batch —
+    one session or many fused — is one ragged kernel call at its tier's
+    config.  ``ServerConfig(default_tier="exact")`` serves exact
+    attention.
+
     Parameters
     ----------
     config:
-        Server configuration; defaults to conservative approximation,
-        vectorized engine, batch 64 / 5 ms policy.
-    backend_factory:
-        Overrides the backend built per cached session — any
-        :class:`~repro.core.backends.AttentionBackend` factory works
-        (e.g. ``ExactBackend`` for an exact-serving baseline).
+        Server configuration; defaults to conservative approximation
+        and a batch 64 / 5 ms policy.
 
     Examples
     --------
@@ -205,32 +189,10 @@ class AttentionServer:
     (8,)
     """
 
-    def __init__(
-        self,
-        config: ServerConfig | None = None,
-        backend_factory: Callable[[], AttentionBackend] | None = None,
-    ):
+    def __init__(self, config: ServerConfig | None = None):
         self.config = config or ServerConfig()
-        # Cross-session fusion requires knowing the backend supports
-        # ragged dispatch *before* any session exists — only the default
-        # factory gives that guarantee (custom factories may hand back
-        # anything satisfying the protocol).
-        self._fusable = (
-            backend_factory is None and self.config.engine == "vectorized"
-        )
-        if backend_factory is None:
-            cfg = self.config
-
-            def backend_factory() -> ApproximateBackend:
-                backend = ApproximateBackend(
-                    cfg.approximation,
-                    engine=cfg.engine,
-                    rebuild_dirty_fraction=cfg.rebuild_dirty_fraction,
-                )
-                backend.stats.keep_traces = cfg.keep_selection_traces
-                return backend
         self.cache = KeyCacheManager(
-            backend_factory,
+            self._new_backend,
             capacity_bytes=self.config.cache_capacity_bytes,
             disk_capacity_bytes=self.config.cache_disk_capacity_bytes,
             spill_dir=self.config.cache_spill_dir,
@@ -254,6 +216,14 @@ class AttentionServer:
         self._default_tier = self.config.default_tier
         self._service = None
         self._service_lock = threading.Lock()
+
+    def _new_backend(self) -> ApproximateBackend:
+        """A fresh backend for one cached session."""
+        backend = ApproximateBackend(
+            self.config.approximation, engine="vectorized"
+        )
+        backend.stats.keep_traces = self.config.keep_selection_traces
+        return backend
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -283,6 +253,10 @@ class AttentionServer:
           degrades to the reject semantics rather than leaving futures
           dangling.
 
+        ``timeout`` bounds the backlog, never a claimed batch: in both
+        modes ``stop`` returns after the batches the workers are
+        dispatching have resolved.
+
         A ``submit`` racing with ``stop`` either lands before the close
         (and is served or rejected with the rest of the queue) or raises
         :class:`ServerClosedError` — there is no in-between.
@@ -307,6 +281,9 @@ class AttentionServer:
                 request,
                 error=ServerClosedError("server stopped before dispatch"),
             )
+        # The queue is closed and empty, so each worker exits once the
+        # batch it claimed has resolved.
+        self.scheduler.join()
 
     def __enter__(self) -> "AttentionServer":
         if not self._started:
@@ -445,7 +422,7 @@ class AttentionServer:
             )
         request = AttentionRequest(
             session_id=session_id, query=query, tier=effective, pinned=pinned,
-            span=span, batch_key=self._batch_key(session, effective),
+            span=span, batch_key=BatchKey(tier=effective, d=session.d),
         )
         request.request_id = self._claim_request_id()
         try:
@@ -464,20 +441,6 @@ class AttentionServer:
             ),
         )
         return request
-
-    def _batch_key(self, session: Session, tier: str) -> BatchKey:
-        """The :class:`BatchKey` a submission is grouped under.
-
-        Fusable servers stamp a *cross-session* key of the tier and the
-        session's query width — any mix of sessions agreeing on both
-        fuses into one ragged dispatch.  Everything else gets the
-        per-session key, which carries the width too, so requests
-        queued on either side of a re-registration at another width
-        never share a batch.
-        """
-        if self._fusable:
-            return BatchKey(tier=tier, d=session.d)
-        return BatchKey(tier=tier, session_id=session.session_id, d=session.d)
 
     def _claim_request_id(self) -> int:
         with self._id_lock:

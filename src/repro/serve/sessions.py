@@ -7,13 +7,14 @@ registers a ``(key, value)`` memory once, and every subsequent request
 against the session reuses the prepared artifacts.
 
 :class:`KeyCacheManager` owns those artifacts.  Each session checkout
-yields a :class:`PreparedSession` holding a dedicated backend instance
-whose ``prepare()`` has already run for the session's key; the
-:class:`~repro.core.backends.KeyFingerprint` guard inside
-``ApproximateBackend`` still protects against a tenant mutating its key
-array in place after registration (the attend transparently re-prepares
-on mismatch).  Prepared artifacts are byte-accounted via the
-``prepared_nbytes`` backend hook and evicted least-recently-used when
+yields a :class:`PreparedSession` holding a dedicated
+:class:`~repro.core.backends.ApproximateBackend` whose ``prepare()`` has
+already run for the session's key; the
+:class:`~repro.core.backends.KeyFingerprint` guard inside the backend
+still protects against a tenant mutating its key array in place after
+registration (the attend transparently re-prepares on mismatch).
+Prepared artifacts are byte-accounted by the backend's
+``prepared_nbytes`` and evicted least-recently-used when
 the configured capacity is exceeded — sessions themselves survive
 eviction (the registration keeps the raw key/value); only the prepared
 state is rebuilt on the next checkout, which the hit/miss counters make
@@ -51,10 +52,9 @@ import numpy as np
 
 from repro.core.artifacts import ArtifactBuffer
 from repro.core.backends import (
-    AttentionBackend,
+    ApproximateBackend,
     BackendStats,
     KeyFingerprint,
-    prepared_nbytes,
 )
 from repro.errors import ShapeError
 from repro.serve.observability import now
@@ -69,7 +69,7 @@ __all__ = [
     "validate_memory",
 ]
 
-BackendFactory = Callable[[], AttentionBackend]
+BackendFactory = Callable[[], ApproximateBackend]
 
 
 def _unlink_quietly(path: str) -> None:
@@ -211,7 +211,7 @@ class PreparedSession:
     """
 
     session: Session
-    backend: AttentionBackend
+    backend: ApproximateBackend
     nbytes: int
     lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
     pins: int = 0
@@ -325,9 +325,13 @@ class KeyCacheManager:
     Parameters
     ----------
     backend_factory:
-        Zero-argument callable producing a fresh backend for a session;
+        Zero-argument callable producing a fresh
+        :class:`~repro.core.backends.ApproximateBackend` for a session;
         each cached entry owns one so per-session prepared state and
-        statistics never interleave.
+        statistics never interleave.  An
+        :class:`~repro.serve.server.AttentionServer` passes its one
+        served backend (the vectorized engine at the server's operating
+        point); a subclass can observe or slow the cache's calls.
     capacity_bytes:
         Upper bound on the summed ``prepared_nbytes`` of cached entries.
         ``None`` disables eviction.  A single entry larger than the
@@ -414,10 +418,6 @@ class KeyCacheManager:
                 "required for session adoption"
             )
         backend = self._factory()
-        if not hasattr(backend, "adopt_artifact"):
-            raise TypeError(
-                "backend factory does not support artifact adoption"
-            )
         backend.adopt_artifact(artifact, fingerprint)
         session = Session(
             session_id=session_id,
@@ -428,7 +428,7 @@ class KeyCacheManager:
         entry = PreparedSession(
             session=session,
             backend=backend,
-            nbytes=prepared_nbytes(backend, pre.key),
+            nbytes=backend.prepared_nbytes(pre.key),
             artifact=artifact,
         )
         with self._lock:
@@ -533,7 +533,7 @@ class KeyCacheManager:
             entry = PreparedSession(
                 session=session,
                 backend=backend,
-                nbytes=prepared_nbytes(backend, session.key),
+                nbytes=backend.prepared_nbytes(session.key),
                 pins=1,
                 artifact=artifact,
             )
@@ -564,18 +564,16 @@ class KeyCacheManager:
             self._finalize_if_idle(entry)
 
     def _try_promote(
-        self, session_id: str, session: Session, backend: AttentionBackend
+        self, session_id: str, session: Session, backend: ApproximateBackend
     ) -> ArtifactBuffer | None:
         """Serve a miss from the disk tier: mmap the session's spilled
         artifact and adopt it into ``backend``, skipping the column
         re-sort.  Returns the mapped buffer (to be held by the new
         entry) or ``None`` when there is nothing promotable — no spill,
-        a stale fingerprint (session mutated since spilling), an
-        unreadable file, or a backend without adoption support; every
-        ``None`` path falls back to a fresh ``prepare``.
+        a stale fingerprint (session mutated since spilling) or an
+        unreadable file; every ``None`` path falls back to a fresh
+        ``prepare``.
         """
-        if not hasattr(backend, "adopt_artifact"):
-            return None
         with self._lock:
             record = self._spilled.pop(session_id, None)
             if record is None:
@@ -672,7 +670,7 @@ class KeyCacheManager:
                     with entry.lock:
                         mutation.apply_to_backend(entry.backend)
                         session.replace_memory(new_key, new_value, fingerprint)
-                    new_nbytes = prepared_nbytes(entry.backend, new_key)
+                    new_nbytes = entry.backend.prepared_nbytes(new_key)
                 finally:
                     with self._lock:
                         if new_nbytes is not None:
@@ -715,11 +713,7 @@ class KeyCacheManager:
         if count_eviction:
             self.stats.evictions += 1
         entry.retired = True
-        entry.spill_requested = (
-            spill
-            and self.disk_capacity_bytes is not None
-            and hasattr(entry.backend, "export_artifact")
-        )
+        entry.spill_requested = spill and self.disk_capacity_bytes is not None
         if entry.pins > 0:
             # A dispatch is (or may be about to start) running against
             # this backend; defer the stats fold to the last release so
@@ -746,9 +740,7 @@ class KeyCacheManager:
         if entry.artifact is not None:
             entry.artifact.close()
             entry.artifact = None
-        stats = getattr(entry.backend, "stats", None)
-        if stats is not None:
-            entry.session.retired_stats.merge(stats)
+        entry.session.retired_stats.merge(entry.backend.stats)
 
     # ------------------------------------------------------------------
     # disk tier (spill / reap)
@@ -785,7 +777,7 @@ class KeyCacheManager:
         try:
             path = self._spill_path()
             artifact = entry.backend.export_artifact(storage="mmap", path=path)
-        except (AttributeError, RuntimeError, ValueError, OSError):
+        except (RuntimeError, ValueError, OSError):
             return  # nothing prepared, or the disk tier is unusable
         try:
             if not session.fingerprint.matches(artifact.view().key):
@@ -846,27 +838,23 @@ class KeyCacheManager:
         session = self.get(session_id)
         with self._lock:
             entry = self._entries.get(session_id)
-            live = getattr(entry.backend, "stats", None) if entry else None
-            merged = session.total_stats(live)
+            merged = session.total_stats(entry.backend.stats if entry else None)
             self._merge_retiring(merged, session)
         return merged
 
     def _merge_retiring(self, into: BackendStats, session: Session) -> None:
         for entry in self._retiring:
             if entry.session is session:
-                stats = getattr(entry.backend, "stats", None)
-                if stats is not None:
-                    into.merge(stats)
+                into.merge(entry.backend.stats)
 
     def merged_backend_stats(self) -> BackendStats:
         """All sessions' selection statistics folded into one view."""
         merged = BackendStats(keep_traces=False)
         with self._lock:
             for session in self._sessions.values():
-                live = None
                 entry = self._entries.get(session.session_id)
-                if entry is not None:
-                    live = getattr(entry.backend, "stats", None)
-                merged.merge(session.total_stats(live))
+                merged.merge(
+                    session.total_stats(entry.backend.stats if entry else None)
+                )
                 self._merge_retiring(merged, session)
         return merged

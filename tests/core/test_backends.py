@@ -411,14 +411,6 @@ class TestBackendStats:
 
 class TestPreparedNbytes:
     def test_approximate_backend_reports_artifact_size(self, rng):
-        from repro.core.backends import prepared_nbytes
-
         backend = ApproximateBackend(conservative())
         key = rng.normal(size=(10, 4))
-        assert prepared_nbytes(backend, key) == 3 * 10 * 4 * 8
-
-    def test_fallback_is_key_nbytes(self, rng):
-        from repro.core.backends import prepared_nbytes
-
-        key = rng.normal(size=(10, 4))
-        assert prepared_nbytes(ExactBackend(), key) == key.nbytes
+        assert backend.prepared_nbytes(key) == 3 * 10 * 4 * 8

@@ -30,6 +30,7 @@ from repro.serve import (
     TelemetryOp,
     UnknownSessionError,
 )
+from repro.serve import scheduler as scheduler_mod
 
 N, D = 48, 12
 
@@ -261,18 +262,21 @@ class TestClusterTelemetry:
             assert cluster.session_stats("s0").calls >= 1
 
 
-    def test_one_shard_aggregate_renders_like_its_shard(self):
+    def test_one_shard_aggregate_renders_like_its_shard(self, monkeypatch):
         """The aggregate is rendered from the merged books by the
         server's own snapshot code, so a one-shard cluster's aggregate
         has every key of its shard's snapshot with the same value —
         ``mean_batch_size`` included, which counts failed requests."""
+        kernel = scheduler_mod.attend_many_ragged
 
-        class FailsOnNegativeQuery(ExactBackend):
-            def attend_many(self, key, value, queries):
-                if queries[0, 0] < 0:
-                    raise RuntimeError("injected dispatch failure")
-                return super().attend_many(key, value, queries)
+        def fails_on_negative_query(backends, keys, values, queries, *a, **kw):
+            if queries[0, 0] < 0:
+                raise RuntimeError("injected dispatch failure")
+            return kernel(backends, keys, values, queries, *a, **kw)
 
+        monkeypatch.setattr(
+            scheduler_mod, "attend_many_ragged", fails_on_negative_query
+        )
         cluster = ShardedAttentionServer(
             ClusterConfig(
                 num_shards=1,
@@ -281,7 +285,6 @@ class TestClusterTelemetry:
                     num_workers=1,
                 ),
             ),
-            backend_factory=FailsOnNegativeQuery,
         )
         key, value = _memory(30)
         cluster.register_session("s", key, value)
@@ -346,7 +349,12 @@ class TestSpawnMode:
     """The process-backed shards speak the same protocol for real."""
 
     def test_spawned_cluster_serves_bit_identically(self):
-        cluster = _cluster(shards=2, spawn=True)
+        """The six rows of one ``attend_many`` form exactly one batch —
+        a cap of six and a fill wait far longer than their arrival
+        spread — so the child's answer is bit-identical to one direct
+        six-row dispatch (a split batch changes the GEMM shapes and
+        with them the roundoff)."""
+        cluster = _cluster(shards=2, spawn=True, max_batch=6, wait=10.0)
         key, value = _memory(21)
         cluster.register_session("p0", key, value)
         cluster.register_session("p1", *_memory(22))
@@ -365,6 +373,8 @@ class TestSpawnMode:
                 assert cluster.session_stats("p0").calls == 6
                 snap = cluster.snapshot()
                 assert snap["cluster"]["completed"] == 6
+                child = snap["shards"][cluster.session_shard("p0")]
+                assert child["batch_size_histogram"] == {"6": 1}
         finally:
             cluster.stop(timeout=10.0)
 
@@ -441,13 +451,6 @@ class TestSpawnMode:
         assert snap["cluster"]["completed"] == 3
         assert snap["cluster"]["selection"]["calls"] == 3
 
-    def test_spawn_rejects_backend_factory(self):
-        with pytest.raises(ConfigError):
-            ShardedAttentionServer(
-                ClusterConfig(num_shards=1, spawn=True),
-                backend_factory=ExactBackend,
-            )
-
 
 class TestServedWorkloadThroughCluster:
     def test_kv_evaluation_matches_direct(self, tiny_kv):
@@ -463,9 +466,9 @@ class TestServedWorkloadThroughCluster:
                     ),
                     num_workers=2,
                     cache_capacity_bytes=None,
+                    default_tier="exact",
                 ),
             ),
-            backend_factory=ExactBackend,
         )
         direct = tiny_kv.evaluate(ExactBackend(), limit=10)
         with cluster:
@@ -489,9 +492,9 @@ class TestServedWorkloadThroughCluster:
                     ),
                     num_workers=2,
                     cache_capacity_bytes=None,
+                    default_tier="exact",
                 ),
             ),
-            backend_factory=ExactBackend,
         )
         direct = tiny_kv.evaluate(ExactBackend(), limit=6)
         with cluster:

@@ -621,6 +621,53 @@ class TestAsyncClient:
 
         asyncio.run(drive())
 
+    def test_oversized_request_fails_locally(self):
+        """``max_payload_bytes`` bounds requests as on the sync client:
+        an oversized frame raises before anything is sent."""
+        ours, theirs = socket.socketpair()
+        key, value = _memory(20, n=64, d=8)
+
+        async def drive():
+            reader, writer = await asyncio.open_connection(sock=ours)
+            async with AsyncAttentionClient(
+                reader, writer, max_payload_bytes=1024
+            ) as client:
+                with pytest.raises(protocol.FrameTooLargeError):
+                    await asyncio.wait_for(
+                        client.register_session("s", key, value), 5.0
+                    )
+
+        asyncio.run(drive())
+        # Nothing but the goodbye was shipped.
+        frames = _recv_frames(theirs, 2)
+        assert [opcode for opcode, _, _ in frames] == [protocol.OP_GOODBYE]
+        theirs.close()
+
+    def test_aclose_fails_stranded_requests_as_closed(self):
+        """The caller's own close is final, as on the sync client: an
+        attend in flight at ``aclose`` fails with ``ServerClosedError``,
+        not with a retryable connection loss."""
+        ours, theirs = socket.socketpair()
+        theirs.setblocking(False)
+
+        async def drive():
+            reader, writer = await asyncio.open_connection(sock=ours)
+            client = AsyncAttentionClient(
+                reader, writer, max_payload_bytes=protocol.MAX_PAYLOAD_BYTES
+            )
+            attend = asyncio.ensure_future(
+                client.attend_many("s", np.zeros((1, D)))
+            )
+            # The attend frame reached the peer, so it is in flight.
+            loop = asyncio.get_running_loop()
+            assert await loop.sock_recv(theirs, 1 << 16)
+            await client.aclose()
+            with pytest.raises(ServerClosedError):
+                await asyncio.wait_for(attend, 5.0)
+
+        asyncio.run(drive())
+        theirs.close()
+
 
 class TestAddressParsing:
     def test_forms(self):

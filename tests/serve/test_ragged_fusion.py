@@ -6,10 +6,9 @@ to per-session dispatch — every segment of a fused batch, replayed
 through a fresh backend at the batch's tier, reproduces the served rows
 exactly — on a single server and on a 2-shard cluster in both thread
 and spawn modes, at all three quality tiers, including score ties and
-mixed segment sizes.  Plus the grouping rules: fusable servers stamp
-cross-session :class:`~repro.serve.request.BatchKey`\\ s, a server that
-cannot fuse groups per session, and config-incompatible traffic falls
-back to per-session dispatch under the same claim.
+mixed segment sizes.  Plus the grouping rule: every server stamps
+cross-session :class:`~repro.serve.request.BatchKey`\\ s of tier and
+query width, so only sessions of equal width share a batch.
 """
 
 import itertools
@@ -24,13 +23,11 @@ from repro.core.backends import ApproximateBackend
 from repro.core.config import TIERS, aggressive, conservative, exact
 from repro.serve import (
     AttentionServer,
-    BatchKey,
     BatchPolicy,
     ClusterConfig,
     ServerConfig,
     ShardedAttentionServer,
 )
-from repro.serve.request import AttentionRequest
 
 D = 8
 
@@ -291,72 +288,14 @@ class TestClusterFusedBitIdentity:
 
 
 # ----------------------------------------------------------------------
-# grouping rules: the BatchKey surface and the fallbacks
+# grouping rule: the BatchKey surface
 # ----------------------------------------------------------------------
 
 
 class TestFusionGrouping:
-    def test_fusion_off_keeps_per_session_batches(self, batch_log):
-        """A server that cannot fuse (here: a custom backend factory)
-        groups per session: per-session keys, every batch a single
-        segment, and outputs still bit-identical to direct
-        evaluation."""
-        server = AttentionServer(
-            ServerConfig(
-                batch=BatchPolicy(max_batch_size=32, max_wait_seconds=0.0),
-                num_workers=1,
-            ),
-            backend_factory=lambda: ApproximateBackend(
-                conservative(), engine="vectorized"
-            ),
-        )
-        rng = np.random.default_rng(31)
-        sessions = {}
-        for s, (key, value) in enumerate(_memories(rng, [12, 18])):
-            sid = f"unfused-{s}"
-            server.register_session(sid, key, value)
-            sessions[sid] = (key, value, rng.normal(size=(3, D)))
-        requests = {}
-        for sid, (_, _, queries) in sessions.items():
-            for q in queries:
-                req = server.submit(sid, q)
-                assert not req.batch_key.fused
-                assert req.batch_key.session_id == sid
-                requests.setdefault(sid, []).append(req)
-        with server:
-            outputs = {
-                sid: np.stack([r.result(10.0) for r in reqs])
-                for sid, reqs in requests.items()
-            }
-        snap = server.snapshot()
-        assert snap["fused"]["fused_batches"] == 0
-        assert snap["fused"]["max_segments"] == 1
-        assert {sid for sid, _, _ in batch_log(server)} == set(sessions)
-        for sid, (key, value, queries) in sessions.items():
-            np.testing.assert_array_equal(
-                outputs[sid], _direct("conservative", key, value, queries)
-            )
-
-    def test_custom_backend_factory_disables_fusion(self):
-        """A custom backend factory gives no ragged-support guarantee,
-        so submissions get conservative per-session keys."""
-        server = AttentionServer(
-            _server_config(),
-            backend_factory=lambda: ApproximateBackend(
-                conservative(), engine="vectorized"
-            ),
-        )
-        rng = np.random.default_rng(2)
-        server.register_session(
-            "s", rng.normal(size=(8, D)), rng.normal(size=(8, D))
-        )
-        request = server.submit("s", np.zeros(D))
-        assert not request.batch_key.fused
-        server.stop()
-
     def test_mismatched_width_never_fuses(self):
-        """Sessions of different query width land under different keys
-        even on a fusable server — a ragged slab needs one width."""
+        """Sessions of different query width land under different
+        cross-session keys — a ragged slab needs one width."""
         server = AttentionServer(_server_config())
         rng = np.random.default_rng(3)
         server.register_session(
@@ -370,49 +309,3 @@ class TestFusionGrouping:
         assert a.batch_key.fused and b.batch_key.fused
         assert a.batch_key != b.batch_key
         server.stop()
-
-    def test_non_ragged_backends_fall_back_per_segment(self):
-        """A fused group whose backends cannot run the ragged kernel
-        (here: the loop engine) dispatches per segment under the same
-        claim — results match per-session evaluation on that engine."""
-        server = AttentionServer(
-            ServerConfig(
-                batch=BatchPolicy(max_batch_size=32, max_wait_seconds=0.0),
-                num_workers=1,
-                engine="efficient",
-            )
-        )
-        rng = np.random.default_rng(5)
-        sessions = {}
-        for s, (key, value) in enumerate(_memories(rng, [10, 14])):
-            sid = f"loop-{s}"
-            server.register_session(sid, key, value)
-            sessions[sid] = (key, value, rng.normal(size=(2, D)))
-        # Force a fused group despite the non-vectorized engine: craft
-        # the shared cross-session key by hand and feed the batcher
-        # directly, exactly what a future fusable submit path would do.
-        shared = BatchKey(tier="conservative", d=D)
-        requests = {}
-        rid = 0
-        for sid, (_, _, queries) in sessions.items():
-            for q in queries:
-                request = AttentionRequest(
-                    session_id=sid, query=q, tier="conservative",
-                    batch_key=shared, request_id=rid,
-                )
-                rid += 1
-                server.batcher.submit(request)
-                requests.setdefault(sid, []).append(request)
-        with server:
-            outputs = {
-                sid: np.stack([r.result(10.0) for r in reqs])
-                for sid, reqs in requests.items()
-            }
-        # One claimed batch, two segments, dispatched per session.
-        assert server.stats.fused_segment_counts == {2: 1}
-        for sid, (key, value, queries) in sessions.items():
-            backend = ApproximateBackend(conservative(), engine="efficient")
-            backend.prepare(key)
-            np.testing.assert_array_equal(
-                outputs[sid], backend.attend_many(key, value, queries)
-            )

@@ -1,19 +1,19 @@
 """Scheduler dispatch: one kernel call per batch, at the tier's config.
 
 Every batch a server dispatches, whether it holds one session or
-several, is one kernel call over per-session segments, and the tier's
-config is passed per call, so one prepared key per session serves every
-tier — for the default backend and for custom factories alike.  A
-segment whose session went away or changed width while its batch was
-queued fails alone; the other segments are served bit-identically to
-direct evaluation, and each request counts once.  Each batch records
-the queue depth at its claim, its own requests included.
+several, is one ragged kernel call over per-session segments, and the
+tier's config is passed per call, so one prepared key per session
+serves every tier.  A segment whose session went away or changed width
+while its batch was queued fails alone; the other segments are served
+bit-identically to direct evaluation, and each request counts once.
+Each batch records the queue depth at its claim, its own requests
+included.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.backends import ApproximateBackend, ExactBackend
+from repro.core.backends import ApproximateBackend
 from repro.core.config import TIERS, aggressive, conservative, exact
 from repro.errors import ShapeError
 from repro.serve import (
@@ -23,6 +23,7 @@ from repro.serve import (
     UnknownSessionError,
 )
 from repro.serve import scheduler as scheduler_mod
+from repro.serve import server as server_mod
 
 D = 8
 
@@ -33,15 +34,14 @@ TIER_CONFIGS = {
 }
 
 
-def _queued_server(backend_factory=None):
+def _queued_server():
     """One worker and no fill wait: requests queued before ``start``
     dispatch in deterministic groups."""
     return AttentionServer(
         ServerConfig(
             batch=BatchPolicy(max_batch_size=32, max_wait_seconds=0.0),
             num_workers=1,
-        ),
-        backend_factory=backend_factory,
+        )
     )
 
 
@@ -75,21 +75,19 @@ class TestTierDispatch:
         return key, value, per_tier, outputs
 
     def test_each_tier_attends_at_its_config_bit_identically(self):
-        """A custom factory whose backend takes a per-call config
-        answers each tier bit-identically to a backend built at that
-        tier's config."""
-        server = _queued_server(
-            lambda: ApproximateBackend(conservative(), engine="reference")
-        )
+        """The server answers each tier bit-identically to a vectorized
+        backend built at that tier's config — the exact tier
+        included."""
+        server = _queued_server()
         key, value, per_tier, outputs = self._serve_each_tier(server, 21)
         for tier in TIERS:
-            direct = ApproximateBackend(TIER_CONFIGS[tier], engine="reference")
+            direct = ApproximateBackend(TIER_CONFIGS[tier], engine="vectorized")
             direct.prepare(key)
             np.testing.assert_array_equal(
                 outputs[tier], direct.attend_many(key, value, per_tier[tier])
             )
 
-    def test_tiers_share_the_sessions_one_prepared_key(self):
+    def test_tiers_share_the_sessions_one_prepared_key(self, monkeypatch):
         """Serving every tier builds and prepares one backend for the
         session: no tier prepares its own, and the one cache miss is
         the only one."""
@@ -100,23 +98,12 @@ class TestTierDispatch:
                 prepared.append(self)
                 return super().prepare(key)
 
-        server = _queued_server(
-            lambda: CountingBackend(conservative(), engine="reference")
-        )
+        monkeypatch.setattr(server_mod, "ApproximateBackend", CountingBackend)
+        server = _queued_server()
         self._serve_each_tier(server, 21)
+        assert prepared[0].engine == "vectorized"
         assert len(prepared) == 1
         assert server.cache.stats.misses == 1
-
-    def test_fixed_quality_factory_serves_every_tier(self):
-        """A backend without a per-call config override serves every
-        tier at its one fixed quality instead of failing."""
-        server = _queued_server(ExactBackend)
-        key, value, per_tier, outputs = self._serve_each_tier(server, 22)
-        for tier in TIERS:
-            np.testing.assert_array_equal(
-                outputs[tier],
-                ExactBackend().attend_many(key, value, per_tier[tier]),
-            )
 
     def test_every_batch_is_one_ragged_kernel_call(self, monkeypatch):
         """On a default server a one-session batch and a two-session
@@ -218,15 +205,11 @@ class TestSegmentIsolation:
         self._serve_expecting_b_to_fail(queued, ShapeError)
 
     def test_width_change_between_submits_fails_only_the_stale_request(self):
-        """Per-session grouping (a server that cannot fuse: a custom
-        backend factory): a request queued before its session was
-        re-registered at another width fails with ``ShapeError``, while
-        one queued after it is served from the new memory."""
-        server = _queued_server(
-            backend_factory=lambda: ApproximateBackend(
-                conservative(), engine="vectorized"
-            )
-        )
+        """The batch key carries the query width: a request queued
+        before its session was re-registered at another width fails
+        with ``ShapeError``, while one queued after it is served from
+        the new memory."""
+        server = _queued_server()
         rng = np.random.default_rng(37)
         server.register_session("s", *_memory(rng))
         stale = server.submit("s", rng.normal(size=D))

@@ -20,8 +20,8 @@ def kv_server():
             batch=BatchPolicy(max_batch_size=16, max_wait_seconds=0.002),
             num_workers=4,
             cache_capacity_bytes=None,
-        ),
-        backend_factory=ExactBackend,
+            default_tier="exact",
+        )
     )
     with server:
         yield server

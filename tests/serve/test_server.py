@@ -12,7 +12,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core.backends import ApproximateBackend, ExactBackend
+from repro.core.backends import ApproximateBackend
 from repro.core.config import TIERS, conservative
 from repro.errors import ConfigError, ShapeError
 from repro.serve import (
@@ -24,14 +24,14 @@ from repro.serve import (
     ServerOverloadedError,
     UnknownSessionError,
 )
+from repro.serve import scheduler as scheduler_mod
 
 
-def _server(max_batch=8, wait=0.01, workers=2, engine="vectorized", **kw):
+def _server(max_batch=8, wait=0.01, workers=2, **kw):
     return AttentionServer(
         ServerConfig(
             batch=BatchPolicy(max_batch_size=max_batch, max_wait_seconds=wait),
             num_workers=workers,
-            engine=engine,
             **kw,
         )
     )
@@ -98,7 +98,7 @@ class TestBitIdentity:
         for session_id, request_ids, tier in log:
             key, value = sessions[session_id]
             direct_backend = ApproximateBackend(
-                server.config.tier_configs()[tier], engine=server.config.engine
+                server.config.tier_configs()[tier], engine="vectorized"
             )
             direct_backend.prepare(key)
             batch_queries = np.stack(
@@ -129,11 +129,10 @@ class TestBitIdentity:
             {r.request_id: q for r, q in zip(requests, queries)},
         )
 
-    @pytest.mark.parametrize("engine", ["vectorized", "reference"])
-    def test_concurrent_load_bit_identical(self, engine, batch_log):
+    def test_concurrent_load_bit_identical(self, batch_log):
         """Nondeterministic grouping under threaded load across two
         sessions: every recorded batch replays bit-identically."""
-        server = _server(max_batch=4, wait=0.005, workers=2, engine=engine)
+        server = _server(max_batch=4, wait=0.005, workers=2)
         sessions = {
             "a": _register(server, "a", seed=1),
             "b": _register(server, "b", seed=2),
@@ -216,18 +215,16 @@ class TestBackpressureAndErrors:
         assert server.stats.submitted == 2
         server.stop(timeout=1.0)
 
-    def test_dispatch_failure_resolves_futures_with_exception(self):
-        class ExplodingBackend(ExactBackend):
-            def attend_many(self, key, value, queries):
-                raise RuntimeError("boom")
+    def test_dispatch_failure_resolves_futures_with_exception(
+        self, monkeypatch
+    ):
+        def exploding_kernel(*args, **kwargs):
+            raise RuntimeError("boom")
 
-        server = AttentionServer(
-            ServerConfig(
-                batch=BatchPolicy(max_batch_size=4, max_wait_seconds=0.0),
-                num_workers=1,
-            ),
-            backend_factory=ExplodingBackend,
+        monkeypatch.setattr(
+            scheduler_mod, "attend_many_ragged", exploding_kernel
         )
+        server = _server(max_batch=4, wait=0.0, workers=1)
         _register(server, "a")
         with server:
             request = server.submit("a", np.zeros(12))
@@ -355,14 +352,9 @@ class TestTelemetryIntegration:
         assert entry.backend.stats.traces
 
     def test_exact_backend_server(self):
-        """The server is backend-agnostic: exact serving works too."""
-        server = AttentionServer(
-            ServerConfig(
-                batch=BatchPolicy(max_batch_size=4, max_wait_seconds=0.0),
-                num_workers=1,
-            ),
-            backend_factory=ExactBackend,
-        )
+        """The exact tier is the exact-serving baseline: a server whose
+        default tier is ``"exact"`` answers exact attention."""
+        server = _server(max_batch=4, wait=0.0, workers=1, default_tier="exact")
         key, value = _register(server, "a")
         rng = np.random.default_rng(5)
         query = rng.normal(size=12)

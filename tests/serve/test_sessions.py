@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.backends import ApproximateBackend, ExactBackend
+from repro.core.backends import ApproximateBackend
 from repro.core.config import conservative
 from repro.errors import ShapeError
 from repro.serve import KeyCacheManager, UnknownSessionError
@@ -157,12 +157,16 @@ class TestCheckoutRaces:
         gate = threading.Event()
         started = threading.Event()
 
-        class SlowBackend(ExactBackend):
+        class SlowBackend(ApproximateBackend):
             def prepare(self, key):
                 started.set()
                 gate.wait(5.0)
+                super().prepare(key)
 
-        manager = KeyCacheManager(SlowBackend, capacity_bytes=None)
+        manager = KeyCacheManager(
+            lambda: SlowBackend(conservative(), engine="vectorized"),
+            capacity_bytes=None,
+        )
         rng = np.random.default_rng(0)
         old_key = rng.normal(size=(8, 4))
         new_key = rng.normal(size=(8, 4))
@@ -195,12 +199,16 @@ class TestCheckoutRaces:
         prepares = []
         gate = threading.Event()
 
-        class SlowBackend(ExactBackend):
+        class SlowBackend(ApproximateBackend):
             def prepare(self, key):
                 prepares.append(1)
                 gate.wait(5.0)
+                super().prepare(key)
 
-        manager = KeyCacheManager(SlowBackend, capacity_bytes=None)
+        manager = KeyCacheManager(
+            lambda: SlowBackend(conservative(), engine="vectorized"),
+            capacity_bytes=None,
+        )
         rng = np.random.default_rng(0)
         manager.register("a", rng.normal(size=(8, 4)), np.zeros((8, 4)))
         got = []
@@ -333,13 +341,6 @@ class TestStatsCarryover:
         merged = manager.merged_backend_stats()
         assert merged.calls == 6
         assert 0.0 < merged.candidate_fraction <= 1.0
-
-    def test_exact_backend_factory_works(self):
-        manager = KeyCacheManager(ExactBackend, capacity_bytes=None)
-        _register(manager, "a")
-        entry = manager.checkout("a")
-        manager.release(entry)
-        assert entry.nbytes == 16 * 8 * 8  # fallback: key nbytes
 
 
 class TestCacheStatsConvention:

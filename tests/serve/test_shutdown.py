@@ -7,12 +7,13 @@ close either lands before it (and is handled with the rest of the
 queue) or raises.  No outcome may depend on thread-join timing.
 """
 
+import itertools
 import threading
+import time
 
 import numpy as np
 import pytest
 
-from repro.core.backends import ExactBackend
 from repro.serve import (
     AttentionRequest,
     AttentionServer,
@@ -21,6 +22,7 @@ from repro.serve import (
     ServerClosedError,
     ServerConfig,
 )
+from repro.serve import scheduler as scheduler_mod
 
 D = 12
 
@@ -172,6 +174,32 @@ class TestServerStop:
         # And in either mode, nothing is left pending.
         assert all(r.future.done() for r in admitted)
 
+    def test_stop_returns_after_the_claimed_batch_resolves(
+        self, monkeypatch
+    ):
+        """A zero stop budget converts the backlog at once, yet ``stop``
+        returns only after the batch a worker is dispatching resolved:
+        the budget bounds the backlog, never a claimed batch."""
+        kernel = scheduler_mod.attend_many_ragged
+        entered = threading.Event()
+
+        def slow_kernel(*args, **kwargs):
+            entered.set()
+            time.sleep(0.2)  # still dispatching when the budget ends
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(scheduler_mod, "attend_many_ragged", slow_kernel)
+        server = _server(max_batch=1, wait=0.0, workers=1)
+        _register(server)
+        requests = [server.submit("a", np.zeros(D)) for _ in range(3)]
+        server.start()
+        assert entered.wait(10.0)
+        server.stop(timeout=0.0, drain=True)
+        assert requests[0].result(0).shape == (D,)
+        for request in requests[1:]:
+            with pytest.raises(ServerClosedError):
+                request.result(0)
+
     def test_submit_after_stop_raises_in_both_modes(self):
         for drain in (False, True):
             server = _server()
@@ -206,7 +234,7 @@ def _count_resolutions(requests):
 class TestPoisonedBatchResolution:
     """The exactly-once contract when failures race the close.
 
-    A poisoned batch (backend raising mid-drain) resolves its futures
+    A poisoned batch (kernel raising mid-drain) resolves its futures
     with the exception from the worker side, while ``stop`` converts
     whatever nobody claimed into rejects — and no matter how the two
     interleave, every admitted future resolves exactly once and the
@@ -214,28 +242,25 @@ class TestPoisonedBatchResolution:
     ``stop()`` or kills a worker.
     """
 
-    class _PoisonBackend(ExactBackend):
-        """Fails every dispatch after the first ``healthy`` batches."""
+    @staticmethod
+    def _poison(monkeypatch, healthy=0):
+        """Make the scheduler's kernel fail every dispatch after the
+        first ``healthy`` batches."""
+        kernel = scheduler_mod.attend_many_ragged
+        dispatched = itertools.count(1)
 
-        def __init__(self, healthy=0):
-            super().__init__()
-            self.dispatched = 0
-            self.healthy = healthy
-
-        def attend_many(self, key, value, queries):
-            self.dispatched += 1
-            if self.dispatched > self.healthy:
+        def poisoned(*args, **kwargs):
+            if next(dispatched) > healthy:
                 raise RuntimeError("injected backend failure")
-            return super().attend_many(key, value, queries)
+            return kernel(*args, **kwargs)
 
-    def test_failing_backend_mid_drain_resolves_every_future_once(self):
-        server = AttentionServer(
-            ServerConfig(
-                batch=BatchPolicy(max_batch_size=2, max_wait_seconds=0.001),
-                num_workers=2,
-            ),
-            backend_factory=lambda: self._PoisonBackend(healthy=1),
-        )
+        monkeypatch.setattr(scheduler_mod, "attend_many_ragged", poisoned)
+
+    def test_failing_backend_mid_drain_resolves_every_future_once(
+        self, monkeypatch
+    ):
+        self._poison(monkeypatch, healthy=1)
+        server = _server(max_batch=2, wait=0.001, workers=2)
         _register(server)
         # Queue the backlog before the workers exist, so the drain is
         # what dispatches it — the first batch succeeds, the rest hit
@@ -271,17 +296,14 @@ class TestPoisonedBatchResolution:
         with pytest.raises(ServerClosedError):
             requests[2].result(0)
 
-    def test_drain_timeout_conversion_races_worker_failures(self):
+    def test_drain_timeout_conversion_races_worker_failures(
+        self, monkeypatch
+    ):
         """Drain with a zero stop budget while a poisoned worker is
         dispatching: the queue conversion and the worker's exception
         path race request by request; everything still resolves."""
-        server = AttentionServer(
-            ServerConfig(
-                batch=BatchPolicy(max_batch_size=1, max_wait_seconds=0.0),
-                num_workers=1,
-            ),
-            backend_factory=self._PoisonBackend,
-        )
+        self._poison(monkeypatch)
+        server = _server(max_batch=1, wait=0.0, workers=1)
         _register(server)
         requests = [server.submit("a", np.zeros(D)) for _ in range(20)]
         server.start()
