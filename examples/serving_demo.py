@@ -216,7 +216,7 @@ def main() -> None:
 
     if args.listen:
         # Network-server mode: the demo process owns the server, wraps
-        # it in the asyncio frontend, and serves the wire protocol
+        # it in the network frontend, and serves the wire protocol
         # until a signal lands.  own_target=True means Ctrl-C drains
         # the batcher before the sockets close.
         host, port = parse_address(args.listen)

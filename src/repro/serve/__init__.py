@@ -134,6 +134,8 @@ from repro.serve.service import (
     SetTierOp,
     SnapshotOp,
     SnapshotResult,
+    SpansOp,
+    SpansResult,
     TelemetryOp,
     TelemetryResult,
     TierResult,
@@ -186,6 +188,8 @@ __all__ = [
     "SetTierOp",
     "SnapshotOp",
     "SnapshotResult",
+    "SpansOp",
+    "SpansResult",
     "TelemetryOp",
     "TelemetryResult",
     "TierResult",

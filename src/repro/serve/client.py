@@ -168,6 +168,9 @@ class AttentionClient:
             self._sock = socket.create_connection(
                 self.address, timeout=connect_timeout
             )
+            # Pipelined requests are small frames; Nagle would hold
+            # each one for the server's delayed ACK.
+            self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self.timeout = timeout
         self.tracer = tracer
         self._sock.settimeout(None)

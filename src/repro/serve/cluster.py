@@ -26,7 +26,8 @@ callers down to every replica.  Two shard flavors:
   *spawn* child, giving true multi-core parallelism.  The parent holds
   an :class:`~repro.serve.client.AttentionClient` on one end of a
   ``socket.socketpair()``; the child answers the ops as
-  :mod:`repro.serve.protocol` frames on the other end.  Requests carry
+  :mod:`repro.serve.protocol` frames on the other end, through the
+  connection loop a network frontend serves its callers with.  Requests carry
   correlation ids, so many queries stay in flight per shard and the
   child's dynamic batcher still gets to group them.  Nothing on the
   connection is pickled.
@@ -78,11 +79,10 @@ record under a ``shard`` label.
 from __future__ import annotations
 
 import multiprocessing
-import queue
 import socket
 import threading
 import time
-from concurrent.futures import Future
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -92,8 +92,8 @@ from repro.core.backends import BackendStats, KeyFingerprint
 from repro.core.config import tier_rank
 from repro.core.efficient_search import PreprocessedKey
 from repro.errors import ConfigError
-from repro.serve import protocol
 from repro.serve.client import AttentionClient
+from repro.serve.frontend import Connection
 from repro.serve.health import FaultInjector, HeartbeatMonitor
 from repro.serve.mutator import SessionMutator
 from repro.serve.observability import MetricsRegistry
@@ -118,6 +118,8 @@ from repro.serve.service import (
     SetTierOp,
     SnapshotOp,
     SnapshotResult,
+    SpansOp,
+    SpansResult,
     TelemetryOp,
     TelemetryResult,
 )
@@ -282,7 +284,7 @@ class ClusterConfig:
 #: Ops that only read telemetry; they bypass a thread shard's fault
 #: injector, so a "crashed" shard can still be reaped and its counters
 #: read, just as a dead child's banked final telemetry can.
-_TELEMETRY_OPS = (SnapshotOp, MetricsOp, SessionStatsOp, TelemetryOp)
+_TELEMETRY_OPS = (SnapshotOp, MetricsOp, SessionStatsOp, TelemetryOp, SpansOp)
 
 
 class ThreadShard(AttentionService):
@@ -351,60 +353,18 @@ class ThreadShard(AttentionService):
 
 def _shard_main(sock: socket.socket, config: ServerConfig) -> None:
     """Entry point of a spawned shard: one ``AttentionServer`` answering
-    the service ops as protocol frames on its end of a socket pair.
-
-    A blocking frame loop decodes each request; attends go through
-    :meth:`AttentionService.submit_attend` (so they meet in the child's
-    batcher), other ops run inline.  One writer thread answers, out of
-    order: a worker resolving a batch only queues its answers and goes
-    on to record the batch's trace spans, so they are there when the
-    answer lands.  A parent hang-up (or goodbye) stops the server.
+    the parent on its end of a socket pair through one
+    :class:`~repro.serve.frontend.Connection`, the loop a network caller
+    meets behind a :class:`~repro.serve.frontend.NetworkFrontend`.  A
+    parent hang-up (or goodbye) ends the connection and stops the
+    server.
     """
     server = AttentionServer(config).start()
-    service = server.service()
-    assembler = protocol.FrameAssembler()
-    answers: queue.SimpleQueue = queue.SimpleQueue()
-
-    def write() -> None:
-        while (item := answers.get()) is not None:
-            corr_id, outcome = item
-            try:
-                frame = protocol.encode_result(outcome.result(), corr_id)
-            except Exception as exc:  # noqa: BLE001 — typed error frame
-                frame = protocol.encode_error(exc, corr_id)
-            try:
-                sock.sendall(frame)
-            except OSError:
-                pass  # parent gone; the read loop sees EOF next
-
-    writer = threading.Thread(
-        target=write, name="repro-shard-writer", daemon=True
-    )
-    writer.start()
-    try:
-        while data := sock.recv(1 << 16):
-            for opcode, corr_id, payload in assembler.feed(data):
-                if opcode == protocol.OP_GOODBYE:
-                    return
-                outcome: Future = Future()
-                try:
-                    op, trace_ctx = protocol.decode_op(opcode, payload)
-                    if isinstance(op, AttendOp):
-                        outcome = service.submit_attend(op, trace_ctx)
-                    else:
-                        outcome.set_result(service.call(op))
-                except Exception as exc:  # noqa: BLE001 — answered typed
-                    outcome.set_exception(exc)
-                outcome.add_done_callback(
-                    lambda done, corr_id=corr_id: answers.put((corr_id, done))
-                )
-    except (OSError, protocol.ProtocolError):
-        pass  # the parent broke the stream: nobody is left to answer
-    finally:
-        server.stop()
-        answers.put(None)
-        writer.join(5.0)
-        sock.close()
+    with ThreadPoolExecutor(thread_name_prefix="repro-shard-op") as ops:
+        try:
+            Connection(sock, server.service(), ops).serve()
+        finally:
+            server.stop()
 
 
 class ProcessShard:
@@ -413,7 +373,8 @@ class ProcessShard:
     The parent side is an :class:`~repro.serve.client.AttentionClient`
     on one end of a ``socket.socketpair()`` whose other end the child
     inherits — no port, no path, no listening socket — the same client a
-    network caller uses, answered by :func:`_shard_main`.  ``start``,
+    network caller uses, answered by :func:`_shard_main` with the same
+    :class:`~repro.serve.frontend.Connection` loop.  ``start``,
     ``stop``, ``kill`` and ``ping`` manage the child; ``call`` and
     ``submit_attend`` carry the ops (the child is spawned on first
     use).
@@ -542,7 +503,7 @@ class ProcessShard:
         try:
             return self._live_client().call(op)
         except (ServerClosedError, ShardUnavailableError):
-            if not isinstance(op, (SnapshotOp, TelemetryOp)):
+            if not isinstance(op, (SnapshotOp, TelemetryOp, SpansOp)):
                 raise
         with self._lock:
             final = self._final or TelemetryResult(
@@ -551,6 +512,8 @@ class ProcessShard:
             if isinstance(op, SnapshotOp):
                 return SnapshotResult(snapshot=final.snapshot())
             self._final = replace(final, spans=[])
+        if isinstance(op, SpansOp):
+            return SpansResult(spans=final.spans)
         return final
 
 
@@ -1473,15 +1436,15 @@ class ShardedAttentionServer:
 
     def trace_spans(self) -> list[dict]:
         """Drain the cluster's finished spans: its own
-        ``cluster_request``/``rpc`` spans plus every shard's, fetched
-        with the shard's telemetry (retired shards' spans joined the
-        buffer when they were banked).  Each span is returned at most
-        once."""
+        ``cluster_request``/``rpc`` spans plus every shard's, each
+        shard's drained with a :class:`SpansOp` (telemetry reads drain
+        them too, and retired shards' spans joined the buffer when they
+        were banked).  Each span is returned at most once."""
         with self._lock:
             handles = dict(self._shards)
         for _, handle in sorted(handles.items()):
             try:
-                self._telemetry(handle)
+                self.tracer.absorb(handle.call(SpansOp()).spans)
             except Exception:  # noqa: BLE001 — telemetry is best-effort
                 pass
         return self.tracer.drain()

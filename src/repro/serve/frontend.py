@@ -1,18 +1,18 @@
-"""Asyncio socket front end over the transport-agnostic service core.
+"""One connection loop for every peer of the wire protocol.
 
-:class:`NetworkFrontend` puts a network on an
-:class:`~repro.serve.server.AttentionServer` or
-:class:`~repro.serve.cluster.ShardedAttentionServer`:
+:class:`Connection` serves one peer's :mod:`repro.serve.protocol`
+frames against an :class:`~repro.serve.service.AttentionService` with a
+blocking reader thread and a writer thread.  It answers network callers
+behind a :class:`NetworkFrontend`, and a cluster parent on a spawn
+shard's end of its socket pair (:func:`repro.serve.cluster._shard_main`):
 
-* **persistent connections** — one TCP connection carries any number of
-  concurrent requests, each stamped with a caller-chosen correlation id
-  (:mod:`repro.serve.protocol` framing);
-* **out-of-order responses** — a per-connection read loop decodes each
-  frame into a typed service op and starts it immediately; responses go
-  out in *completion* order.  Attend ops feed the target's existing
-  :class:`~repro.serve.batcher.DynamicBatcher` through
-  :meth:`~repro.serve.service.AttentionService.submit_attend`, so
-  network traffic batches (and cross-session fuses) with everyone
+* **persistent connections** — one connection carries any number of
+  concurrent requests, each stamped with a caller-chosen correlation id;
+* **out-of-order responses** — each frame becomes a typed service op
+  started at once; responses go out in *completion* order.  Attend ops
+  feed the target's existing :class:`~repro.serve.batcher.DynamicBatcher`
+  through :meth:`~repro.serve.service.AttentionService.submit_attend`,
+  so network traffic batches (and cross-session fuses) with everyone
   else's under the same policy, and a request's
   :class:`~repro.serve.tracing.TraceContext` rides the frame so its
   server-side span tree parents under the remote caller's span;
@@ -22,62 +22,224 @@
   with a bad version or an oversized declaration is answered and
   *skipped* (the connection survives); only an unsyncable stream (bad
   magic) closes the connection;
-* **graceful drain** — :meth:`stop` first stops accepting, then
-  resolves every in-flight correlated request — served if the target
-  can still serve it, a typed :class:`~repro.serve.request.ServerClosedError`
-  frame otherwise — and only then closes the sockets.  A client blocked
-  on a response during shutdown always gets an answer, never a dead
-  socket.  :meth:`install_signal_handlers` wires ``SIGTERM``/``SIGINT``
-  to that same path.
-
-The event loop runs on a dedicated daemon thread, so the synchronous
-serving stack (and tests) can drive the frontend without owning an
-event loop.  The frontend never starts or stops the target unless
-constructed with ``own_target=True`` (the ``serving_demo --listen``
-convenience).
+* **graceful drain** — :meth:`NetworkFrontend.stop` first stops
+  accepting, then resolves every in-flight correlated request — served
+  if the target can still serve it, a typed
+  :class:`~repro.serve.request.ServerClosedError` frame otherwise — and
+  only then closes the sockets.  A client blocked on a response during
+  shutdown always gets an answer, never a dead socket.
+  :meth:`NetworkFrontend.install_signal_handlers` wires
+  ``SIGTERM``/``SIGINT`` to that same path.
 """
 
 from __future__ import annotations
 
-import asyncio
+import functools
+import queue
 import signal
+import socket
 import threading
+import time
 from concurrent.futures import Future, ThreadPoolExecutor
 
 from repro.serve import protocol
 from repro.serve.request import ServerClosedError
 from repro.serve.service import AttendOp, AttentionService, PingOp
-from repro.serve.tracing import TraceContext
 
-__all__ = ["NetworkFrontend"]
+__all__ = ["Connection", "NetworkFrontend"]
 
-_DISCARD_CHUNK = 1 << 16
+_RECV_CHUNK = 1 << 16
 
 
-class _Connection:
-    """Loop-thread-only state of one client connection."""
+class Connection:
+    """One peer's frames, answered by a reader and a writer thread.
 
-    __slots__ = (
-        "reader", "writer", "pending", "outbox", "draining", "closed",
-        "peer",
-    )
+    :meth:`serve` is the reader: it starts each attend with
+    ``service.submit_attend`` on its own thread (admission may block
+    under ``overload="block"``, stalling this connection alone), answers
+    pings at once, and hands every other op to the shared ``executor``:
+    control ops block (registration sorts the key), and an inline one
+    would stall the attends of the other streams sharing the connection.
+    The writer sends answers in completion order and stops at its first
+    failed send.  When reading ends (hang-up, goodbye, bad framing or
+    :meth:`stop_reading`), requests in flight have until the drain
+    deadline to resolve, the rest get typed ``ServerClosedError``
+    frames, and the socket closes once the writer is done.
+    """
 
-    def __init__(self, reader, writer):
-        self.reader = reader
-        self.writer = writer
+    def __init__(
+        self,
+        sock: socket.socket,
+        service: AttentionService,
+        executor: ThreadPoolExecutor,
+        *,
+        max_payload_bytes: int = protocol.MAX_PAYLOAD_BYTES,
+        drain_timeout_seconds: float = 10.0,
+    ):
+        self.sock = sock
+        self.service = service
+        self.executor = executor
+        self.max_payload_bytes = max_payload_bytes
+        self.drain_timeout_seconds = drain_timeout_seconds
         #: correlation id -> in-flight service Future
         self.pending: dict[int, Future] = {}
-        self.outbox: asyncio.Queue = asyncio.Queue()
-        self.draining = False
-        self.closed = False
+        # Guards ``pending`` and ``_deadline``; notified as they change.
+        self._changed = threading.Condition()
+        #: ``time.monotonic()`` by which in-flight requests must resolve;
+        #: ``None`` while the connection reads.
+        self._deadline: float | None = None
+        self._outbox: queue.SimpleQueue = queue.SimpleQueue()
+        self._writer = threading.Thread(
+            target=self._write_loop, name="repro-conn-writer", daemon=True
+        )
+
+    def serve(self) -> None:
+        """Read and answer frames until reading ends, then drain and
+        close (see the class docstring).  Blocks the calling thread."""
+        self._writer.start()
         try:
-            self.peer = writer.get_extra_info("peername")
-        except Exception:  # noqa: BLE001 — telemetry only
-            self.peer = None
+            self._read_loop()
+        finally:
+            self._finish()
+
+    def stop_reading(self, deadline: float) -> None:
+        """Take no new frames; requests in flight have until
+        ``deadline`` (a ``time.monotonic()`` reading) to resolve."""
+        with self._changed:
+            if self._deadline is None or deadline < self._deadline:
+                self._deadline = deadline
+            self._changed.notify_all()
+        try:
+            self.sock.shutdown(socket.SHUT_RD)  # wakes a blocked recv
+        except OSError:
+            pass
+
+    def _read_loop(self) -> None:
+        assembler = protocol.FrameAssembler(self.max_payload_bytes)
+        data = b""
+        while self._deadline is None:
+            try:
+                frames = assembler.feed(data)
+            except (
+                protocol.FrameTooLargeError,
+                protocol.UnsupportedVersionError,
+            ) as exc:
+                # The frame boundary holds: answer, skip, go on.
+                self._answer(exc.corr_id, error=exc)
+                data = b""
+                continue
+            except protocol.BadFrameError as exc:
+                # Unsyncable: answer with corr id 0 (the protocol's "no
+                # correlation") and hang up.
+                self._answer(0, error=exc)
+                return
+            for opcode, corr_id, payload in frames:
+                if opcode == protocol.OP_GOODBYE or self._deadline is not None:
+                    return
+                self._start(corr_id, opcode, payload)
+            if frames:
+                data = b""  # a rejected header may follow them: feed again
+                continue
+            try:
+                data = self.sock.recv(_RECV_CHUNK)
+            except OSError:
+                return
+            if not data:
+                return
+
+    def _start(self, corr_id: int, opcode: int, payload: bytes) -> None:
+        # Payload garbage, a duplicate correlation id and an admission
+        # reject are each answered with a typed error frame; the frame
+        # boundary was sound, so the connection goes on.
+        try:
+            op, trace_ctx = protocol.decode_op(opcode, payload)
+            if corr_id in self.pending:
+                raise protocol.BadFrameError(
+                    f"correlation id {corr_id} is already in flight"
+                )
+            if isinstance(op, AttendOp):
+                future = self.service.submit_attend(op, trace_ctx=trace_ctx)
+            elif isinstance(op, PingOp):
+                self._answer(corr_id, self.service.call(op))
+                return
+            else:
+                future = self.executor.submit(self.service.call, op)
+        except Exception as exc:  # noqa: BLE001 — answered typed
+            self._answer(corr_id, error=exc)
+            return
+        with self._changed:
+            self.pending[corr_id] = future
+        future.add_done_callback(functools.partial(self._complete, corr_id))
+
+    def _complete(self, corr_id: int, future: Future) -> None:
+        with self._changed:
+            if self.pending.pop(corr_id, None) is None:
+                return  # already answered by the drain
+            error = future.exception()
+            result = future.result() if error is None else None
+            self._answer(corr_id, result, error)
+            self._changed.notify_all()
+
+    def _answer(self, corr_id: int, result=None, error=None) -> None:
+        self._outbox.put((corr_id, result, error))
+
+    def _write_loop(self) -> None:
+        while (item := self._outbox.get()) is not None:
+            corr_id, result, error = item
+            try:
+                if error is None:
+                    frame = protocol.encode_result(result, corr_id)
+                else:
+                    frame = protocol.encode_error(error, corr_id)
+            except Exception as exc:  # noqa: BLE001 — answered typed
+                frame = protocol.encode_error(exc, corr_id)
+            try:
+                self.sock.sendall(frame)
+            except OSError:
+                # The peer is gone: drop what is left rather than write
+                # it into a dead socket, and wake the reader.
+                self._hang_up()
+                return
+
+    def _hang_up(self) -> None:
+        try:
+            self.sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+
+    def _finish(self) -> None:
+        with self._changed:
+            if self._deadline is None:  # the peer ended the connection
+                self._deadline = time.monotonic() + self.drain_timeout_seconds
+            while self.pending:
+                left = self._deadline - time.monotonic()
+                if left <= 0:
+                    break
+                self._changed.wait(left)
+            # Whatever is still unresolved gets a typed error — the peer
+            # is never left holding a correlation id that just goes dark.
+            stranded, self.pending = list(self.pending), {}
+            for corr_id in stranded:
+                self._answer(
+                    corr_id,
+                    error=ServerClosedError("server stopped before dispatch"),
+                )
+            self._outbox.put(None)
+        # The writer gets the drain's patience again to hand the answers
+        # over; a peer that does not read them by then is cut off.
+        self._writer.join(self.drain_timeout_seconds)
+        if self._writer.is_alive():
+            self._hang_up()
+            self._writer.join()
+        self.sock.close()
 
 
 class NetworkFrontend:
     """A TCP front door for one serving target.
+
+    A listening socket and an accept thread; each accepted connection is
+    a :class:`Connection` served on its own thread, and control ops of
+    every connection share one thread pool.
 
     Parameters
     ----------
@@ -121,22 +283,16 @@ class NetworkFrontend:
         self.max_payload_bytes = max_payload_bytes
         self.drain_timeout_seconds = drain_timeout_seconds
         self.own_target = own_target
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._server: asyncio.base_events.Server | None = None
-        self._thread: threading.Thread | None = None
-        self._connections: set[_Connection] = set()
-        self._ready = threading.Event()
-        self._startup_error: BaseException | None = None
+        self._listener: socket.socket | None = None
+        self._acceptor: threading.Thread | None = None
+        #: each open connection -> the thread serving it
+        self._connections: dict[Connection, threading.Thread] = {}
+        self._executor = ThreadPoolExecutor(
+            thread_name_prefix="repro-frontend-op"
+        )
         self._bound: tuple[str, int] | None = None
         self._stopped = threading.Event()
         self._started = False
-        # One admission thread, deliberately: attend admission may
-        # *block* under the batcher's overload="block" policy, and a
-        # blocked event loop would head-of-line-stall every connection.
-        # A single thread keeps admission FIFO in frame-arrival order.
-        self._admission = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-frontend-admit"
-        )
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -144,47 +300,20 @@ class NetworkFrontend:
     def start(self) -> "NetworkFrontend":
         if self._started:
             raise RuntimeError("frontend already started")
-        self._started = True
         if self.own_target and hasattr(self.service.target, "start"):
             if not getattr(self.service.target, "running", False):
                 self.service.target.start()
-        self._thread = threading.Thread(
-            target=self._run_loop, name="repro-frontend", daemon=True
+        family = socket.AF_INET6 if ":" in self._host else socket.AF_INET
+        self._listener = socket.create_server(
+            (self._host, self._port), family=family
         )
-        self._thread.start()
-        self._ready.wait()
-        if self._startup_error is not None:
-            self._started = False
-            raise self._startup_error
+        self._bound = self._listener.getsockname()[:2]
+        self._started = True
+        self._acceptor = threading.Thread(
+            target=self._accept_loop, name="repro-frontend", daemon=True
+        )
+        self._acceptor.start()
         return self
-
-    def _run_loop(self) -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        self._loop = loop
-        try:
-            self._server = loop.run_until_complete(
-                asyncio.start_server(self._handle, self._host, self._port)
-            )
-        except BaseException as exc:  # noqa: BLE001 — surfaced to start()
-            self._startup_error = exc
-            self._ready.set()
-            loop.close()
-            return
-        sock = self._server.sockets[0]
-        self._bound = sock.getsockname()[:2]
-        self._ready.set()
-        try:
-            loop.run_forever()
-        finally:
-            tasks = asyncio.all_tasks(loop)
-            for task in tasks:
-                task.cancel()
-            if tasks:
-                loop.run_until_complete(
-                    asyncio.gather(*tasks, return_exceptions=True)
-                )
-            loop.close()
 
     @property
     def address(self) -> tuple[str, int]:
@@ -199,11 +328,7 @@ class NetworkFrontend:
 
     @property
     def running(self) -> bool:
-        return (
-            self._started
-            and not self._stopped.is_set()
-            and self._startup_error is None
-        )
+        return self._started and not self._stopped.is_set()
 
     def stop(self, drain: bool = True, timeout: float | None = None) -> None:
         """Stop accepting, drain in-flight requests, close the sockets.
@@ -222,19 +347,27 @@ class NetworkFrontend:
         patience = (
             self.drain_timeout_seconds if timeout is None else timeout
         )
-        loop = self._loop
-        if loop is not None and not loop.is_closed():
-            shutdown = asyncio.run_coroutine_threadsafe(
-                self._shutdown(drain, patience), loop
-            )
-            try:
-                shutdown.result(patience + 10.0)
-            except Exception:  # noqa: BLE001 — best-effort shutdown
-                pass
-            loop.call_soon_threadsafe(loop.stop)
-        if self._thread is not None:
-            self._thread.join(10.0)
-        self._admission.shutdown(wait=False)
+        try:
+            self._listener.shutdown(socket.SHUT_RDWR)  # wakes accept()
+        except OSError:
+            pass
+        self._listener.close()
+        self._acceptor.join(10.0)
+        deadline = time.monotonic() + (patience if drain else 0.0)
+        connections = dict(self._connections)
+        for conn in connections:
+            conn.stop_reading(deadline)
+        if self.own_target and hasattr(self.service.target, "stop"):
+            # Stopping the target resolves every admitted request's
+            # future (the server's deterministic-shutdown contract), so
+            # the drains finish promptly with real answers.
+            self.service.target.stop(patience, drain=drain)
+        # Each connection's writer gets the drain's patience again after
+        # the deadline to hand its answers over.
+        closing = deadline + self.drain_timeout_seconds
+        for thread in connections.values():
+            thread.join(max(0.0, closing - time.monotonic()))
+        self._executor.shutdown(wait=False)
         self.service.close()
 
     def __enter__(self) -> "NetworkFrontend":
@@ -266,277 +399,33 @@ class NetworkFrontend:
             previous[sig] = signal.signal(sig, handle)
         return previous
 
-    async def _shutdown(self, drain: bool, patience: float) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        connections = list(self._connections)
-        for conn in connections:
-            conn.draining = True
-        if self.own_target and hasattr(self.service.target, "stop"):
-            # Stopping the target resolves every admitted request's
-            # future (the server's deterministic-shutdown contract), so
-            # the waits below finish promptly with real answers.
-            loop = asyncio.get_running_loop()
-            await loop.run_in_executor(
-                None,
-                lambda: self.service.target.stop(patience, drain=drain),
-            )
-        deadline = asyncio.get_running_loop().time() + (
-            patience if drain else 0.0
-        )
-        for conn in connections:
-            await self._finish_connection(conn, deadline)
-
-    async def _finish_connection(self, conn: _Connection, deadline) -> None:
-        """Resolve everything in flight on one connection, then close it."""
-        loop = asyncio.get_running_loop()
-        while conn.pending and loop.time() < deadline:
-            await asyncio.sleep(0.005)
-        # Whatever is still unresolved gets a typed error — the client
-        # is never left holding a correlation id that just goes dark.
-        for corr_id in list(conn.pending):
-            conn.pending.pop(corr_id, None)
-            self._enqueue(
-                conn,
-                protocol.encode_error(
-                    ServerClosedError("server stopped before dispatch"),
-                    corr_id,
-                ),
-            )
-        await self._close_connection(conn)
-
-    async def _close_connection(self, conn: _Connection) -> None:
-        if conn.closed:
-            return
-        conn.closed = True
-        self._connections.discard(conn)
-        try:
-            while not conn.outbox.empty():
-                conn.writer.write(conn.outbox.get_nowait())
-            await conn.writer.drain()
-        except (ConnectionError, RuntimeError, OSError):
-            pass
-        try:
-            conn.writer.close()
-            await conn.writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
-
     # ------------------------------------------------------------------
     # connection handling
     # ------------------------------------------------------------------
-    async def _handle(self, reader, writer) -> None:
-        conn = _Connection(reader, writer)
-        self._connections.add(conn)
-        sender = asyncio.create_task(self._send_loop(conn))
+    def _accept_loop(self) -> None:
+        while True:
+            try:
+                sock, _ = self._listener.accept()
+            except OSError:
+                return  # the listener closed: stop() is under way
+            # Answers are small frames written as they complete; Nagle
+            # would hold each one for the peer's delayed ACK.
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            conn = Connection(
+                sock,
+                self.service,
+                self._executor,
+                max_payload_bytes=self.max_payload_bytes,
+                drain_timeout_seconds=self.drain_timeout_seconds,
+            )
+            self._connections[conn] = thread = threading.Thread(
+                target=self._serve, args=(conn,), name="repro-frontend-conn",
+                daemon=True,
+            )
+            thread.start()
+
+    def _serve(self, conn: Connection) -> None:
         try:
-            await self._read_loop(conn)
-            if not conn.draining:
-                # Client went away (EOF/goodbye/bad frame) on its own:
-                # give in-flight work a bounded chance to answer, then
-                # fail the rest — same contract as a frontend stop.
-                deadline = (
-                    asyncio.get_running_loop().time()
-                    + self.drain_timeout_seconds
-                )
-                await self._finish_connection(conn, deadline)
+            conn.serve()
         finally:
-            await self._close_connection(conn)
-            sender.cancel()
-
-    async def _send_loop(self, conn: _Connection) -> None:
-        try:
-            while True:
-                frame = await conn.outbox.get()
-                conn.writer.write(frame)
-                await conn.writer.drain()
-        except (asyncio.CancelledError, ConnectionError, OSError):
-            pass
-
-    def _enqueue(self, conn: _Connection, frame: bytes) -> None:
-        if not conn.closed:
-            conn.outbox.put_nowait(frame)
-
-    async def _read_loop(self, conn: _Connection) -> None:
-        reader = conn.reader
-        while not conn.draining:
-            try:
-                header = await reader.readexactly(protocol.HEADER.size)
-            except (asyncio.IncompleteReadError, ConnectionError, OSError):
-                return
-            try:
-                op, corr_id, length = protocol.decode_header(
-                    header, self.max_payload_bytes
-                )
-            except protocol.BadFrameError as exc:
-                # The stream cannot be resynchronized: answer (corr id
-                # unknown — 0 is the protocol's "no correlation") and
-                # close this connection.  Other connections, and the
-                # read loops serving them, are untouched.
-                self._enqueue(conn, protocol.encode_error(exc, 0))
-                return
-            except (
-                protocol.FrameTooLargeError,
-                protocol.UnsupportedVersionError,
-            ) as exc:
-                # The header layout (and so the frame boundary) is the
-                # versioned contract — skip exactly this frame's
-                # payload and keep serving the connection.
-                declared = getattr(exc, "payload_length", None)
-                if declared is None:
-                    declared = int.from_bytes(header[14:18], "big")
-                corr = int.from_bytes(header[6:14], "big")
-                self._enqueue(conn, protocol.encode_error(exc, corr))
-                if not await self._discard(reader, declared):
-                    return
-                continue
-            try:
-                payload = await reader.readexactly(length)
-            except (asyncio.IncompleteReadError, ConnectionError, OSError):
-                return
-            if op == protocol.OP_GOODBYE:
-                return
-            try:
-                service_op, trace_ctx = protocol.decode_op(op, payload)
-            except protocol.ProtocolError as exc:
-                # Payload-level garbage: the boundary was sound, so the
-                # connection loop survives — typed error, next frame.
-                self._enqueue(conn, protocol.encode_error(exc, corr_id))
-                continue
-            self._start_op(conn, corr_id, service_op, trace_ctx)
-
-    async def _discard(self, reader, count: int) -> bool:
-        """Read and drop ``count`` payload bytes of a rejected frame."""
-        remaining = count
-        while remaining > 0:
-            try:
-                chunk = await reader.read(min(remaining, _DISCARD_CHUNK))
-            except (ConnectionError, OSError):
-                return False
-            if not chunk:
-                return False
-            remaining -= len(chunk)
-        return True
-
-    def _start_op(
-        self,
-        conn: _Connection,
-        corr_id: int,
-        service_op,
-        trace_ctx: TraceContext | None,
-    ) -> None:
-        if corr_id in conn.pending:
-            self._enqueue(
-                conn,
-                protocol.encode_error(
-                    protocol.BadFrameError(
-                        f"correlation id {corr_id} is already in flight"
-                    ),
-                    corr_id,
-                ),
-            )
-            return
-        loop = asyncio.get_running_loop()
-        try:
-            if isinstance(service_op, AttendOp):
-                # The hot path: queries go into the target's dynamic
-                # batcher off-loop (admission may block under
-                # overload="block"); the gather future resolves there
-                # too.  Rejects arrive as typed error frames.
-                future = self._admit(service_op, trace_ctx)
-            elif isinstance(service_op, PingOp):
-                self._enqueue(
-                    conn, protocol.encode_result(self.service.call(service_op), corr_id)
-                )
-                return
-            else:
-                # Control ops block (registration sorts the key): run
-                # them on the default executor, tracked like attends so
-                # the drain covers them too.
-                future = _as_concurrent(
-                    loop.run_in_executor(
-                        None, self.service.call, service_op
-                    )
-                )
-        except BaseException as exc:  # noqa: BLE001 — typed reject
-            self._enqueue(conn, protocol.encode_error(exc, corr_id))
-            return
-        conn.pending[corr_id] = future
-        future.add_done_callback(
-            lambda f: _threadsafe(
-                loop, self._complete, conn, corr_id, f
-            )
-        )
-
-    def _admit(self, op: AttendOp, trace_ctx: TraceContext | None) -> Future:
-        """Run ``submit_attend`` on the admission thread, flattened to
-        one Future that resolves with the attend's result (or its
-        admission/dispatch error)."""
-        outer: Future = Future()
-
-        def admit() -> None:
-            try:
-                inner = self.service.submit_attend(op, trace_ctx=trace_ctx)
-            except BaseException as exc:  # noqa: BLE001 — typed reject
-                outer.set_exception(exc)
-                return
-
-            def copy(done) -> None:
-                error = done.exception()
-                if error is not None:
-                    outer.set_exception(error)
-                else:
-                    outer.set_result(done.result())
-
-            inner.add_done_callback(copy)
-
-        try:
-            self._admission.submit(admit)
-        except RuntimeError as exc:  # pool shut down by stop()
-            outer.set_exception(ServerClosedError(str(exc)))
-        return outer
-
-    def _complete(self, conn: _Connection, corr_id: int, future) -> None:
-        if conn.pending.pop(corr_id, None) is None:
-            return  # already answered by the drain path
-        error = future.exception()
-        try:
-            if error is not None:
-                frame = protocol.encode_error(error, corr_id)
-            else:
-                frame = protocol.encode_result(future.result(), corr_id)
-        except BaseException as exc:  # noqa: BLE001 — encoding failed
-            frame = protocol.encode_error(exc, corr_id)
-        self._enqueue(conn, frame)
-
-
-def _threadsafe(loop, callback, *args) -> None:
-    try:
-        loop.call_soon_threadsafe(callback, *args)
-    except RuntimeError:
-        pass  # loop already closed; the drain path answered everyone
-
-
-def _as_concurrent(task) -> Future:
-    """Wrap an asyncio awaitable's completion in a concurrent Future.
-
-    Keeps :meth:`_start_op`'s pending table homogeneous — everything in
-    flight is a :class:`concurrent.futures.Future`.
-    """
-    future: Future = Future()
-
-    def copy(done) -> None:
-        if done.cancelled():
-            future.set_exception(
-                ServerClosedError("server stopped before dispatch")
-            )
-            return
-        error = done.exception()
-        if error is not None:
-            future.set_exception(error)
-        else:
-            future.set_result(done.result())
-
-    task.add_done_callback(copy)
-    return future
+            self._connections.pop(conn, None)

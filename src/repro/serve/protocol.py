@@ -41,18 +41,20 @@ sessions, shutdown, invalid inputs, and the protocol's own framing
 errors each map to a distinct code, so remote callers can tell a retryable
 condition from a fatal one exactly as in-process callers do.
 
-The same frames carry two kinds of traffic: network clients talking to
-a :class:`~repro.serve.frontend.NetworkFrontend`, and a sharded
-cluster talking to its spawn shards over a socket pair (the
-shard-level ops — adoption, session stats, telemetry — serve the
-latter, but any frontend answers them too).
+The same frames carry two kinds of traffic, both answered by one
+connection loop (:class:`~repro.serve.frontend.Connection`): network
+clients talking to a :class:`~repro.serve.frontend.NetworkFrontend`,
+and a sharded cluster talking to its spawn shards over a socket pair
+(the shard-level ops — adoption, session stats, telemetry, spans —
+serve the latter, but any frontend answers them too).
 
 Opcodes, requests then responses (payload layouts in :func:`encode_op`
 and :func:`encode_result`)::
 
     0x01 attend      0x02 register        0x03 close session  0x04 mutate
     0x05 set tier    0x06 snapshot        0x07 metrics        0x08 ping
-    0x09 adopt       0x0A session stats   0x0B telemetry      0x0F goodbye
+    0x09 adopt       0x0A session stats   0x0B telemetry      0x0C spans
+    0x0F goodbye
     0x11 rows        0x12 JSON record     0x13 telemetry      0x1F error
 
 A ``0x13`` telemetry answer carries one server's books (a
@@ -107,6 +109,8 @@ from repro.serve.service import (
     SetTierOp,
     SnapshotOp,
     SnapshotResult,
+    SpansOp,
+    SpansResult,
     TelemetryOp,
     TelemetryResult,
     TierResult,
@@ -162,6 +166,7 @@ OP_PING = 0x08
 OP_ADOPT = 0x09
 OP_SESSION_STATS = 0x0A
 OP_TELEMETRY = 0x0B
+OP_SPANS = 0x0C
 OP_GOODBYE = 0x0F  # client-initiated graceful connection close
 
 OP_RESULT_ROWS = 0x11  # AttendResult: one ndarray plane
@@ -190,21 +195,23 @@ class BadFrameError(ProtocolError):
     payload, or a payload that does not decode as its op demands."""
 
 
-class UnsupportedVersionError(ProtocolError):
+class _RejectedFrameError(ProtocolError):
+    """A frame refused on its header alone: with its ``corr_id`` and
+    ``payload_length`` a reader answers it and skips exactly its
+    payload, keeping the connection."""
+
+    def __init__(self, message: str, payload_length: int = 0, corr_id: int = 0):
+        super().__init__(message)
+        self.payload_length = payload_length
+        self.corr_id = corr_id
+
+
+class UnsupportedVersionError(_RejectedFrameError):
     """The peer speaks a protocol version this build does not."""
 
 
-class FrameTooLargeError(ProtocolError):
-    """A frame declared a payload beyond the decoder's bound.
-
-    ``payload_length`` preserves the declared length so a reader that
-    trusts the frame boundary can discard exactly that many bytes and
-    keep the connection alive.
-    """
-
-    def __init__(self, message: str, payload_length: int = 0):
-        super().__init__(message)
-        self.payload_length = payload_length
+class FrameTooLargeError(_RejectedFrameError):
+    """A frame declared a payload beyond the decoder's bound."""
 
 
 class ConnectionLostError(ShardUnavailableError):
@@ -270,7 +277,8 @@ def decode_header(
     Raises :class:`BadFrameError` on bad magic (unsyncable — close the
     connection), :class:`UnsupportedVersionError` on a version mismatch
     and :class:`FrameTooLargeError` on an oversized declaration (both
-    recoverable: the boundary is still trustworthy).
+    recoverable: the boundary is still trustworthy, and the error
+    carries the frame's ``corr_id`` and ``payload_length``).
     """
     if len(header) != HEADER.size:
         raise BadFrameError(
@@ -282,13 +290,16 @@ def decode_header(
     if version != PROTOCOL_VERSION:
         raise UnsupportedVersionError(
             f"protocol version {version} not supported "
-            f"(this build speaks {PROTOCOL_VERSION})"
+            f"(this build speaks {PROTOCOL_VERSION})",
+            payload_length=length,
+            corr_id=corr_id,
         )
     if length > max_payload:
         raise FrameTooLargeError(
             f"frame declares {length} payload bytes "
             f"(bound is {max_payload})",
             payload_length=length,
+            corr_id=corr_id,
         )
     return op, corr_id, length
 
@@ -301,19 +312,25 @@ class FrameAssembler:
     :meth:`feed` exactly as :func:`decode_header` classifies them; the
     assembler is then poisoned for :class:`BadFrameError` (the stream
     position is untrustworthy) but continues across version and size
-    errors by skipping the declared payload.
+    errors by skipping the declared payload.  Frames completed before
+    a bad header come out first and the header raises on the next feed,
+    so a reader feeds ``b""`` after any feed that returned frames.
     """
 
     def __init__(self, max_payload: int = MAX_PAYLOAD_BYTES):
         self.max_payload = max_payload
         self._buffer = bytearray()
         self._skip = 0  # payload bytes of a rejected frame left to discard
+        self._error: ProtocolError | None = None  # raised by the next feed
         self._poisoned = False
 
     def feed(self, data: bytes) -> list[tuple[int, int, bytes]]:
-        if self._poisoned:
+        if self._poisoned and self._error is None:
             raise BadFrameError("stream is unsynchronized; reconnect")
         self._buffer.extend(data)
+        if self._error is not None:
+            error, self._error = self._error, None
+            raise error
         frames: list[tuple[int, int, bytes]] = []
         while True:
             if self._skip:
@@ -328,19 +345,17 @@ class FrameAssembler:
                 op, corr_id, length = decode_header(
                     bytes(self._buffer[: HEADER.size]), self.max_payload
                 )
-            except BadFrameError:
-                self._poisoned = True
-                raise
-            except FrameTooLargeError as exc:
-                del self._buffer[: HEADER.size]
-                self._skip = exc.payload_length
-                raise
-            except UnsupportedVersionError:
-                # The versioned contract covers the header layout, so
-                # the length field is still trusted for resync.
-                length = int.from_bytes(self._buffer[14:18], "big")
-                del self._buffer[: HEADER.size]
-                self._skip = length
+            except ProtocolError as exc:
+                if isinstance(exc, _RejectedFrameError):
+                    # The versioned contract covers the header layout,
+                    # so the length field is still trusted for resync.
+                    del self._buffer[: HEADER.size]
+                    self._skip = exc.payload_length
+                else:
+                    self._poisoned = True
+                if frames:
+                    self._error = exc
+                    return frames
                 raise
             if len(self._buffer) < HEADER.size + length:
                 return frames
@@ -526,6 +541,8 @@ def encode_op(
         return encode_frame(OP_SESSION_STATS, corr_id, bytes(out))
     if isinstance(op, TelemetryOp):
         return encode_frame(OP_TELEMETRY, corr_id)
+    if isinstance(op, SpansOp):
+        return encode_frame(OP_SPANS, corr_id)
     if isinstance(op, CloseSessionOp):
         _put_str(out, op.session_id)
         return encode_frame(OP_CLOSE_SESSION, corr_id, bytes(out))
@@ -618,6 +635,9 @@ def decode_op(
     if opcode == OP_TELEMETRY:
         cursor.done()
         return TelemetryOp(), None
+    if opcode == OP_SPANS:
+        cursor.done()
+        return SpansOp(), None
     if opcode == OP_CLOSE_SESSION:
         session_id = _require_session(cursor)
         cursor.done()
@@ -683,6 +703,7 @@ _JSON_RESULTS = {
     "snapshot": SnapshotResult,
     "metrics": MetricsResult,
     "pong": Pong,
+    "spans": SpansResult,
 }
 _JSON_KINDS = {cls: kind for kind, cls in _JSON_RESULTS.items()}
 
@@ -829,6 +850,4 @@ def decode_error(payload: bytes) -> Exception:
     cls = _ERRORS.get(code)
     if cls is None:
         return ReproError(f"unknown wire error code {code}: {message}")
-    if cls is FrameTooLargeError:
-        return FrameTooLargeError(message)
     return cls(message)

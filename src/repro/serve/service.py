@@ -12,14 +12,14 @@ vocabulary:
   :class:`AdoptSessionOp`, :class:`CloseSessionOp`,
   :class:`MutateSessionOp`, :class:`SetTierOp`, :class:`SnapshotOp`,
   :class:`MetricsOp`, :class:`SessionStatsOp`, :class:`TelemetryOp`,
-  :class:`PingOp` — plain frozen dataclasses describing one request
-  each.  Every field is wire-encodable (ndarrays, strings, typed
-  :class:`~repro.serve.mutator.SessionMutation` records, key
-  fingerprints);
+  :class:`SpansOp`, :class:`PingOp` — plain frozen dataclasses
+  describing one request each.  Every field is wire-encodable
+  (ndarrays, strings, typed :class:`~repro.serve.mutator.SessionMutation`
+  records, key fingerprints);
 * the **results** — :class:`AttendResult`, :class:`SessionInfo`,
   :class:`TierResult`, :class:`SnapshotResult`, :class:`MetricsResult`,
-  :class:`TelemetryResult`, :class:`Pong`, and a session's
-  :class:`~repro.core.backends.BackendStats` counters;
+  :class:`TelemetryResult`, :class:`SpansResult`, :class:`Pong`, and a
+  session's :class:`~repro.core.backends.BackendStats` counters;
 * :class:`AttentionService` — the one dispatch surface: ``call(op)``
   executes any op against the wrapped target (a single server or a
   sharded cluster) and returns its typed result, raising the serving
@@ -80,6 +80,7 @@ __all__ = [
     "MetricsOp",
     "SessionStatsOp",
     "TelemetryOp",
+    "SpansOp",
     "PingOp",
     "AttendResult",
     "SessionInfo",
@@ -87,6 +88,7 @@ __all__ = [
     "SnapshotResult",
     "MetricsResult",
     "TelemetryResult",
+    "SpansResult",
     "Pong",
     "AttentionService",
 ]
@@ -178,6 +180,14 @@ class SessionStatsOp:
 class TelemetryOp:
     """A single server's books in one read — a :class:`TelemetryResult`
     carrying the finished spans it *drains*."""
+
+    pass
+
+
+@dataclass(frozen=True)
+class SpansOp:
+    """Drain the target's finished spans alone — a trace export that
+    does not carry the books a :class:`TelemetryOp` does."""
 
     pass
 
@@ -320,6 +330,13 @@ class TelemetryResult:
             "The server's live default tier (value 1 on the active tier).",
             labelnames=("tier", *names),
         ).labels(tier=self.default_tier, **extra).set(1)
+
+
+@dataclass(frozen=True)
+class SpansResult:
+    """The finished spans a :class:`SpansOp` drained, as dicts."""
+
+    spans: list[dict]
 
 
 @dataclass(frozen=True)
@@ -513,6 +530,8 @@ class AttentionService:
         if isinstance(op, TelemetryOp):
             server = self._server(op)
             return server.telemetry(spans=server.trace_spans())
+        if isinstance(op, SpansOp):
+            return SpansResult(spans=self.target.trace_spans())
         if isinstance(op, PingOp):
             return Pong()
         raise TypeError(f"unknown service op {type(op).__name__}")

@@ -1,16 +1,19 @@
-"""End-to-end tests of the asyncio network front end.
+"""End-to-end tests of the network front end and its connection loop.
 
 The acceptance bar: responses served over a localhost socket are
 **bit-identical** to in-process ``attend_many`` — on a single server and
-on a 2-shard spawn cluster, at every quality tier.  Around that:
+on a 2-shard spawn cluster, at every quality tier (the cluster reaches
+its spawn shards through the same connection loop).  Around that:
 out-of-order correlated responses, the typed-error taxonomy on the
 wire, malformed-frame resilience (the connection loop survives
-everything except an unsyncable stream), and the graceful-drain
-contract of :meth:`NetworkFrontend.stop` — a client blocked on a
-response during shutdown receives a typed answer, never a dead socket.
+everything except an unsyncable stream), a peer that hangs up without
+reading, and the graceful-drain contract of
+:meth:`NetworkFrontend.stop` — a client blocked on a response during
+shutdown receives a typed answer, never a dead socket.
 """
 
 import asyncio
+import logging
 import socket
 import threading
 import time
@@ -92,17 +95,25 @@ def served():
 
 
 class TestBitIdentity:
-    def test_single_server_all_tiers(self, served):
-        server, _, client = served
-        key, value = _memory(3)
-        info = client.register_session("s", key, value)
-        assert (info.n, info.d, info.d_v) == (N, D, D)
-        queries = np.random.default_rng(4).normal(size=(5, D))
-        for tier in TIERS:
-            over_wire = client.attend_many("s", queries, tier=tier)
-            in_process = server.attend_many("s", queries, tier=tier)
-            assert over_wire.dtype == in_process.dtype
-            np.testing.assert_array_equal(over_wire, in_process)
+    def test_single_server_all_tiers(self):
+        """The five rows of each ``attend_many`` form exactly one batch —
+        a cap of five and a fill wait far longer than their arrival
+        spread — so the wire answer is bit-identical to the in-process
+        one (a split batch changes the GEMM shapes and with them the
+        roundoff)."""
+        with _server(max_batch=5, wait=10.0, workers=1) as server:
+            with NetworkFrontend(server) as frontend:
+                with AttentionClient(frontend.address) as client:
+                    key, value = _memory(3)
+                    info = client.register_session("s", key, value)
+                    assert (info.n, info.d, info.d_v) == (N, D, D)
+                    queries = np.random.default_rng(4).normal(size=(5, D))
+                    for tier in TIERS:
+                        over_wire = client.attend_many("s", queries, tier=tier)
+                        in_process = server.attend_many("s", queries, tier=tier)
+                        assert over_wire.dtype == in_process.dtype
+                        np.testing.assert_array_equal(over_wire, in_process)
+            assert server.snapshot()["batch_size_histogram"] == {"5": 6}
 
     def test_single_query_submit_matches(self, served):
         server, _, client = served
@@ -445,6 +456,53 @@ class TestMalformedFrames:
             assert raw.recv(1024) == b""  # server hung up
         finally:
             raw.close()
+
+
+class TestSockets:
+    def test_tcp_sockets_disable_nagle(self, served):
+        """Both ends of a TCP connection send each small frame at once:
+        Nagle would hold it for the peer's delayed ACK."""
+        _, frontend, client = served
+        assert client.ping()
+        nodelay = (socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        assert client._sock.getsockopt(*nodelay)
+        (conn,) = frontend._connections
+        assert conn.sock.getsockopt(*nodelay)
+
+    def test_dead_peer_is_dropped_without_writing_to_it(self, caplog):
+        """A client that floods attends, never reads and hangs up costs
+        nothing after the hang-up: its connection is gone within the
+        drain timeout, its unsent answers are dropped rather than
+        written into the dead socket (nothing is logged), and the next
+        client is served."""
+        caplog.set_level(logging.WARNING)
+        rng = np.random.default_rng(22)
+        key, value = rng.normal(size=(16, D)), rng.normal(size=(16, 2048))
+        with _server(max_batch=64) as server:
+            server.register_session("s", key, value)
+            with NetworkFrontend(server, drain_timeout_seconds=5.0) as front:
+                raw = socket.socket()
+                raw.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+                raw.connect(front.address)
+                raw.sendall(
+                    b"".join(
+                        protocol.encode_op(AttendOp("s", key[:1]), corr)
+                        for corr in range(1, 801)
+                    )
+                )
+                time.sleep(1.0)
+                raw.close()
+                deadline = time.monotonic() + front.drain_timeout_seconds
+                while front._connections and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                assert not front._connections
+                with AttentionClient(front.address) as client:
+                    np.testing.assert_allclose(
+                        client.attend_many("s", key[:1]),
+                        server.attend_many("s", key[:1]),
+                        atol=1e-12,
+                    )
+        assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
 
 
 class _NeverServes:

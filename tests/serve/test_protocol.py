@@ -35,6 +35,7 @@ from repro.serve.mutator import (
 from repro.serve.protocol import (
     HEADER,
     MAGIC,
+    PROTOCOL_VERSION,
     BadFrameError,
     FrameAssembler,
     FrameTooLargeError,
@@ -69,6 +70,8 @@ from repro.serve.service import (
     SetTierOp,
     SnapshotOp,
     SnapshotResult,
+    SpansOp,
+    SpansResult,
     TelemetryOp,
     TelemetryResult,
     TierResult,
@@ -340,7 +343,7 @@ class TestOpRoundTrip:
     def test_control_ops(self):
         for op in (
             SetTierOp(tier="exact"), SnapshotOp(), MetricsOp(), PingOp(),
-            TelemetryOp(),
+            TelemetryOp(), SpansOp(),
         ):
             decoded, ctx = decode_op(*_one_frame(encode_op(op, 9))[::2])
             assert decoded == op
@@ -375,6 +378,7 @@ class TestResultRoundTrip:
             TierResult(previous="exact"),
             SnapshotResult(snapshot={"a": [1, 2], "b": {"c": 0.5}}),
             MetricsResult(text="# HELP x\nx 1\n"),
+            SpansResult(spans=[{"name": "request", "attrs": {"q": 1}}]),
             Pong(),
         ]
         for result in cases:
@@ -510,6 +514,26 @@ class TestMalformedFrames:
         assert [(op, corr) for op, corr, _ in frames] == [
             (protocol.OP_PING, 8)
         ]
+
+    def test_frames_before_a_rejected_header_are_handed_out(self):
+        """A chunk with a good frame, a wrong-version frame and another
+        good frame loses none of them: the first comes out, the next
+        feed raises for the rejected header (carrying its corr id and
+        declared length), and the one after yields the third."""
+        assembler = FrameAssembler()
+        alien = HEADER.pack(MAGIC, 9, protocol.OP_PING, 2, 3) + b"abc"
+        chunk = encode_op(PingOp(), 1) + alien + encode_op(PingOp(), 3)
+        assert [corr for _, corr, _ in assembler.feed(chunk)] == [1]
+        with pytest.raises(UnsupportedVersionError) as excinfo:
+            assembler.feed(b"")
+        assert (excinfo.value.corr_id, excinfo.value.payload_length) == (2, 3)
+        assert [corr for _, corr, _ in assembler.feed(b"")] == [3]
+        with pytest.raises(FrameTooLargeError) as excinfo:
+            decode_header(
+                HEADER.pack(MAGIC, PROTOCOL_VERSION, protocol.OP_PING, 7, 64),
+                max_payload=16,
+            )
+        assert (excinfo.value.corr_id, excinfo.value.payload_length) == (7, 64)
 
     def test_chunked_reassembly(self):
         frame = encode_op(

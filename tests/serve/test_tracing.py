@@ -37,8 +37,11 @@ from repro.serve import (
     ServerConfig,
     ServerOverloadedError,
     ShardedAttentionServer,
+    ThreadShard,
     Tracer,
 )
+from repro.serve import protocol
+from repro.serve.service import SpansOp, TelemetryOp
 from repro.serve.tracing import span_index, span_roots, stage_summary
 
 N, D = 48, 12
@@ -294,6 +297,45 @@ class TestClusterTracing:
                 cluster.attend("b", rng.normal(size=D))
             spans = cluster.trace_spans()
         self._assert_full_tree(spans, completed=6)
+
+    def test_trace_export_reads_spans_without_the_books(self, monkeypatch):
+        """A trace export asks each shard for its spans alone — no
+        telemetry read, same span trees — so its answer stays small
+        however full the books are: on a server fed 128,000 recorded
+        requests the span frame is a sliver of the telemetry frame."""
+        sent = []
+        call = ThreadShard.call
+
+        def recorded(self, op, trace_ctx=None):
+            sent.append(type(op))
+            return call(self, op, trace_ctx)
+
+        monkeypatch.setattr(ThreadShard, "call", recorded)
+        cluster = _traced_cluster(spawn=False)
+        cluster.register_session("a", *_memory(9))
+        cluster.register_session("b", *_memory(10))
+        rng = np.random.default_rng(11)
+        with cluster:
+            for _ in range(3):
+                cluster.attend("a", rng.normal(size=D))
+                cluster.attend("b", rng.normal(size=D))
+            sent.clear()
+            spans = cluster.trace_spans()
+        assert sent == [SpansOp, SpansOp]
+        self._assert_full_tree(spans, completed=6)
+
+        server = _server(trace_sample_rate=1.0)
+        with server:
+            server.register_session("a", *_memory(12))
+            server.attend("a", rng.normal(size=D))
+        for _ in range(1000):
+            server.stats.record_batch([1e-3] * 128, [2e-3] * 128, 3e-3, 128)
+        service = server.service()
+        drained = service.call(SpansOp())
+        assert [r["name"] for r in span_roots(drained.spans)] == ["request"]
+        spans = protocol.encode_result(drained, 1)
+        books = protocol.encode_result(service.call(TelemetryOp()), 2)
+        assert len(spans) * 100 < len(books)
 
     def test_spawn_cluster_links_spans_across_rpc(self):
         """The acceptance bar: a sampled request into a 2-shard spawn
