@@ -142,6 +142,9 @@ class ApproximateAttention:
         self.config = config
         self.engine = engine
         self._pre: PreprocessedKey | None = None
+        # The grow-only storage behind ``_pre``'s planes, when an append
+        # laid them out (see repro.core.incremental.splice_append_grow).
+        self._planes = None
 
     # ------------------------------------------------------------------
     # key management
@@ -149,6 +152,7 @@ class ApproximateAttention:
     def preprocess(self, key: np.ndarray) -> PreprocessedKey:
         """Sort the key matrix columns off the critical path (Fig. 7 L1-5)."""
         self._pre = PreprocessedKey.build(key)
+        self._planes = None
         return self._pre
 
     @property
@@ -168,41 +172,53 @@ class ApproximateAttention:
 
         Equivalent to :meth:`preprocess` of the same key without the
         ``O(n d log n)`` column sort.  Adopted planes may be read-only;
-        the incremental splices allocate fresh private arrays, so every
-        mutation is copy-on-write and never writes through the adopted
-        buffer.
+        they are never written: the first append re-lays them into
+        private storage, and delete and replace build fresh arrays.
         """
         self._pre = pre
+        self._planes = None
         return self._pre
 
     # ------------------------------------------------------------------
     # incremental key mutation (streaming sessions)
     # ------------------------------------------------------------------
-    def append_rows(self, rows: np.ndarray) -> PreprocessedKey:
+    def append_rows(
+        self, rows: np.ndarray, *, key: np.ndarray | None = None
+    ) -> PreprocessedKey:
         """Splice ``k`` new key rows into the prepared structures.
 
         Bit-identical to ``preprocess(concatenate([key, rows]))`` — see
-        :mod:`repro.core.incremental` — at ``O(d (log n + k))`` search
-        cost instead of a full re-sort.
+        :mod:`repro.core.incremental` — without a re-sort: a one-row
+        append shifts this instance's own planes in place, others
+        re-lay them into storage with spare rows.  ``key``, when given,
+        is the caller's grown key and becomes the prepared key.
         """
-        from repro.core.incremental import splice_append
+        from repro.core.incremental import splice_append_grow
 
-        self._pre = splice_append(self.preprocessed, rows)
+        self._pre, self._planes = splice_append_grow(
+            self.preprocessed, rows, self._planes, key=key
+        )
         return self._pre
 
-    def delete_rows(self, rows) -> PreprocessedKey:
+    def delete_rows(
+        self, rows, *, key: np.ndarray | None = None
+    ) -> PreprocessedKey:
         """Remove key rows from the prepared structures (rows renumber
         densely, exactly as a fresh preprocess of the shrunken key)."""
         from repro.core.incremental import splice_delete
 
-        self._pre = splice_delete(self.preprocessed, rows)
+        self._pre = splice_delete(self.preprocessed, rows, key=key)
+        self._planes = None
         return self._pre
 
-    def replace_key(self, row: int, new_row: np.ndarray) -> PreprocessedKey:
+    def replace_key(
+        self, row: int, new_row: np.ndarray, *, key: np.ndarray | None = None
+    ) -> PreprocessedKey:
         """Replace one key row inside the prepared structures."""
         from repro.core.incremental import splice_replace
 
-        self._pre = splice_replace(self.preprocessed, row, new_row)
+        self._pre = splice_replace(self.preprocessed, row, new_row, key=key)
+        self._planes = None
         return self._pre
 
     # ------------------------------------------------------------------

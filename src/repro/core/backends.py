@@ -21,7 +21,7 @@ mixed dispatch (the serving layer's cross-session batching path).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from time import perf_counter
 from typing import Protocol
 
@@ -291,11 +291,21 @@ class ApproximateBackend:
     The preprocessing contract: callers *should* invoke :meth:`prepare`
     whenever they switch to a new key matrix (the comprehension step,
     off the critical path); ``attend``/``attend_many`` then reuse the
-    column sort, which models the BERT amortization case.  As a guard,
-    every attend verifies a cheap :class:`KeyFingerprint` of the key and
-    transparently re-prepares on mismatch — unlike the previous
-    ``id(key)``-based cache, a recycled object id can never resurrect a
-    stale sort.
+    column sort, which models the BERT amortization case.
+
+    **The key guard.**  Every attend checks that its key is the one
+    prepared, and transparently re-prepares when it is not.  The check
+    is ``O(1)`` when the caller passes the very array the prepared
+    state holds and that array is read-only — the serving layer hands
+    every dispatch its session's read-only key view, and the session
+    only ever writes past the end of a published view.  Any other key,
+    a writable one included, gets a :class:`KeyFingerprint` content
+    check, so a caller that edits its key in place between attends
+    (the same object id over new contents) still gets a fresh sort.  A
+    writable prepared key is fingerprinted when it is installed (its
+    owner may edit it later); a read-only one only if a content check
+    ever asks.  A read-only key that passes the content check becomes
+    the prepared key, so later attends pass by identity.
 
     Parameters
     ----------
@@ -308,14 +318,11 @@ class ApproximateBackend:
         how many of the true top-k rows survived the selection stages —
         the metric of Figure 13b.  (This is measurement instrumentation;
         the approximate output itself never uses the exact scores.)
-    rebuild_dirty_fraction:
-        Mutation hooks (``append_rows`` / ``delete_rows`` /
-        ``replace_key``) splice the prepared structures incrementally;
-        once the rows touched since the last full column sort exceed
-        this fraction of the key, the next mutation rebuilds from
-        scratch instead — an amortized bound on splice-debt.  ``None``
-        splices forever.  Either path is bit-identical to a fresh
-        prepare of the final key, so this is purely a cost knob.
+
+    Mutation hooks (``append_rows`` / ``delete_rows`` /
+    ``replace_key``) splice the prepared structures incrementally (see
+    :mod:`repro.core.incremental`); each ends bit-identical to a fresh
+    ``prepare`` of the mutated key.
 
     Both attend paths accept a keyword-only ``config`` override: the
     prepared column sort is independent of the operating point, so one
@@ -331,20 +338,12 @@ class ApproximateBackend:
         config: ApproximationConfig,
         engine: str = "reference",
         track_topk: int | None = None,
-        rebuild_dirty_fraction: float | None = 0.5,
     ):
         self.config = config
         self.engine = engine
         self.track_topk = track_topk
-        if rebuild_dirty_fraction is not None and rebuild_dirty_fraction < 0:
-            raise ValueError(
-                "rebuild_dirty_fraction must be >= 0 or None, got "
-                f"{rebuild_dirty_fraction}"
-            )
-        self.rebuild_dirty_fraction = rebuild_dirty_fraction
         self._attention = ApproximateAttention(config, engine=engine)
         self._fingerprint: KeyFingerprint | None = None
-        self._dirty_rows = 0
         self.stats = BackendStats()
         #: Whether this backend can join a fused multi-key
         #: :func:`attend_many_ragged` dispatch — only the vectorized
@@ -352,9 +351,15 @@ class ApproximateBackend:
         self.supports_ragged = engine == "vectorized"
 
     def prepare(self, key: np.ndarray) -> None:
-        self._attention.preprocess(key)
-        self._fingerprint = KeyFingerprint.of(key)
-        self._dirty_rows = 0
+        self._guard(self._attention.preprocess(key))
+
+    def _guard(self, pre, fingerprint: KeyFingerprint | None = None) -> None:
+        """Set the content guard for a newly installed prepared key:
+        ``fingerprint`` when the caller vouches for one, else one taken
+        now for a writable key, else none until a content check asks."""
+        if fingerprint is None and pre.key.flags.writeable:
+            fingerprint = KeyFingerprint.of(pre.key)
+        self._fingerprint = fingerprint
 
     # ------------------------------------------------------------------
     # artifact export / adoption (zero-copy prepared state)
@@ -394,130 +399,88 @@ class ApproximateBackend:
         """Install a packed artifact as this backend's prepared state —
         the zero-copy replacement for :meth:`prepare`.
 
-        The adopted planes are read-only views over the buffer; every
-        later mutation splices copy-on-write into fresh private arrays,
-        so the buffer is never written through.  ``fingerprint``, when
-        given, is checked against the packed key (``verify=False`` skips
-        the O(n d) content recompute and trusts the pairing — appropriate
-        when this process wrote the artifact itself); when omitted, the
-        fingerprint is computed from the packed key.
+        The adopted planes are read-only views over the buffer, never
+        written: the first append re-lays them into private storage, so
+        every mutation is copy-on-write.  ``fingerprint``, when given,
+        is checked against the packed key (``verify=False`` skips the
+        O(n d) content recompute and trusts the pairing — appropriate
+        when this process wrote the artifact itself) and kept as the
+        key guard.
         """
         pre = artifact.view()
-        if fingerprint is None:
-            fingerprint = KeyFingerprint.of(pre.key)
-        elif verify and not fingerprint.matches(pre.key):
+        if (
+            fingerprint is not None
+            and verify
+            and not fingerprint.matches(pre.key)
+        ):
             raise ValueError(
                 "artifact content does not match the expected key "
                 "fingerprint"
             )
-        self._attention.adopt(pre)
-        self._fingerprint = fingerprint
-        self._dirty_rows = 0
+        self._guard(self._attention.adopt(pre), fingerprint)
 
     # ------------------------------------------------------------------
     # incremental key mutation (streaming sessions)
     # ------------------------------------------------------------------
-    def append_rows(self, rows: np.ndarray) -> None:
-        """Splice new key rows into the prepared state (see
-        :mod:`repro.core.incremental`); a no-op before the first
-        ``prepare`` (the next attend builds the final key fresh)."""
-        rows = np.asarray(rows, dtype=np.float64)
-        pre = self._attention.preprocessed_or_none
-        if pre is not None and (rows.ndim != 2 or rows.shape[1] != pre.d):
-            raise ShapeError(
-                f"appended rows must be 2-D (k, d={pre.d}), got {rows.shape}"
-            )
-        self._mutate_prepared(
-            touched=rows.shape[0] if rows.ndim == 2 else 1,
-            splice=lambda: self._attention.append_rows(rows),
-            rebuild_key=lambda key: np.concatenate([key, rows]),
-        )
+    # Each hook is a no-op before the first ``prepare`` (the next attend
+    # builds the final key fresh), and validates before it writes, so a
+    # refused mutation leaves the prepared state untouched.  ``key``,
+    # when given, is the caller's copy of the mutated key: the prepared
+    # state keeps that very array instead of building its own (the
+    # serving layer's one key array per session).
 
-    def delete_rows(self, rows) -> None:
-        """Remove key rows from the prepared state (dense renumbering).
+    def append_rows(
+        self, rows: np.ndarray, *, key: np.ndarray | None = None
+    ) -> None:
+        """Splice new key rows into the prepared state."""
+        self._mutate(self._attention.append_rows, rows, key=key)
 
-        Indices are validated up front (range, duplicates, non-empty
-        survivor set) so the splice and dirty-fraction rebuild paths
-        reject exactly the same inputs — numpy would otherwise wrap a
-        negative index silently on the rebuild path.
-        """
-        from repro.core.incremental import validate_delete_rows
+    def delete_rows(self, rows, *, key: np.ndarray | None = None) -> None:
+        """Remove key rows from the prepared state (dense renumbering)."""
+        self._mutate(self._attention.delete_rows, rows, key=key)
 
-        pre = self._attention.preprocessed_or_none
-        if pre is not None:
-            rows = validate_delete_rows(rows, pre.n)
-        else:
-            rows = np.asarray(rows, dtype=np.int64).ravel()
+    def replace_key(
+        self, row: int, new_row: np.ndarray, *, key: np.ndarray | None = None
+    ) -> None:
+        """Replace one key row inside the prepared state."""
+        self._mutate(self._attention.replace_key, row, new_row, key=key)
 
-        def rebuild_key(key: np.ndarray) -> np.ndarray:
-            keep = np.ones(key.shape[0], dtype=bool)
-            keep[rows] = False
-            return key[keep]
-
-        self._mutate_prepared(
-            touched=rows.size,
-            splice=lambda: self._attention.delete_rows(rows),
-            rebuild_key=rebuild_key,
-        )
-
-    def replace_key(self, row: int, new_row: np.ndarray) -> None:
-        """Replace one key row inside the prepared state (validated up
-        front, identically on the splice and rebuild paths)."""
-        from repro.core.incremental import validate_replace_row
-
-        pre = self._attention.preprocessed_or_none
-        if pre is not None:
-            row, new_row = validate_replace_row(row, new_row, pre.n, pre.d)
-        else:
-            new_row = np.asarray(new_row, dtype=np.float64).ravel()
-
-        def rebuild_key(key: np.ndarray) -> np.ndarray:
-            out = key.copy()
-            out[row] = new_row
-            return out
-
-        self._mutate_prepared(
-            touched=1,
-            splice=lambda: self._attention.replace_key(row, new_row),
-            rebuild_key=rebuild_key,
-        )
-
-    def _mutate_prepared(self, touched: int, splice, rebuild_key) -> None:
-        """Apply one key mutation: splice, or full rebuild past the
-        dirty-fraction budget.  Both paths end bit-identical to a fresh
-        ``prepare`` of the mutated key, so the choice is pure cost."""
-        pre = self._attention.preprocessed_or_none
-        if pre is None or self._fingerprint is None:
+    def _mutate(self, splice, *args, key: np.ndarray | None) -> None:
+        if self._attention.preprocessed_or_none is None:
             return  # nothing prepared yet; the next attend starts fresh
         prof = profiling.HOOK
         t0 = perf_counter() if prof is not None else 0.0
-        if (
-            self.rebuild_dirty_fraction is not None
-            and self._dirty_rows + touched > self.rebuild_dirty_fraction * pre.n
-        ):
-            self._attention.preprocess(rebuild_key(pre.key))
-            self._dirty_rows = 0
-            if prof is not None:
-                prof.record("mutate.rebuild", perf_counter() - t0)
-        else:
-            splice()
-            self._dirty_rows += touched
-            if prof is not None:
-                prof.record("mutate.splice", perf_counter() - t0)
-        self._fingerprint = KeyFingerprint.of(
-            self._attention.preprocessed.key
-        )
+        pre = splice(*args, key=key)
+        if prof is not None:
+            prof.record("mutate.splice", perf_counter() - t0)
+        self._guard(pre)
 
     def prepared_nbytes(self, key: np.ndarray) -> int:
         """Bytes retained per prepared key — what the serving layer's
         key cache accounts capacity in: the ``(n, d)`` float64 sorted
-        values, the int64 row ids, and the float64 key copy."""
+        values, the int64 row ids, and the float64 key.  Spare rows of
+        grow-only storage are untouched address space until an append
+        lands in them, so they are not counted."""
         key = np.asarray(key)
         return 3 * key.size * 8
 
     def _ensure_prepared(self, key: np.ndarray) -> None:
-        if self._fingerprint is None or not self._fingerprint.matches(key):
-            self.prepare(key)
+        """The key guard (see the class docstring)."""
+        pre = self._attention.preprocessed_or_none
+        if pre is not None and key is pre.key and not key.flags.writeable:
+            return
+        if pre is not None:
+            if self._fingerprint is None:
+                self._fingerprint = KeyFingerprint.of(pre.key)
+            if self._fingerprint.matches(key):
+                if (
+                    isinstance(key, np.ndarray)
+                    and key.dtype == np.float64
+                    and not key.flags.writeable
+                ):
+                    self._attention.adopt(replace(pre, key=key))
+                return
+        self.prepare(key)
 
     def attend(
         self,

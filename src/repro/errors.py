@@ -9,6 +9,11 @@ class ShapeError(ReproError):
     """An input array has an incompatible shape."""
 
 
+class InvalidInputError(ReproError, ValueError):
+    """An input array holds values the operation cannot accept, such as
+    a non-finite key entry."""
+
+
 class ConfigError(ReproError):
     """A configuration object holds inconsistent or out-of-range values."""
 

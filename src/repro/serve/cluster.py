@@ -88,7 +88,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from repro.core.artifacts import ArtifactBuffer
-from repro.core.backends import BackendStats, KeyFingerprint
+from repro.core.backends import BackendStats
 from repro.core.config import tier_rank
 from repro.core.efficient_search import PreprocessedKey
 from repro.errors import ConfigError
@@ -713,12 +713,7 @@ class ShardedAttentionServer:
         fails.
         """
         key, value = validate_memory(key, value)
-        session = Session(
-            session_id=session_id,
-            key=key,
-            value=value,
-            fingerprint=KeyFingerprint.of(key),
-        )
+        session = Session(session_id, key, value)
         with self._lock:
             if self._stopped:
                 raise ServerClosedError("cluster is stopped")
@@ -826,8 +821,9 @@ class ShardedAttentionServer:
                     f"session {session_id!r} is not registered"
                 )
             # Validate parent-side first: a bad mutation must fail
-            # before anything is shipped to any shard.
-            new_key, new_value = mutation.apply(session.key, session.value)
+            # before anything is shipped to any shard.  The record grows
+            # through the same append path as a server's sessions.
+            new_key, new_value = mutation.next_memory(session)
             dead: list[str] = []
             for shard_id in list(self._replicas[session_id]):
                 try:
@@ -836,9 +832,7 @@ class ShardedAttentionServer:
                     )
                 except ShardUnavailableError:
                     dead.append(shard_id)
-            session.replace_memory(
-                new_key, new_value, KeyFingerprint.of(new_key)
-            )
+            session.replace_memory(new_key, new_value)
             for shard_id in dead:
                 self.report_shard_failure(
                     shard_id, reason="mutation fan-out failed"

@@ -12,7 +12,7 @@ request-level surface for that:
   ``(key, value)`` pair and how to drive a prepared backend's
   incremental splice hooks (:mod:`repro.core.incremental`, whose
   validators they share, so a mutation is refused identically before
-  and inside the backend);
+  and inside the backend — a non-finite key entry included);
 * :class:`SessionMutator`, a tenant-facing handle bound to one session
   on an :class:`~repro.serve.server.AttentionServer` or
   :class:`~repro.serve.cluster.ShardedAttentionServer`.
@@ -27,7 +27,12 @@ request-level surface for that:
 3. *No torn reads* — a request in flight while a mutation lands
    observes either the pre- or the post-mutation memory in full, never
    a mix of old key and new value (memory swaps are atomic with respect
-   to dispatch).
+   to dispatch).  An append never writes into published memory: its
+   rows go into the session's spare storage past the end of every
+   live ``(key, value)`` view (:meth:`~repro.serve.sessions.Session.grown`),
+   and the longer views are published with one tuple swap, so a
+   reader still holding the old views sees exactly the old memory.
+   Delete and replace publish fresh arrays.
 4. *Migration-safe* — on a sharded cluster, mutations serialize with
    rebalancing: a session moved by ``add_shard``/``remove_shard``
    arrives on its new shard with every previously applied mutation
@@ -44,7 +49,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.backends import ApproximateBackend
-from repro.core.incremental import validate_delete_rows, validate_replace_row
+from repro.core.incremental import (
+    validate_append_rows,
+    validate_delete_rows,
+    validate_replace_row,
+)
 from repro.errors import ShapeError
 
 __all__ = [
@@ -61,7 +70,10 @@ class SessionMutation:
 
     Subclasses implement ``apply`` (pure: old arrays in, new arrays
     out, with validation) and ``apply_to_backend`` (drive the prepared
-    backend's incremental splice hook).
+    backend's incremental splice hook with the mutated key).
+    :meth:`next_memory` is what the serving layer publishes: ``apply``
+    to the live memory, except that an append grows the session's own
+    storage instead of copying it.
     Instances are immutable and wire-encodable, so process-backed
     shards receive them as typed protocol frames unchanged.
     """
@@ -71,7 +83,20 @@ class SessionMutation:
     ) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
 
-    def apply_to_backend(self, backend: ApproximateBackend) -> None:
+    def next_memory(self, session) -> tuple[np.ndarray, np.ndarray]:
+        """The session's validated memory after this mutation, read-only
+        and not yet published
+        (:meth:`~repro.serve.sessions.Session.replace_memory` publishes
+        it).  ``apply`` returns fresh arrays or the live read-only
+        views, so freezing them in place is safe."""
+        memory = self.apply(*session.memory)
+        for array in memory:
+            array.flags.writeable = False
+        return memory
+
+    def apply_to_backend(
+        self, backend: ApproximateBackend, key: np.ndarray
+    ) -> None:
         raise NotImplementedError
 
 
@@ -92,14 +117,11 @@ class AppendRowsMutation(SessionMutation):
     key_rows: np.ndarray
     value_rows: np.ndarray
 
-    def apply(self, key, value):
-        key_rows = _as_matrix(self.key_rows, "appended key rows")
+    def _rows(self, key, value) -> tuple[np.ndarray, np.ndarray]:
+        key_rows = validate_append_rows(
+            _as_matrix(self.key_rows, "appended key rows"), key.shape[1]
+        )
         value_rows = _as_matrix(self.value_rows, "appended value rows")
-        if key_rows.shape[1] != key.shape[1]:
-            raise ShapeError(
-                f"appended key rows have d={key_rows.shape[1]}, session "
-                f"has d={key.shape[1]}"
-            )
         if value_rows.shape[1] != value.shape[1]:
             raise ShapeError(
                 f"appended value rows have d_v={value_rows.shape[1]}, "
@@ -112,13 +134,22 @@ class AppendRowsMutation(SessionMutation):
             )
         if key_rows.shape[0] == 0:
             raise ShapeError("append requires at least one row")
+        return key_rows, value_rows
+
+    def apply(self, key, value):
+        key_rows, value_rows = self._rows(key, value)
         return (
             np.concatenate([key, key_rows]),
             np.concatenate([value, value_rows]),
         )
 
-    def apply_to_backend(self, backend):
-        backend.append_rows(_as_matrix(self.key_rows, "appended key rows"))
+    def next_memory(self, session):
+        return session.grown(*self._rows(*session.memory))
+
+    def apply_to_backend(self, backend, key):
+        backend.append_rows(
+            _as_matrix(self.key_rows, "appended key rows"), key=key
+        )
 
 
 @dataclass(frozen=True)
@@ -137,8 +168,8 @@ class DeleteRowsMutation(SessionMutation):
         keep[rows] = False
         return key[keep], value[keep]
 
-    def apply_to_backend(self, backend):
-        backend.delete_rows(np.asarray(self.rows, dtype=np.int64))
+    def apply_to_backend(self, backend, key):
+        backend.delete_rows(np.asarray(self.rows, dtype=np.int64), key=key)
 
 
 @dataclass(frozen=True)
@@ -166,9 +197,11 @@ class ReplaceKeyMutation(SessionMutation):
             new_value[row] = value_row
         return new_key, new_value
 
-    def apply_to_backend(self, backend):
+    def apply_to_backend(self, backend, key):
         backend.replace_key(
-            int(self.row), np.asarray(self.key_row, dtype=np.float64).ravel()
+            int(self.row),
+            np.asarray(self.key_row, dtype=np.float64).ravel(),
+            key=key,
         )
 
 

@@ -9,11 +9,11 @@ against the session reuses the prepared artifacts.
 :class:`KeyCacheManager` owns those artifacts.  Each session checkout
 yields a :class:`PreparedSession` holding a dedicated
 :class:`~repro.core.backends.ApproximateBackend` whose ``prepare()`` has
-already run for the session's key; the
-:class:`~repro.core.backends.KeyFingerprint` guard inside the backend
-still protects against a tenant mutating its key array in place after
-registration (the attend transparently re-prepares on mismatch).
-Prepared artifacts are byte-accounted by the backend's
+already run for the session's key.  The prepared state holds the
+session's own read-only key view, not a copy, and every dispatch hands
+the backend that same view, so the backend's key guard passes in
+``O(1)``; content fingerprints are taken only where memory crosses a
+boundary (spill, promote, artifact adoption).  Prepared artifacts are byte-accounted by the backend's
 ``prepared_nbytes`` and evicted least-recently-used when
 the configured capacity is exceeded — sessions themselves survive
 eviction (the registration keeps the raw key/value); only the prepared
@@ -56,6 +56,7 @@ from repro.core.backends import (
     BackendStats,
     KeyFingerprint,
 )
+from repro.core.incremental import require_finite
 from repro.errors import ShapeError
 from repro.serve.observability import now
 from repro.serve.request import UnknownSessionError
@@ -86,9 +87,10 @@ def validate_memory(
 
     Shared by :meth:`KeyCacheManager.register` and the sharded cluster's
     front door, so a bad registration fails identically whether the
-    session lands in-process or on a spawned shard.  Returns float64
-    *copies* — later caller-side mutation must never corrupt in-flight
-    batches.
+    session lands in-process or on a spawned shard.  Key entries must
+    be finite (:func:`~repro.core.incremental.require_finite`); values
+    are not checked.  Returns float64 *copies* — later caller-side
+    mutation must never corrupt in-flight batches.
     """
     key = np.array(key, dtype=np.float64)
     value = np.array(value, dtype=np.float64)
@@ -99,10 +101,18 @@ def validate_memory(
             f"value shape {value.shape} does not match key rows "
             f"n={key.shape[0]}"
         )
+    require_finite(key, "key")
     return key, value
 
 
-@dataclass(eq=False)  # identity semantics; ndarray fields break __eq__
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """A read-only view of ``array`` (``array`` itself if it is one)."""
+    if array.flags.writeable:
+        array = array.view()
+        array.flags.writeable = False
+    return array
+
+
 class Session:
     """One registered tenant memory: a ``(key, value)`` pair plus metadata.
 
@@ -113,28 +123,48 @@ class Session:
     key / value:
         ``(n, d)`` key and ``(n, d_v)`` value matrices, copied at
         registration so later caller-side mutation cannot corrupt
-        in-flight batches.
+        in-flight batches.  Both are read-only views.
     fingerprint:
-        Content fingerprint of ``key`` taken at registration.
+        Content fingerprint of ``key``, computed on first use and
+        cached per memory version.  Only boundaries read it — spill
+        and promote, artifact adoption, a cluster's replica seeding —
+        never the append or dispatch path.
     retired_stats:
         Selection statistics carried over from evicted backend
         instances, so a session's totals survive cache eviction.
+
+    **Grow-only memory.**  An append (:meth:`grown`) writes its rows
+    into storage past the end of every published view and returns the
+    longer views; :meth:`replace_memory` then publishes them with one
+    tuple swap, so a reader holding the old views sees them unchanged.
+    The storage has spare rows, doubled whenever an append does not
+    fit, so appends cost ``O(k d)`` amortized.  Registration allocates
+    no spare rows; delete and replace publish fresh arrays.  Callers
+    serialize mutations of one session (``mutation_lock``, or the
+    cluster lock for a cluster's parent-side record).
     """
 
-    session_id: str
-    key: np.ndarray
-    value: np.ndarray
-    fingerprint: KeyFingerprint
-    created_at: float = field(default_factory=time.monotonic)
-    retired_stats: BackendStats = field(
-        default_factory=lambda: BackendStats(keep_traces=False), repr=False
-    )
-
-    def __post_init__(self) -> None:
-        self._memory = (self.key, self.value)
+    def __init__(
+        self,
+        session_id: str,
+        key: np.ndarray,
+        value: np.ndarray,
+        fingerprint: KeyFingerprint | None = None,
+    ) -> None:
+        self.session_id = session_id
+        self.created_at = time.monotonic()
+        self.retired_stats = BackendStats(keep_traces=False)
         # Serializes mutations of this session; dispatches synchronize
         # through the prepared entry's lock instead.
         self.mutation_lock = threading.Lock()
+        # The owned (key, value) buffers whose row prefixes the memory
+        # views, once an append has laid them out.
+        self._storage: tuple[np.ndarray, np.ndarray] | None = None
+        self._memory = (_read_only(key), _read_only(value))
+        # (key view, its fingerprint): valid while that view is live.
+        self._fingerprint = (
+            None if fingerprint is None else (self._memory[0], fingerprint)
+        )
 
     @property
     def memory(self) -> tuple[np.ndarray, np.ndarray]:
@@ -147,25 +177,74 @@ class Session:
         """
         return self._memory
 
-    def replace_memory(
-        self,
-        key: np.ndarray,
-        value: np.ndarray,
-        fingerprint: KeyFingerprint,
-    ) -> None:
-        """Swap in mutated memory arrays atomically (mutation path)."""
-        self.key = key
-        self.value = value
-        self.fingerprint = fingerprint
+    @property
+    def key(self) -> np.ndarray:
+        return self._memory[0]
+
+    @property
+    def value(self) -> np.ndarray:
+        return self._memory[1]
+
+    @property
+    def fingerprint(self) -> KeyFingerprint:
+        key = self._memory[0]
+        cached = self._fingerprint
+        if cached is None or cached[0] is not key:
+            cached = (key, KeyFingerprint.of(key))
+            self._fingerprint = cached
+        return cached[1]
+
+    def grown(
+        self, key_rows: np.ndarray, value_rows: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Write ``k`` appended row pairs past the live memory and return
+        the grown ``(key, value)`` views, not yet published.
+
+        The rows land in spare storage rows when the live views are
+        prefixes of this session's storage with room for them;
+        otherwise both matrices are re-laid into new storage of
+        ``2 (n + k)`` rows.  Rows written by an append that is never
+        published are overwritten by the next one.
+        """
+        key, value = self._memory
+        n, k = key.shape[0], key_rows.shape[0]
+        storage = self._storage
+        if (
+            storage is None
+            or key.base is not storage[0]
+            or value.base is not storage[1]
+            or n + k > storage[0].shape[0]
+        ):
+            storage = tuple(
+                np.empty((2 * (n + k), live.shape[1]), dtype=np.float64)
+                for live in (key, value)
+            )
+            storage[0][:n] = key
+            storage[1][:n] = value
+            self._storage = storage
+        key_buffer, value_buffer = storage
+        key_buffer[n : n + k] = key_rows
+        value_buffer[n : n + k] = value_rows
+        return (
+            _read_only(key_buffer[: n + k]),
+            _read_only(value_buffer[: n + k]),
+        )
+
+    def replace_memory(self, key: np.ndarray, value: np.ndarray) -> None:
+        """Publish mutated memory atomically (mutation path)."""
+        key, value = _read_only(key), _read_only(value)
+        if self._storage is not None and key.base is not self._storage[0]:
+            self._storage = None  # fresh arrays: let the old buffers go
         self._memory = (key, value)
+        self._fingerprint = None
 
     @property
     def n(self) -> int:
-        return int(self.key.shape[0])
+        return int(self._memory[0].shape[0])
 
     @property
     def d(self) -> int:
-        return int(self.key.shape[1])
+        return int(self._memory[0].shape[1])
 
     def validate_query(self, query: np.ndarray) -> np.ndarray:
         query = np.asarray(query, dtype=np.float64)
@@ -322,6 +401,14 @@ class CacheStats:
 class KeyCacheManager:
     """Session registry plus LRU cache of prepared backends.
 
+    Every prepared backend holds its session's own read-only key view
+    (a cold checkout prepares ``session.key``; a mutation hands the
+    backend the very array it publishes), so the backend's key guard
+    passes by identity on every dispatch.  Content fingerprints are
+    taken only where memory crosses a boundary: a spill records one,
+    a promote compares it, and an adopted artifact is checked against
+    the fingerprint that came with it.
+
     Parameters
     ----------
     backend_factory:
@@ -380,12 +467,7 @@ class KeyCacheManager:
     ) -> Session:
         """Register (or replace) a session's key/value memory."""
         key, value = validate_memory(key, value)
-        session = Session(
-            session_id=session_id,
-            key=key,
-            value=value,
-            fingerprint=KeyFingerprint.of(key),
-        )
+        session = Session(session_id, key, value)
         with self._lock:
             self._drop_entry(session_id, count_eviction=False)
             self._sessions[session_id] = session
@@ -419,12 +501,7 @@ class KeyCacheManager:
             )
         backend = self._factory()
         backend.adopt_artifact(artifact, fingerprint)
-        session = Session(
-            session_id=session_id,
-            key=pre.key,
-            value=value,
-            fingerprint=fingerprint,
-        )
+        session = Session(session_id, pre.key, value, fingerprint)
         entry = PreparedSession(
             session=session,
             backend=backend,
@@ -611,14 +688,16 @@ class KeyCacheManager:
         registered session, **in place**.
 
         Unlike re-registration, the prepared cache entry (when live)
-        survives: the mutation drives the backend's incremental splice
-        hooks under the entry's dispatch lock, the session's memory is
-        swapped atomically, and the entry's ``prepared_nbytes`` is
-        re-accounted as a delta (with capacity eviction re-checked) —
-        the backend instance, and therefore its accumulated selection
-        statistics, carry over.  A session without a live entry just
-        gets its memory swapped; the next checkout prepares the mutated
-        key as usual.
+        survives: the mutation builds the session's next memory (an
+        append writes past the live views, :meth:`Session.grown`),
+        drives the backend's incremental splice hooks with that very
+        key array under the entry's dispatch lock, publishes the memory
+        atomically, and re-accounts the entry's ``prepared_nbytes`` as
+        a delta (with capacity eviction re-checked) — the backend
+        instance, and therefore its accumulated selection statistics,
+        carry over.  A session without a live entry just gets its
+        memory swapped; the next checkout prepares the mutated key as
+        usual.  No content fingerprint is taken on this path.
 
         Mutations of one session serialize (per-session mutation lock)
         and are atomic with respect to dispatch: a batch in flight sees
@@ -631,9 +710,9 @@ class KeyCacheManager:
             with session.mutation_lock:
                 # The mutation lock guarantees the memory can't change
                 # under us, so validation and the new arrays are built
-                # outside every cache lock.
-                new_key, new_value = mutation.apply(*session.memory)
-                fingerprint = KeyFingerprint.of(new_key)
+                # outside every cache lock; an append's rows land past
+                # every view a reader may hold.
+                new_key, new_value = mutation.next_memory(session)
                 replaced = False
                 while True:
                     with self._lock:
@@ -649,9 +728,7 @@ class KeyCacheManager:
                             # No prepared state and nobody building one:
                             # swapping under the cache lock makes the
                             # swap atomic with any later entry install.
-                            session.replace_memory(
-                                new_key, new_value, fingerprint
-                            )
+                            session.replace_memory(new_key, new_value)
                             # Any spilled artifact is now stale.
                             self._drop_spilled(session_id)
                             return session
@@ -668,8 +745,8 @@ class KeyCacheManager:
                     # splice and the memory swap are one atomic step
                     # from the scheduler's point of view.
                     with entry.lock:
-                        mutation.apply_to_backend(entry.backend)
-                        session.replace_memory(new_key, new_value, fingerprint)
+                        mutation.apply_to_backend(entry.backend, new_key)
+                        session.replace_memory(new_key, new_value)
                     new_nbytes = entry.backend.prepared_nbytes(new_key)
                 finally:
                     with self._lock:

@@ -184,6 +184,33 @@ class TestKeyFingerprint:
             backend._attention.preprocessed.key, key
         )
 
+    def test_equal_read_only_key_is_content_checked_once(
+        self, rng, monkeypatch
+    ):
+        """A read-only key equal to the prepared one (a promoted spill's
+        session key, say) passes one content check and then becomes the
+        prepared key, so later attends pass by identity."""
+        backend = ApproximateBackend(conservative(), engine="vectorized")
+        key = rng.normal(size=(12, 4))
+        value = rng.normal(size=(12, 4))
+        backend.prepare(key)
+        pre = backend._attention.preprocessed
+        same = key.copy()
+        same.flags.writeable = False
+        calls = []
+        fingerprint = KeyFingerprint.of.__func__
+
+        def counted(cls, array):
+            calls.append(np.shape(array))
+            return fingerprint(cls, array)
+
+        monkeypatch.setattr(KeyFingerprint, "of", classmethod(counted))
+        for _ in range(3):
+            backend.attend(same, value, rng.normal(size=4))
+        assert len(calls) == 1
+        assert backend._attention.preprocessed.key is same
+        assert backend._attention.preprocessed.sorted_values is pre.sorted_values
+
 
 class TestAttendMany:
     @pytest.mark.parametrize("engine", ["reference", "efficient", "vectorized"])

@@ -8,16 +8,24 @@ drawn from a small integer grid so ties are common, which is where
 splice tie-handling could silently diverge from the stable sort.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.backends import ApproximateBackend, KeyFingerprint
+from repro.core import incremental
+from repro.core.backends import ApproximateBackend
 from repro.core.config import conservative
 from repro.core.efficient_search import PreprocessedKey
-from repro.core.incremental import splice_append, splice_delete, splice_replace
-from repro.errors import ShapeError
+from repro.core.incremental import (
+    splice_append,
+    splice_append_grow,
+    splice_delete,
+    splice_replace,
+)
+from repro.errors import InvalidInputError, ShapeError
 
 D = 5
 
@@ -118,6 +126,50 @@ class TestSpliceBitIdentity:
             splice_replace(pre, 0, rng.normal(size=D + 1))
 
 
+class TestGrowOnlyPlanes:
+    """One-row appends into the caller's own plane storage shift it in
+    place; the result must still equal a fresh build, bit for bit."""
+
+    @given(
+        seed=st.integers(0, 2**16), block_rows=st.sampled_from([1, 2, 3, 64])
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_in_place_shift_matches_fresh_build(self, seed, block_rows):
+        """Many one-row appends cross several capacity doublings; small
+        shift blocks exercise the bottom-up block order and its early
+        exit."""
+        rng = np.random.default_rng(seed)
+        key = _tie_heavy(rng, (int(rng.integers(1, 6)), D))
+        pre, buffers = PreprocessedKey.build(key), None
+        shifted = 0
+        with mock.patch.object(
+            incremental, "_SHIFT_BLOCK_BYTES", 8 * D * block_rows
+        ):
+            for _ in range(int(rng.integers(12, 40))):
+                rows = _tie_heavy(rng, (1, D))
+                before = buffers
+                pre, buffers = splice_append_grow(pre, rows, buffers)
+                shifted += buffers is before
+                key = np.concatenate([key, rows])
+                _assert_identical(pre, key)
+        assert shifted > 0
+
+    def test_append_after_prepare_or_delete_relays(self):
+        """Planes the caller does not own are never written: the first
+        append re-lays them into new storage with spare rows."""
+        rng = np.random.default_rng(6)
+        key = rng.normal(size=(4, D))
+        pre = PreprocessedKey.build(key)
+        planes = (pre.sorted_values.copy(), pre.row_ids.copy())
+        grown, buffers = splice_append_grow(pre, rng.normal(size=(1, D)), None)
+        np.testing.assert_array_equal(pre.sorted_values, planes[0])
+        np.testing.assert_array_equal(pre.row_ids, planes[1])
+        assert buffers.capacity == 10 and buffers.back(grown)
+        shrunk = splice_delete(grown, [0])
+        _, relaid = splice_append_grow(shrunk, rng.normal(size=(1, D)), buffers)
+        assert relaid is not buffers
+
+
 class TestBackendMutationHooks:
     """The serve-facing hooks: mutated backend == freshly prepared one."""
 
@@ -151,25 +203,16 @@ class TestBackendMutationHooks:
                 key[row] = new_row
         value = rng.normal(size=(key.shape[0], D))
         queries = rng.normal(size=(4, D))
+        # The spliced prepared key is the mutated key itself.
+        np.testing.assert_array_equal(
+            mutated.export_artifact().view().key, key
+        )
         fresh = ApproximateBackend(conservative(), engine="vectorized")
         fresh.prepare(key)
         np.testing.assert_array_equal(
             mutated.attend_many(key, value, queries),
             fresh.attend_many(key, value, queries),
         )
-        assert KeyFingerprint.of(key) == mutated._fingerprint
-
-    def test_dirty_fraction_triggers_rebuild(self):
-        rng = np.random.default_rng(3)
-        key = rng.normal(size=(8, D))
-        backend = ApproximateBackend(
-            conservative(), engine="vectorized", rebuild_dirty_fraction=0.25
-        )
-        backend.prepare(key)
-        backend.append_rows(rng.normal(size=(1, D)))  # 1 <= 0.25 * 8: splice
-        assert backend._dirty_rows == 1
-        backend.append_rows(rng.normal(size=(2, D)))  # 3 > 0.25 * 9: rebuild
-        assert backend._dirty_rows == 0
 
     def test_mutation_before_prepare_is_deferred(self):
         rng = np.random.default_rng(4)
@@ -180,46 +223,49 @@ class TestBackendMutationHooks:
         out = backend.attend(key, value, rng.normal(size=D))
         assert out.shape == (D,)
 
-    def test_bad_dirty_fraction_rejected(self):
-        with pytest.raises(ValueError):
-            ApproximateBackend(conservative(), rebuild_dirty_fraction=-0.1)
-
-    def test_rebuild_path_validates_like_splice_path(self):
-        """The dirty-fraction rebuild path must reject exactly what the
-        splice path rejects — a negative delete index must never wrap
-        around via numpy indexing, regardless of the hidden dirty
-        counter."""
+    @pytest.mark.parametrize("grown", [False, True], ids=["prepared", "grown"])
+    def test_refused_mutations_write_nothing(self, grown):
+        """Every hook refuses a bad mutation before it writes — a
+        negative delete index must never wrap around via numpy
+        indexing, and a non-finite key entry must never reach a sorted
+        column — whether the planes are freshly prepared or the
+        backend's own grow-only storage (where a one-row append would
+        shift them in place)."""
         rng = np.random.default_rng(5)
         key = rng.normal(size=(8, D))
 
-        def fresh(fraction):
-            backend = ApproximateBackend(
-                conservative(),
-                engine="vectorized",
-                rebuild_dirty_fraction=fraction,
-            )
-            backend.prepare(key)
+        def fresh():
+            backend = ApproximateBackend(conservative(), engine="vectorized")
+            backend.prepare(key[:6] if grown else key)
+            if grown:
+                backend.append_rows(key[6:7])  # re-lays into owned storage
+                backend.append_rows(key[7:])  # shifts in place
             return backend
 
-        for fraction in (0.5, 0.0):  # 0.0 forces the rebuild path
-            backend = fresh(fraction)
-            with pytest.raises(ShapeError):
-                backend.delete_rows([-1])
-            with pytest.raises(ShapeError):
-                backend.delete_rows([2, 2])
-            with pytest.raises(ShapeError):
-                backend.delete_rows(list(range(8)))
-            with pytest.raises(ShapeError):
-                backend.replace_key(-1, rng.normal(size=D))
-            with pytest.raises(ShapeError):
-                backend.replace_key(0, rng.normal(size=D + 1))
-            with pytest.raises(ShapeError):
-                backend.append_rows(rng.normal(size=(2, D + 1)))
-            # Rejected mutations leave the prepared state untouched.
-            value = rng.normal(size=(8, D))
-            queries = rng.normal(size=(2, D))
-            reference = fresh(0.5)
-            np.testing.assert_array_equal(
-                backend.attend_many(key, value, queries),
-                reference.attend_many(key, value, queries),
-            )
+        backend = fresh()
+        nan_row = np.full(D, np.nan)
+        with pytest.raises(ShapeError):
+            backend.delete_rows([-1])
+        with pytest.raises(ShapeError):
+            backend.delete_rows([2, 2])
+        with pytest.raises(ShapeError):
+            backend.delete_rows(list(range(8)))
+        with pytest.raises(ShapeError):
+            backend.replace_key(-1, rng.normal(size=D))
+        with pytest.raises(ShapeError):
+            backend.replace_key(0, rng.normal(size=D + 1))
+        with pytest.raises(ShapeError):
+            backend.append_rows(rng.normal(size=(2, D + 1)))
+        with pytest.raises(InvalidInputError):
+            backend.append_rows(nan_row[np.newaxis, :])
+        with pytest.raises(InvalidInputError):
+            backend.append_rows(np.full((1, D), np.inf))
+        with pytest.raises(InvalidInputError):
+            backend.replace_key(0, nan_row)
+        # Refused mutations leave the prepared state untouched.
+        value = rng.normal(size=(8, D))
+        queries = rng.normal(size=(2, D))
+        np.testing.assert_array_equal(
+            backend.attend_many(key, value, queries),
+            fresh().attend_many(key, value, queries),
+        )

@@ -9,6 +9,8 @@ in-place mutation (stats carryover, byte re-accounting, no cold miss)
 and mutation/rebalance consistency.
 """
 
+import os
+import tempfile
 import threading
 
 import numpy as np
@@ -16,9 +18,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.backends import ApproximateBackend
+from repro.core.backends import ApproximateBackend, KeyFingerprint
 from repro.core.config import conservative
-from repro.errors import ShapeError
+from repro.core.efficient_search import PreprocessedKey
+from repro.errors import InvalidInputError, ShapeError
 from repro.serve import (
     AppendRowsMutation,
     AttentionServer,
@@ -30,6 +33,7 @@ from repro.serve import (
     ShardedAttentionServer,
     UnknownSessionError,
 )
+from repro.serve.sessions import KeyCacheManager
 
 D = 6
 
@@ -404,10 +408,12 @@ class TestMutationRacingColdPrepare:
         session = manager.get("a")
         assert session.n == 20
         # The cached entry reflects the mutation: spliced prepared
-        # state, fingerprint of the final key, re-accounted bytes.
+        # state over the final key, re-accounted bytes.
         assert entry.nbytes == 3 * 20 * D * 8
         assert manager.bytes_in_use == 3 * 20 * D * 8
-        assert entry.backend._fingerprint.matches(session.key)
+        np.testing.assert_array_equal(
+            entry.backend.export_artifact().view().key, session.key
+        )
         manager.release(entry)
 
 
@@ -513,3 +519,165 @@ class TestClusterMutationConsistency:
             spawn_cluster, sid, session.key, session.value, 7
         )
         spawn_cluster.close_session(sid)
+
+
+class TestNonFiniteKeys:
+    """A NaN has no place in a sorted column: registration, append and
+    replace refuse it with a typed invalid-input error."""
+
+    def test_register_append_and_replace_refuse_nan(self, running_server):
+        rng = np.random.default_rng(11)
+        sid = "non-finite"
+        key, value = _tie_heavy(rng, (6, D)), rng.normal(size=(6, D))
+        bad = key.copy()
+        bad[2, 3] = np.nan
+        with pytest.raises(InvalidInputError):
+            running_server.register_session(sid, bad, value)
+        running_server.register_session(sid, key, value)
+        mutator = running_server.mutator(sid)
+        nan_row = _tie_heavy(rng, (1, D))
+        nan_row[0, 0] = np.nan
+        with pytest.raises(InvalidInputError):
+            mutator.append_rows(nan_row, rng.normal(size=(1, D)))
+        with pytest.raises(InvalidInputError):
+            mutator.replace_key(1, nan_row[0])
+        np.testing.assert_array_equal(running_server.cache.get(sid).key, key)
+        _assert_served_matches_fresh(running_server, sid, key, value, 12)
+        running_server.close_session(sid)
+
+
+class TestServingPathTakesNoFingerprint:
+    def test_appends_and_attends_take_no_fingerprint(self, monkeypatch):
+        """After registration and a first attend, one-row appends each
+        followed by an attend never fingerprint the key: the prepared
+        state holds the session's own read-only key view, so every key
+        guard passes by identity."""
+        rng = np.random.default_rng(13)
+        key, value = _tie_heavy(rng, (16, D)), rng.normal(size=(16, D))
+        with AttentionServer(_server_config()) as server:
+            server.register_session("s", key, value)
+            server.attend("s", rng.normal(size=D))
+            calls = []
+            fingerprint = KeyFingerprint.of.__func__
+
+            def counted(cls, array):
+                calls.append(np.shape(array))
+                return fingerprint(cls, array)
+
+            monkeypatch.setattr(KeyFingerprint, "of", classmethod(counted))
+            mutator = server.mutator("s")
+            for _ in range(50):
+                key_row = _tie_heavy(rng, (1, D))
+                value_row = rng.normal(size=(1, D))
+                mutator.append_rows(key_row, value_row)
+                key = np.concatenate([key, key_row])
+                value = np.concatenate([value, value_row])
+                server.attend("s", rng.normal(size=D))
+            assert calls == []
+            monkeypatch.undo()
+            _assert_served_matches_fresh(server, "s", key, value, 14)
+
+
+_GROW_STEPS = st.lists(
+    st.sampled_from(["append", "append", "append", "block", "delete", "replace"]),
+    max_size=6,
+)
+
+
+def _planes(artifact):
+    pre = artifact.view()
+    return (pre.sorted_values, pre.row_ids, pre.key, artifact.value_view())
+
+
+class TestGrowOnlyMemory:
+    """Session memory grows in place past every published view; the
+    property holds across capacity doublings, deletes and replaces,
+    from a registration or from an adopted heap or mmap artifact."""
+
+    @given(
+        seed=st.integers(0, 2**16),
+        start=st.sampled_from(["register", "heap", "mmap"]),
+        prefix=_GROW_STEPS,
+        suffix=_GROW_STEPS,
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_mutation_sequences_keep_every_snapshot(
+        self, seed, start, prefix, suffix
+    ):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 5))
+        memory = [_tie_heavy(rng, (n, D)), rng.normal(size=(n, D))]
+        manager = KeyCacheManager(
+            lambda: ApproximateBackend(conservative(), engine="vectorized"),
+            capacity_bytes=None,
+        )
+        with tempfile.TemporaryDirectory(prefix="repro-grow-") as tmp:
+            adopted = None
+            if start == "register":
+                manager.register("s", *memory)
+                manager.release(manager.checkout("s"))
+            else:
+                packer = ApproximateBackend(conservative(), engine="vectorized")
+                packer.prepare(memory[0])
+                artifact = packer.export_artifact(
+                    memory[1],
+                    storage=start,
+                    path=os.path.join(tmp, "s.art") if start == "mmap" else None,
+                )
+                adopted = [plane.copy() for plane in _planes(artifact)]
+                manager.register_prepared(
+                    "s", artifact, KeyFingerprint.of(memory[0])
+                )
+
+            def step(op):
+                key, value = memory
+                n = key.shape[0]
+                if op in ("append", "block"):
+                    k = 1 if op == "append" else int(rng.integers(2, 5))
+                    key_rows = _tie_heavy(rng, (k, D))
+                    value_rows = rng.normal(size=(k, D))
+                    mutation = AppendRowsMutation(key_rows, value_rows)
+                elif op == "delete" and n > 1:
+                    rows = rng.choice(n, size=int(rng.integers(1, n)), replace=False)
+                    mutation = DeleteRowsMutation(tuple(int(r) for r in rows))
+                else:
+                    row = int(rng.integers(n))
+                    mutation = ReplaceKeyMutation(
+                        row, _tie_heavy(rng, D), rng.normal(size=D)
+                    )
+                memory[:] = mutation.apply(key, value)
+                snapshot = manager.get("s").memory
+                copies = [array.copy() for array in snapshot]
+                manager.mutate("s", mutation)
+                for array, copy in zip(snapshot, copies):
+                    np.testing.assert_array_equal(array, copy)
+                session = manager.get("s")
+                np.testing.assert_array_equal(session.key, memory[0])
+                np.testing.assert_array_equal(session.value, memory[1])
+                entry = manager.checkout("s")
+                try:
+                    pre = entry.backend._attention.preprocessed
+                    fresh = PreprocessedKey.build(memory[0])
+                    np.testing.assert_array_equal(
+                        pre.sorted_values, fresh.sorted_values
+                    )
+                    np.testing.assert_array_equal(pre.row_ids, fresh.row_ids)
+                    assert pre.key is session.key  # one key array
+                    if adopted is not None:
+                        for plane, original in zip(
+                            _planes(entry.artifact), adopted
+                        ):
+                            np.testing.assert_array_equal(plane, original)
+                finally:
+                    manager.release(entry)
+
+            for op in prefix:
+                step(op)
+            # Enough one-row appends to fill whatever storage the prefix
+            # left and overflow it: at least one capacity doubling.
+            for _ in range(memory[0].shape[0] + 3):
+                step("append")
+            for op in suffix:
+                step(op)
+            manager.close("s")
+

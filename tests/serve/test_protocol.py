@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.core.backends import BackendStats, KeyFingerprint
-from repro.errors import ConfigError
+from repro.errors import ConfigError, InvalidInputError
 from repro.serve import protocol
 from repro.serve.cluster import ShardUnavailableError
 from repro.serve.mutator import (
@@ -458,6 +458,7 @@ class TestResultRoundTrip:
             (FrameTooLargeError("big", payload_length=10), FrameTooLargeError),
             (ConfigError("bad tier"), ConfigError),
             (ValueError("bad input"), ConfigError),  # ERR_INVALID bucket
+            (InvalidInputError("NaN key"), ConfigError),  # ERR_INVALID too
             (RuntimeError("boom"), protocol.ServeError),  # ERR_INTERNAL
         ]
         for error, expected_type in cases:
