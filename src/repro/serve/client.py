@@ -1,38 +1,42 @@
 """Network clients for the serving front end.
 
-Two clients over the same wire protocol (:mod:`repro.serve.protocol`):
+Two clients over the same wire protocol (:mod:`repro.serve.protocol`)
+share one private request table — correlation ids, the request bound,
+the pending map, the client span and the failure rules — and each
+keeps only its socket loop:
 
-* :class:`AttentionClient` — synchronous, thread-safe.  One persistent
-  connection (TCP, or an already-connected socket such as one end of a
-  ``socket.socketpair()``), a background reader thread, and per-request
-  correlation ids, so any number of caller threads can have requests in
-  flight concurrently and responses resolve out of order.  The surface
-  mirrors the in-process servers — ``attend`` / ``attend_many`` /
-  ``submit`` / ``register_session`` / ``close_session`` /
-  ``mutate_session`` / ``mutator`` / ``set_default_tier`` /
-  ``snapshot`` / ``metrics_text`` — so code written against an
+* :class:`AttentionClient` — synchronous, thread-safe: a reader thread
+  and ``sendall`` under a send lock, on one persistent connection (TCP,
+  or an already-connected socket such as one end of a
+  ``socket.socketpair()``).  Any number of caller threads can have
+  requests in flight; responses resolve out of order.  The surface
+  mirrors the in-process servers, so code written against an
   :class:`~repro.serve.server.AttentionServer` runs against a socket
-  unchanged (the :class:`~repro.serve.mutator.SessionMutator` fluent
-  interface duck-types over this client too).  Its op-level surface,
-  ``call(op)`` / ``submit_attend(op, trace_ctx)``, is the one an
-  :class:`~repro.serve.service.AttentionService` answers, which is what
-  makes it a cluster's handle on a spawn shard.
-* :class:`AsyncAttentionClient` — the same surface as coroutines for
-  asyncio callers.
+  unchanged (:class:`~repro.serve.mutator.SessionMutator` duck-types
+  over it too).  Its op-level surface, ``call(op)`` /
+  ``submit_attend(op, trace_ctx)``, is the one an
+  :class:`~repro.serve.service.AttentionService` answers, which makes
+  it a cluster's handle on a spawn shard.
+* :class:`AsyncAttentionClient` — the same surface as coroutines, on a
+  connected socket the event loop reads (``loop.add_reader``) and
+  callers write (``loop.sock_sendall``): no thread, no asyncio streams.
 
 Both carry the quality **tier** per request and a **trace context**:
 give the client a :class:`~repro.serve.tracing.Tracer` and every attend
 opens a local ``client_request`` span whose context rides the frame, so
 the server-side ``request → submit → …`` span tree parents under the
-remote caller's span exactly as it would in-process.
+remote caller's span exactly as it would in-process.  The table ends
+the span just before it resolves the answer.
 
 Typed errors arrive as typed exceptions: a backpressure reject raises
 :class:`~repro.serve.request.ServerOverloadedError` here, shard loss
 raises :class:`~repro.serve.request.ShardUnavailableError`, a dead
-socket raises :class:`~repro.serve.protocol.ConnectionLostError` (a
-retryable shard loss) for every request it strands, and a request still
-in flight when the caller itself closes the client fails with
-:class:`~repro.serve.request.ServerClosedError`.
+socket or a failed send raises
+:class:`~repro.serve.protocol.ConnectionLostError` (a retryable shard
+loss) for every request it strands, and a request still in flight when
+the caller itself closes the client fails with
+:class:`~repro.serve.request.ServerClosedError`.  A request its caller
+cancelled has its answer dropped; the connection serves on.
 """
 
 from __future__ import annotations
@@ -64,6 +68,7 @@ from repro.serve.tracing import TraceContext, Tracer
 __all__ = ["AttentionClient", "AsyncAttentionClient", "parse_address"]
 
 _RECV_CHUNK = 1 << 16
+_GOODBYE = protocol.encode_frame(protocol.OP_GOODBYE, 0)
 
 
 def parse_address(address, port=None) -> tuple[str, int]:
@@ -80,55 +85,165 @@ def parse_address(address, port=None) -> tuple[str, int]:
     )
 
 
-def _encode_request(op, corr_id, trace_ctx, max_payload: int) -> bytes:
-    """Encode one request frame, refusing it before anything is sent
-    when its payload exceeds ``max_payload``."""
-    frame = protocol.encode_op(op, corr_id, trace_ctx)
-    size = len(frame) - protocol.HEADER.size
-    if size > max_payload:
-        raise protocol.FrameTooLargeError(
-            f"{type(op).__name__} frame carries {size} payload bytes "
-            f"(bound is {max_payload})",
-            payload_length=size,
-        )
-    return frame
-
-
-def _stranded_error(closed: bool) -> Exception:
-    """What the requests a finished read loop strands fail with: the
-    caller's own close is final, anything else a retryable loss."""
-    if closed:
-        return ServerClosedError("client closed with requests in flight")
-    return protocol.ConnectionLostError(
-        "connection closed with requests in flight"
-    )
+def _dial(address: tuple[str, int], timeout: float = 10.0) -> socket.socket:
+    sock = socket.create_connection(address, timeout=timeout)
+    # Pipelined requests are small frames; Nagle would hold each one
+    # for the server's delayed ACK.
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    return sock
 
 
 class _TraceScope:
-    """Optional client-side root span around one network request."""
+    """A sampled ``client_request`` span around one network attend;
+    :meth:`start` gives ``None`` when no tracer samples the attend."""
 
     __slots__ = ("span", "tracer")
 
-    def __init__(self, tracer: Tracer | None, name: str, attrs: dict):
-        self.tracer = tracer
-        self.span = None
-        if tracer is not None and tracer.sample():
-            self.span = tracer.start_span(name, attrs=attrs)
-
-    @property
-    def context(self) -> TraceContext | None:
-        return self.span.context() if self.span is not None else None
+    @classmethod
+    def start(cls, tracer: Tracer | None, session_id: str):
+        if tracer is None or not tracer.sample():
+            return None
+        scope = cls()
+        scope.tracer = tracer
+        scope.span = tracer.start_span(
+            "client_request",
+            attrs={"session_id": session_id, "transport": "tcp"},
+        )
+        return scope
 
     def finish(self, error: BaseException | None) -> None:
-        if self.span is None:
-            return
         if error is not None:
             self.span.attrs["error"] = type(error).__name__
         self.tracer.record(self.span)
 
 
+def _settle(future, scope, result=None, error=None) -> None:
+    """Finish the request's span, then resolve its future (a
+    ``concurrent.futures`` or an asyncio one) unless its caller
+    cancelled it."""
+    if scope is not None:
+        scope.finish(error)
+    if isinstance(future, Future):
+        if not future.set_running_or_notify_cancel():
+            return
+    elif future.done():
+        return
+    if error is None:
+        future.set_result(result)
+    else:
+        future.set_exception(error)
+
+
+class _RequestTable:
+    """One connection's requests in flight, whichever client owns it.
+
+    The client sends the frame :meth:`open` returns and calls
+    :meth:`read` when the socket has data.  When the stream ends, every
+    request in flight fails by the stranded rule: after the caller's
+    own close (:attr:`closed`) with :class:`ServerClosedError`, else
+    with the retryable ``ConnectionLostError``.
+    """
+
+    def __init__(self, sock: socket.socket, max_payload: int):
+        self.sock = sock
+        self.assembler = protocol.FrameAssembler(max_payload)
+        self.pending: dict[int, tuple] = {}  # corr id -> (future, scope)
+        self.lock = threading.Lock()
+        self.closed = False
+        self._corr = itertools.count(1)
+        self._broken: Exception | None = None
+
+    def open(self, op, trace_ctx, future, scope=None) -> tuple[int, bytes]:
+        """Register ``future`` for ``op``; returns ``(corr_id, frame)``.
+        Refuses a payload over the bound (``FrameTooLargeError``) and a
+        closed or broken connection before anything is sent."""
+        if self.closed:
+            raise protocol.ConnectionLostError("client is closed")
+        corr_id = next(self._corr)
+        if scope is not None:
+            trace_ctx = scope.span.context()
+        frame = protocol.encode_op(op, corr_id, trace_ctx)
+        size = len(frame) - protocol.HEADER.size
+        if size > self.assembler.max_payload:
+            raise protocol.FrameTooLargeError(
+                f"{type(op).__name__} frame carries {size} payload bytes "
+                f"(bound is {self.assembler.max_payload})",
+                payload_length=size,
+            )
+        with self.lock:
+            # Checked under the lock end() records the break under, so
+            # a request racing the end of the stream is either failed
+            # there or refused here.
+            if self._broken is not None:
+                raise protocol.ConnectionLostError(str(self._broken))
+            self.pending[corr_id] = (future, scope)
+        return corr_id, frame
+
+    def read(self) -> bool:
+        """One step of the read loop: receive, reassemble, resolve.
+        ``False`` once the stream has ended."""
+        try:
+            data = self.sock.recv(_RECV_CHUNK)
+        except BlockingIOError:
+            return True  # the event loop woke us early
+        except OSError:
+            data = b""
+        if not data:
+            self.end()
+            return False
+        try:
+            frames = self.assembler.feed(data)
+            while frames:
+                for opcode, corr_id, payload in frames:
+                    try:
+                        result = protocol.decode_result(opcode, payload)
+                    except Exception as exc:  # noqa: BLE001 — wire error
+                        self.settle(corr_id, error=exc)
+                    else:
+                        self.settle(corr_id, result)
+                frames = self.assembler.feed(b"")  # a bad header may follow
+        except protocol.ProtocolError as exc:
+            # A server that breaks framing toward us is not recoverable
+            # client-side: strand everything.
+            self.end(exc)
+            return False
+        return True
+
+    def settle(self, corr_id: int, result=None, error=None) -> None:
+        with self.lock:
+            entry = self.pending.pop(corr_id, None)
+        if entry is not None:  # else the request has already failed
+            _settle(*entry, result, error)
+
+    def drop(self, corr_id: int, exc: OSError) -> None:
+        """Fail a request whose frame could not be sent with the
+        retryable ``ConnectionLostError``; its caller reads the future."""
+        self.settle(corr_id, error=protocol.ConnectionLostError(str(exc)))
+
+    def end(self, error: Exception | None = None) -> None:
+        """Fail every request in flight, and refuse new ones, with
+        ``error`` or else by the stranded rule (see the class)."""
+        if error is None:
+            if self.closed:
+                error = ServerClosedError(
+                    "client closed with requests in flight"
+                )
+            else:
+                error = protocol.ConnectionLostError(
+                    "connection closed with requests in flight"
+                )
+        with self.lock:
+            self._broken = error
+            stranded, self.pending = list(self.pending.values()), {}
+        for entry in stranded:
+            _settle(*entry, error=error)
+
+
 class AttentionClient:
     """Synchronous client for a :class:`~repro.serve.frontend.NetworkFrontend`.
+
+    A reader thread steps the connection's request table; callers send
+    whole frames with ``sendall`` under a send lock.
 
     Parameters
     ----------
@@ -165,22 +280,12 @@ class AttentionClient:
             self._sock = address
         else:
             self.address = parse_address(address, port)
-            self._sock = socket.create_connection(
-                self.address, timeout=connect_timeout
-            )
-            # Pipelined requests are small frames; Nagle would hold
-            # each one for the server's delayed ACK.
-            self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            self._sock = _dial(self.address, connect_timeout)
+        self._sock.settimeout(None)
+        self._table = _RequestTable(self._sock, max_payload_bytes)
+        self._send_lock = threading.Lock()
         self.timeout = timeout
         self.tracer = tracer
-        self._sock.settimeout(None)
-        self._assembler = protocol.FrameAssembler(max_payload_bytes)
-        self._pending: dict[int, Future] = {}
-        self._lock = threading.Lock()
-        self._send_lock = threading.Lock()
-        self._corr = itertools.count(1)
-        self._closed = False
-        self._broken: Exception | None = None
         self._reader = threading.Thread(
             target=self._read_loop, name="repro-client-reader", daemon=True
         )
@@ -188,69 +293,17 @@ class AttentionClient:
 
     # -- plumbing ------------------------------------------------------
     def _read_loop(self) -> None:
-        try:
-            while True:
-                data = self._sock.recv(_RECV_CHUNK)
-                if not data:
-                    break
-                try:
-                    frames = self._assembler.feed(data)
-                except protocol.ProtocolError as exc:
-                    # A server that breaks framing toward us is not
-                    # recoverable client-side: strand everything.
-                    self._fail_pending(exc)
-                    return
-                for opcode, corr_id, payload in frames:
-                    self._dispatch(opcode, corr_id, payload)
-        except OSError:
+        while self._table.read():
             pass
-        finally:
-            self._fail_pending(_stranded_error(self._closed))
 
-    def _dispatch(self, opcode: int, corr_id: int, payload: bytes) -> None:
-        with self._lock:
-            future = self._pending.pop(corr_id, None)
-        if future is None:
-            return  # late response for an abandoned correlation id
-        try:
-            future.set_result(protocol.decode_result(opcode, payload))
-        except BaseException as exc:  # noqa: BLE001 — typed wire error
-            future.set_exception(exc)
-
-    def _fail_pending(self, error: Exception) -> None:
-        with self._lock:
-            # Recorded under the same lock that registers new requests,
-            # so a submit racing the reader's death either lands in
-            # ``stranded`` here or sees ``_broken`` and refuses.
-            self._broken = error
-            stranded = list(self._pending.values())
-            self._pending.clear()
-        for future in stranded:
-            if not future.done():
-                try:
-                    future.set_exception(error)
-                except Exception:  # noqa: BLE001 — racing resolution
-                    pass
-
-    def _send_op(self, op, trace_ctx: TraceContext | None = None) -> Future:
-        if self._closed:
-            raise protocol.ConnectionLostError("client is closed")
-        corr_id = next(self._corr)
-        frame = _encode_request(
-            op, corr_id, trace_ctx, self._assembler.max_payload
-        )
+    def _send_op(self, op, trace_ctx=None, scope=None) -> Future:
         future: Future = Future()
-        with self._lock:
-            if self._broken is not None:
-                raise protocol.ConnectionLostError(str(self._broken))
-            self._pending[corr_id] = future
+        corr_id, frame = self._table.open(op, trace_ctx, future, scope)
         try:
             with self._send_lock:
                 self._sock.sendall(frame)
         except OSError as exc:
-            with self._lock:
-                self._pending.pop(corr_id, None)
-            raise protocol.ConnectionLostError(str(exc)) from exc
+            self._table.drop(corr_id, exc)
         return future
 
     # -- op surface (what an AttentionService answers) -----------------
@@ -270,59 +323,34 @@ class AttentionClient:
     def drain(self, timeout: float | None = None) -> bool:
         """Wait until every request in flight has resolved; ``False``
         if some were still unanswered after ``timeout`` seconds."""
-        with self._lock:
-            in_flight = list(self._pending.values())
+        with self._table.lock:
+            in_flight = [future for future, _ in self._table.pending.values()]
         return not wait(in_flight, timeout).not_done
 
     # -- attend surface ------------------------------------------------
-    def _traced_attend(
-        self, session_id: str, queries, tier, trace_ctx=None
-    ) -> Future:
-        """Send one attend; without a caller context and with a tracer,
-        under a ``client_request`` span recorded before the returned
-        future resolves."""
+    def _attend(self, session_id: str, queries, tier) -> Future:
+        """Send one attend, under a ``client_request`` span when the
+        tracer samples it."""
+        scope = _TraceScope.start(self.tracer, session_id)
         op = AttendOp(session_id=session_id, queries=queries, tier=tier)
-        if trace_ctx is not None or self.tracer is None:
-            return self._send_op(op, trace_ctx)
-        scope = _TraceScope(
-            self.tracer,
-            "client_request",
-            {"session_id": session_id, "transport": "tcp"},
-        )
-        inner = self._send_op(op, scope.context)
-        outer: Future = Future()
-
-        def finish(done) -> None:
-            error = done.exception()
-            scope.finish(error)
-            if error is not None:
-                outer.set_exception(error)
-            else:
-                outer.set_result(done.result())
-
-        inner.add_done_callback(finish)
-        return outer
+        return self._send_op(op, scope=scope)
 
     def submit(
-        self,
-        session_id: str,
-        query,
-        tier: str | None = None,
-        trace_ctx: TraceContext | None = None,
+        self, session_id: str, query, tier: str | None = None
     ) -> Future:
         """Fire one single-query attend; resolves to the ``(d_v,)`` row."""
-        inner = self._traced_attend(
-            session_id, np.asarray(query, dtype=np.float64), tier, trace_ctx
+        inner = self._attend(
+            session_id, np.asarray(query, dtype=np.float64), tier
         )
         outer: Future = Future()
 
-        def finish(done) -> None:
+        def finish(done: Future) -> None:
             error = done.exception()
             if error is not None:
-                outer.set_exception(error)
+                _settle(outer, None, error=error)
             else:
                 row = done.result().outputs
-                outer.set_result(row[0] if row.ndim == 2 else row)
+                _settle(outer, None, row[0] if row.ndim == 2 else row)
 
         inner.add_done_callback(finish)
         return outer
@@ -347,7 +375,7 @@ class AttentionClient:
     ) -> np.ndarray:
         """Attend a ``(q, d)`` block; returns ``(q, d_v)`` outputs."""
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-        future = self._traced_attend(session_id, queries, tier)
+        future = self._attend(session_id, queries, tier)
         return future.result(
             self.timeout if timeout is None else timeout
         ).outputs
@@ -399,14 +427,12 @@ class AttentionClient:
     # -- lifecycle -----------------------------------------------------
     def close(self) -> None:
         """Say goodbye and tear the connection down (idempotent)."""
-        if self._closed:
+        if self._table.closed:
             return
-        self._closed = True
+        self._table.closed = True
         try:
             with self._send_lock:
-                self._sock.sendall(
-                    protocol.encode_frame(protocol.OP_GOODBYE, 0)
-                )
+                self._sock.sendall(_GOODBYE)
         except OSError:
             pass
         try:
@@ -426,26 +452,28 @@ class AttentionClient:
 class AsyncAttentionClient:
     """Asyncio counterpart of :class:`AttentionClient`.
 
-    Build with :meth:`connect`; every method of the sync surface exists
-    as a coroutine.  One connection, one reader task, out-of-order
-    correlated responses.  ``max_payload_bytes`` bounds frames in both
-    directions, and :meth:`aclose` fails the requests still in flight
-    with :class:`~repro.serve.request.ServerClosedError`, as the sync
-    client's ``close`` does.
+    Built inside a running loop on an already-connected socket, as the
+    sync client is (:meth:`connect` dials one); every method of the
+    sync surface exists as a coroutine.  The loop steps the request
+    table when the socket is readable; callers take turns writing whole
+    frames.  A caller cancelled partway through a frame leaves the
+    stream unframeable, so the connection then ends as lost.
     """
 
-    def __init__(self, reader, writer, *, max_payload_bytes, tracer=None):
-        self._reader = reader
-        self._writer = writer
-        self._assembler = protocol.FrameAssembler(max_payload_bytes)
-        self._pending: dict[int, asyncio.Future] = {}
-        self._corr = itertools.count(1)
-        self._closed = False
-        self._broken: Exception | None = None
+    def __init__(
+        self,
+        sock: socket.socket,
+        *,
+        max_payload_bytes: int = protocol.MAX_PAYLOAD_BYTES,
+        tracer: Tracer | None = None,
+    ):
+        sock.setblocking(False)
+        self._sock = sock
+        self._table = _RequestTable(sock, max_payload_bytes)
+        self._send_lock = asyncio.Lock()
         self.tracer = tracer
-        self._read_task = asyncio.get_running_loop().create_task(
-            self._read_loop()
-        )
+        self._loop = asyncio.get_running_loop()
+        self._loop.add_reader(sock.fileno(), self._on_readable)
 
     @classmethod
     async def connect(
@@ -456,61 +484,29 @@ class AsyncAttentionClient:
         max_payload_bytes: int = protocol.MAX_PAYLOAD_BYTES,
         tracer: Tracer | None = None,
     ) -> "AsyncAttentionClient":
-        host, resolved_port = parse_address(address, port)
-        reader, writer = await asyncio.open_connection(host, resolved_port)
-        return cls(
-            reader,
-            writer,
-            max_payload_bytes=max_payload_bytes,
-            tracer=tracer,
-        )
+        sock = await asyncio.to_thread(_dial, parse_address(address, port))
+        return cls(sock, max_payload_bytes=max_payload_bytes, tracer=tracer)
 
-    async def _read_loop(self) -> None:
-        try:
-            while True:
-                data = await self._reader.read(_RECV_CHUNK)
-                if not data:
-                    break
-                try:
-                    frames = self._assembler.feed(data)
-                except protocol.ProtocolError as exc:
-                    self._fail_pending(exc)
-                    return
-                for opcode, corr_id, payload in frames:
-                    future = self._pending.pop(corr_id, None)
-                    if future is None or future.done():
-                        continue
-                    try:
-                        future.set_result(
-                            protocol.decode_result(opcode, payload)
-                        )
-                    except BaseException as exc:  # noqa: BLE001
-                        future.set_exception(exc)
-        except (asyncio.CancelledError, OSError):
-            pass
-        finally:
-            self._fail_pending(_stranded_error(self._closed))
+    def _on_readable(self) -> None:
+        if not self._table.read():
+            self._loop.remove_reader(self._sock.fileno())
 
-    def _fail_pending(self, error: Exception) -> None:
-        self._broken = error
-        stranded, self._pending = list(self._pending.values()), {}
-        for future in stranded:
-            if not future.done():
-                future.set_exception(error)
-
-    async def _call(self, op, trace_ctx: TraceContext | None = None):
-        if self._closed:
-            raise protocol.ConnectionLostError("client is closed")
-        if self._broken is not None:
-            raise protocol.ConnectionLostError(str(self._broken))
-        corr_id = next(self._corr)
-        frame = _encode_request(
-            op, corr_id, trace_ctx, self._assembler.max_payload
-        )
-        future = asyncio.get_running_loop().create_future()
-        self._pending[corr_id] = future
-        self._writer.write(frame)
-        await self._writer.drain()
+    async def _call(self, op, scope=None):
+        future = self._loop.create_future()
+        async with self._send_lock:
+            corr_id, frame = self._table.open(op, None, future, scope)
+            try:
+                await self._loop.sock_sendall(self._sock, frame)
+            except OSError as exc:
+                self._table.drop(corr_id, exc)
+            except asyncio.CancelledError:
+                # Part of the frame may be on the wire: the stream can
+                # no longer be framed.
+                future.cancel()
+                self._table.end(
+                    protocol.ConnectionLostError("send cancelled mid-frame")
+                )
+                raise
         return await future
 
     async def attend(
@@ -522,26 +518,13 @@ class AsyncAttentionClient:
     async def attend_many(
         self, session_id: str, queries, tier: str | None = None
     ) -> np.ndarray:
-        scope = _TraceScope(
-            self.tracer,
-            "client_request",
-            {"session_id": session_id, "transport": "tcp"},
-        ) if self.tracer is not None else None
+        scope = _TraceScope.start(self.tracer, session_id)
         op = AttendOp(
             session_id=session_id,
             queries=np.atleast_2d(np.asarray(queries, dtype=np.float64)),
             tier=tier,
         )
-        error = None
-        try:
-            result = await self._call(op, scope.context if scope else None)
-            return result.outputs
-        except BaseException as exc:
-            error = exc
-            raise
-        finally:
-            if scope is not None:
-                scope.finish(error)
+        return (await self._call(op, scope)).outputs
 
     async def register_session(
         self, session_id: str, key, value
@@ -578,22 +561,19 @@ class AsyncAttentionClient:
         return True
 
     async def aclose(self) -> None:
-        if self._closed:
+        """Say goodbye and tear the connection down (idempotent)."""
+        if self._table.closed:
             return
-        self._closed = True
+        self._table.closed = True
         try:
-            self._writer.write(
-                protocol.encode_frame(protocol.OP_GOODBYE, 0)
-            )
-            await self._writer.drain()
-        except (ConnectionError, OSError):
+            async with self._send_lock:
+                await self._loop.sock_sendall(self._sock, _GOODBYE)
+        except OSError:
             pass
-        self._read_task.cancel()
-        try:
-            self._writer.close()
-            await self._writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
+        finally:
+            self._loop.remove_reader(self._sock.fileno())
+            self._sock.close()
+            self._table.end()
 
     async def __aenter__(self) -> "AsyncAttentionClient":
         return self

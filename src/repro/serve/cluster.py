@@ -153,14 +153,14 @@ class SegmentStore:
     Lifecycle ownership is strict: the store (the parent) is the sole
     owner of every segment it packs.  Segments are refcounted via
     :meth:`ArtifactBuffer.release` and unlinked when dropped — on
-    session close, on re-registration with new memory, and wholesale at
-    cluster stop — which children tolerate because their established
-    mappings survive an unlink (a SIGKILL'd child's mappings are freed
-    by the kernel).  Reuse is keyed on *array identity*: a lease for
+    session close, on mutation, on re-registration with new memory, and
+    wholesale at cluster stop — which children tolerate because their
+    established mappings survive an unlink (a SIGKILL'd child's mappings
+    are freed by the kernel).  Reuse is keyed on *array identity*: a lease for
     the same ``(key, value)`` objects returns the existing segment (the
     common case — every replica is seeded from the one session
-    record), while different arrays — the session was mutated since —
-    repack.  All calls run under the cluster lock.
+    record), while different arrays — the session was re-registered
+    since — repack.  All calls run under the cluster lock.
     """
 
     def __init__(self) -> None:
@@ -833,6 +833,9 @@ class ShardedAttentionServer:
                 except ShardUnavailableError:
                     dead.append(shard_id)
             session.replace_memory(new_key, new_value)
+            # The replicas' own mappings survive the unlink; a later
+            # seed leases a segment of the new memory.
+            self._segments.drop(session_id)
             for shard_id in dead:
                 self.report_shard_failure(
                     shard_id, reason="mutation fan-out failed"

@@ -285,8 +285,9 @@ class PreparedSession:
     parked entry is spilled exactly once, after its final in-flight
     dispatch.  ``artifact`` pins the backing buffer of an entry whose
     backend adopted (rather than built) its prepared state — a promoted
-    spill file or a shared-memory segment — and is closed when the
-    entry finalizes.
+    spill file or a shared-memory segment — and is closed at the first
+    mutation (the splice leaves the backend's planes private) or when
+    the entry finalizes.
     """
 
     session: Session
@@ -751,8 +752,13 @@ class KeyCacheManager:
                 finally:
                     with self._lock:
                         if new_nbytes is not None:
-                            # Any spilled artifact is now stale.
+                            # Any spilled artifact is now stale, and an
+                            # adopted one unread: the splice left the
+                            # backend's planes private.
                             self._drop_spilled(session_id)
+                            if entry.artifact is not None:
+                                entry.artifact.close()
+                                entry.artifact = None
                             delta = new_nbytes - entry.nbytes
                             entry.nbytes = new_nbytes
                             if not entry.retired:

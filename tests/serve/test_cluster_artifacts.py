@@ -180,6 +180,31 @@ class TestSpawnAdoption:
         finally:
             cluster.stop(timeout=10.0)
 
+    def test_mutation_drops_segment(self):
+        """A mutation leaves the registration-time segment stale: the
+        parent unlinks it at once instead of keeping it until stop,
+        and the replicas keep answering from their own planes."""
+        cluster = _spawn_cluster(shards=2, replication=2)
+        rng = np.random.default_rng(33)
+        key, value = _memory(33)
+        try:
+            cluster.register_session("s", key, value)
+            (name,) = cluster._segments.segment_names
+            mutation = AppendRowsMutation(
+                rng.normal(size=(1, D)), rng.normal(size=(1, D))
+            )
+            cluster.mutate_session("s", mutation)
+            key, value = mutation.apply(key, value)
+            assert cluster._segments.segment_names == []
+            assert f"/dev/shm/{name}" not in _segments()
+            queries = rng.normal(size=(4, D))
+            np.testing.assert_array_equal(
+                cluster.attend_many("s", queries),
+                _direct(key, value, queries),
+            )
+        finally:
+            cluster.stop(timeout=10.0)
+
     def test_thread_shards_do_not_use_segments(self):
         cluster = ShardedAttentionServer(
             ClusterConfig(

@@ -13,10 +13,13 @@ shutdown receives a typed answer, never a dead socket.
 """
 
 import asyncio
+import contextlib
+import gc
 import logging
 import socket
 import threading
 import time
+from concurrent.futures import CancelledError, ThreadPoolExecutor, wait
 
 import numpy as np
 import pytest
@@ -39,10 +42,12 @@ from repro.serve import (
     ServerOverloadedError,
     ShardedAttentionServer,
     ShardUnavailableError,
+    Tracer,
     UnknownSessionError,
 )
 from repro.serve import protocol
 from repro.serve.client import parse_address
+from repro.serve.frontend import Connection
 from repro.serve.service import (
     AdoptSessionOp,
     AttendOp,
@@ -603,14 +608,90 @@ class TestGracefulDrain:
                 time.sleep(0.01)
 
 
+class _BlockingAsyncClient:
+    """An :class:`AsyncAttentionClient` behind the sync client's names,
+    so one contract test drives either client.  Its event loop runs on
+    a thread of its own: a coroutine method blocks for its result, and
+    ``submit_attend`` / ``submit`` return the concurrent future of an
+    attend task (cancelling it cancels the task)."""
+
+    def __init__(self, sock, **kwargs):
+        self.loop = asyncio.new_event_loop()
+        self.thread = threading.Thread(
+            target=self.loop.run_forever, daemon=True
+        )
+        self.thread.start()
+        self.tasks = []
+        self.client = self.run(self._open(sock, kwargs)).result(10)
+
+    @staticmethod
+    async def _open(sock, kwargs):
+        return AsyncAttentionClient(sock, **kwargs)
+
+    def run(self, coro):
+        return asyncio.run_coroutine_threadsafe(coro, self.loop)
+
+    def __getattr__(self, name):
+        method = getattr(self.client, name)
+        return lambda *args: self.run(method(*args)).result(10)
+
+    def submit_attend(self, op):
+        task = self.run(self.client.attend_many(op.session_id, op.queries))
+        self.tasks.append(task)
+        return task
+
+    def submit(self, session_id, query):
+        return self.submit_attend(AttendOp(session_id, query))
+
+    def drain(self, timeout):
+        return not wait(self.tasks, timeout).not_done
+
+    def close(self):
+        self.run(self.client.aclose()).result(10)
+        self.loop.call_soon_threadsafe(self.loop.stop)
+        self.thread.join(10)
+        self.loop.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
+
+
+@contextlib.contextmanager
+def _served_pair(server):
+    """One end of a socket pair whose other end ``server`` answers with
+    the connection loop a spawn shard runs."""
+    ours, theirs = socket.socketpair()
+    with ThreadPoolExecutor(2) as ops:
+        serving = threading.Thread(
+            target=Connection(theirs, server.service(), ops).serve
+        )
+        serving.start()
+        try:
+            yield ours
+        finally:
+            serving.join(10)
+
+
+def _errors(caplog):
+    gc.collect()  # an unretrieved asyncio failure logs when collected
+    return [r for r in caplog.records if r.levelno >= logging.ERROR]
+
+
 class TestClientOverSocketPair:
     """The client takes over an already-connected socket — how a
     cluster reaches a spawn shard — and owns the local end of the
-    contract: oversized requests and its own close."""
+    contract: oversized requests, its own close, a lost connection, a
+    failed send and its callers' cancels.  :class:`TestAsyncClient`
+    runs every test here on the async client too."""
+
+    open_client = AttentionClient
 
     def test_oversized_request_fails_locally(self):
         ours, theirs = socket.socketpair()
-        with AttentionClient(ours, max_payload_bytes=64) as client:
+        with self.open_client(ours, max_payload_bytes=64) as client:
             key, value = _memory(20)
             with pytest.raises(protocol.FrameTooLargeError):
                 client.register_session("s", key, value)
@@ -620,9 +701,15 @@ class TestClientOverSocketPair:
         theirs.close()
 
     def test_close_fails_stranded_requests_as_closed(self):
+        """The caller's own close is final: an attend in flight at
+        close fails with ``ServerClosedError``, not with a retryable
+        connection loss."""
         ours, theirs = socket.socketpair()
-        client = AttentionClient(ours)
+        theirs.settimeout(5.0)
+        client = self.open_client(ours)
         future = client.submit_attend(AttendOp("s", np.zeros((1, D))))
+        # The attend frame reached the peer, so it is in flight.
+        assert theirs.recv(1 << 16)
         assert not client.drain(timeout=0.05)  # nobody answers
         client.close()
         with pytest.raises(ServerClosedError):
@@ -631,15 +718,89 @@ class TestClientOverSocketPair:
 
     def test_lost_connection_is_a_retryable_shard_loss(self):
         ours, theirs = socket.socketpair()
-        with AttentionClient(ours) as client:
+        with self.open_client(ours) as client:
             future = client.submit_attend(AttendOp("s", np.zeros((1, D))))
             theirs.close()
             with pytest.raises(protocol.ConnectionLostError) as excinfo:
                 future.result(5)
             assert isinstance(excinfo.value, ShardUnavailableError)
 
+    def test_failed_send_is_a_retryable_loss(self, caplog):
+        """The peer dies while a large frame is still being written:
+        the caller gets the retryable ``ConnectionLostError``, and no
+        failed future is left for nobody to retrieve."""
+        caplog.set_level(logging.ERROR)
+        ours, theirs = socket.socketpair()
+        key = np.zeros((4096, 128))
+        hang_up = threading.Timer(0.1, theirs.close)
+        hang_up.start()
+        with self.open_client(ours) as client:
+            with pytest.raises(protocol.ConnectionLostError):
+                client.register_session("s", key, key)
+        hang_up.join()
+        assert not _errors(caplog)
 
-class TestAsyncClient:
+    @pytest.mark.parametrize("traced", [False, True], ids=["plain", "traced"])
+    def test_cancelled_attends_leave_the_client_serving(self, caplog, traced):
+        """Callers cancel attends in flight (perfbench cancels what is
+        still pending when a phase ends).  Their answers arrive later
+        and are dropped: the client serves on and logs nothing."""
+        caplog.set_level(logging.ERROR)
+        key, value = _memory(23)
+        query = np.random.default_rng(24).normal(size=(1, D))
+        tracer = Tracer(sample_rate=1.0) if traced else None
+        with _server(wait=0.2) as server:  # attends wait out the window
+            server.register_session("s", key, value)
+            with _served_pair(server) as ours, self.open_client(
+                ours, tracer=tracer
+            ) as client:
+                cancelled = [
+                    client.submit_attend(AttendOp("s", query)),
+                    client.submit("s", query[0]),
+                ]
+                deadline = time.monotonic() + 5.0
+                while (
+                    server.snapshot()["submitted"] < 2
+                    and time.monotonic() < deadline
+                ):
+                    time.sleep(0.005)
+                assert all(future.cancel() for future in cancelled)
+                # The second attend is answered after every answer of
+                # the cancelled attends' batch.
+                for _ in range(2):
+                    np.testing.assert_allclose(
+                        client.attend_many("s", query),
+                        server.attend_many("s", query),
+                        atol=1e-12,
+                    )
+        assert not _errors(caplog)
+
+
+class TestAsyncClient(TestClientOverSocketPair):
+    """The socket-pair contract on the async client, and its surface
+    over TCP."""
+
+    open_client = _BlockingAsyncClient
+
+    def test_send_cancelled_mid_frame_ends_the_connection(self, caplog):
+        """A cancel that lands while a large frame is half written
+        leaves the stream unframeable: the connection ends as lost
+        instead of sending the next frame into the middle of it."""
+        caplog.set_level(logging.ERROR)
+        ours, theirs = socket.socketpair()
+        theirs.settimeout(5.0)
+        key = np.zeros((4096, 128))
+        with self.open_client(ours) as client:
+            register = client.run(client.client.register_session("s", key, key))
+            assert theirs.recv(1 << 16)  # the frame is partly on the wire
+            register.cancel()
+            with pytest.raises(CancelledError):
+                register.result(5)
+            with pytest.raises(protocol.ConnectionLostError):
+                client.ping()
+            theirs.close()  # lets the goodbye fail fast
+        assert not _errors(caplog)
+
     def test_full_surface(self, served):
         server, frontend, _ = served
         key, value = _memory(17)
@@ -678,54 +839,6 @@ class TestAsyncClient:
                     await client.attend_many("ghost", np.zeros((1, D)))
 
         asyncio.run(drive())
-
-    def test_oversized_request_fails_locally(self):
-        """``max_payload_bytes`` bounds requests as on the sync client:
-        an oversized frame raises before anything is sent."""
-        ours, theirs = socket.socketpair()
-        key, value = _memory(20, n=64, d=8)
-
-        async def drive():
-            reader, writer = await asyncio.open_connection(sock=ours)
-            async with AsyncAttentionClient(
-                reader, writer, max_payload_bytes=1024
-            ) as client:
-                with pytest.raises(protocol.FrameTooLargeError):
-                    await asyncio.wait_for(
-                        client.register_session("s", key, value), 5.0
-                    )
-
-        asyncio.run(drive())
-        # Nothing but the goodbye was shipped.
-        frames = _recv_frames(theirs, 2)
-        assert [opcode for opcode, _, _ in frames] == [protocol.OP_GOODBYE]
-        theirs.close()
-
-    def test_aclose_fails_stranded_requests_as_closed(self):
-        """The caller's own close is final, as on the sync client: an
-        attend in flight at ``aclose`` fails with ``ServerClosedError``,
-        not with a retryable connection loss."""
-        ours, theirs = socket.socketpair()
-        theirs.setblocking(False)
-
-        async def drive():
-            reader, writer = await asyncio.open_connection(sock=ours)
-            client = AsyncAttentionClient(
-                reader, writer, max_payload_bytes=protocol.MAX_PAYLOAD_BYTES
-            )
-            attend = asyncio.ensure_future(
-                client.attend_many("s", np.zeros((1, D)))
-            )
-            # The attend frame reached the peer, so it is in flight.
-            loop = asyncio.get_running_loop()
-            assert await loop.sock_recv(theirs, 1 << 16)
-            await client.aclose()
-            with pytest.raises(ServerClosedError):
-                await asyncio.wait_for(attend, 5.0)
-
-        asyncio.run(drive())
-        theirs.close()
-
 
 class TestAddressParsing:
     def test_forms(self):

@@ -612,7 +612,7 @@ class TestGrowOnlyMemory:
             capacity_bytes=None,
         )
         with tempfile.TemporaryDirectory(prefix="repro-grow-") as tmp:
-            adopted = None
+            adopted = mapped = None
             if start == "register":
                 manager.register("s", *memory)
                 manager.release(manager.checkout("s"))
@@ -624,7 +624,10 @@ class TestGrowOnlyMemory:
                     storage=start,
                     path=os.path.join(tmp, "s.art") if start == "mmap" else None,
                 )
-                adopted = [plane.copy() for plane in _planes(artifact)]
+                # Views of the artifact's storage outlive the handle,
+                # which the cache closes at the first mutation.
+                mapped = _planes(artifact)
+                adopted = [plane.copy() for plane in mapped]
                 manager.register_prepared(
                     "s", artifact, KeyFingerprint.of(memory[0])
                 )
@@ -664,9 +667,7 @@ class TestGrowOnlyMemory:
                     np.testing.assert_array_equal(pre.row_ids, fresh.row_ids)
                     assert pre.key is session.key  # one key array
                     if adopted is not None:
-                        for plane, original in zip(
-                            _planes(entry.artifact), adopted
-                        ):
+                        for plane, original in zip(mapped, adopted):
                             np.testing.assert_array_equal(plane, original)
                 finally:
                     manager.release(entry)

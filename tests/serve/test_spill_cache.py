@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.core.backends import ApproximateBackend
+from repro.core.backends import ApproximateBackend, KeyFingerprint
 from repro.core.config import conservative
 from repro.core.efficient_search import PreprocessedKey
 from repro.serve import KeyCacheManager
@@ -361,3 +361,52 @@ def test_single_tier_and_two_tier_serve_identical_outputs(tmp_path, disk):
             )
     for got, want in zip(outputs, baseline):
         np.testing.assert_array_equal(got, want)
+
+
+class TestMutationClosesAdoptedArtifact:
+    """The first splice leaves the backend's planes private, so the
+    entry stops pinning the shm segment or spill file it adopted; its
+    answers stay those of a fresh build, bit for bit."""
+
+    def _append_and_check(self, manager, session_id, seed):
+        rng = np.random.default_rng(seed)
+        manager.mutate(
+            session_id,
+            AppendRowsMutation(rng.normal(size=(1, D)), rng.normal(size=(1, D))),
+        )
+        session = manager.get(session_id)
+        queries = rng.normal(size=(4, D))
+        entry = manager.checkout(session_id)
+        try:
+            assert entry.artifact is None
+            out = entry.backend.attend_many(session.key, session.value, queries)
+        finally:
+            manager.release(entry)
+        fresh = ApproximateBackend(conservative(), engine="vectorized")
+        fresh.prepare(session.key)
+        np.testing.assert_array_equal(
+            out, fresh.attend_many(session.key, session.value, queries)
+        )
+
+    def test_adopted_shm_segment(self, tmp_path):
+        rng = np.random.default_rng(12)
+        key, value = rng.normal(size=(N, D)), rng.normal(size=(N, D))
+        packer = ApproximateBackend(conservative(), engine="vectorized")
+        packer.prepare(key)
+        artifact = packer.export_artifact(value, storage="shm")
+        try:
+            manager = _tiered(tmp_path)
+            manager.register_prepared("s", artifact, KeyFingerprint.of(key))
+            self._append_and_check(manager, "s", seed=13)
+        finally:
+            artifact.unlink()
+
+    def test_promoted_spill(self, tmp_path):
+        manager = _tiered(tmp_path)
+        _register(manager, "a", seed=14)
+        _register(manager, "b", seed=15)
+        _touch(manager, "a")
+        _touch(manager, "b")
+        _touch(manager, "a")  # miss → promote
+        assert manager.stats.promotes == 1
+        self._append_and_check(manager, "a", seed=16)
