@@ -59,6 +59,7 @@ __all__ = [
     "AttentionTrace",
     "ApproximateAttention",
     "attend_many_ragged",
+    "segment_traces",
 ]
 
 ENGINES = ("reference", "efficient", "vectorized")
@@ -363,14 +364,15 @@ class ApproximateAttention:
         if queries.ndim != 2:
             raise ShapeError(f"queries must be 2-D (q, d), got {queries.shape}")
         if self.engine == "vectorized":
-            outputs, traces = attend_many_ragged(
-                [self.preprocessed],
+            pre = self.preprocessed
+            result = attend_many_ragged(
+                [pre],
                 [value],
                 queries,
                 [0, queries.shape[0]],
                 self.config if config is None else config,
             )
-            return outputs[0], traces[0]
+            return result.outputs[0], segment_traces(result, 0, pre.n)
         outputs = np.empty((queries.shape[0], value.shape[1]), dtype=np.float64)
         traces: list[AttentionTrace] = []
         for i, query in enumerate(queries):
@@ -385,7 +387,7 @@ def attend_many_ragged(
     queries: np.ndarray,
     seg_offsets: np.ndarray,
     config: ApproximationConfig,
-) -> tuple[list[np.ndarray], list[list[AttentionTrace]]]:
+) -> batched_search.RaggedAttendResult:
     """Fused attend over several prepared keys at one operating point.
 
     The multi-key counterpart of :meth:`ApproximateAttention.attend_many`
@@ -395,13 +397,16 @@ def attend_many_ragged(
     :func:`repro.core.batched_search.attend_many_ragged` in one pass.
     A fused dispatch is always a single-config dispatch; per-segment
     iteration counts are resolved from ``config`` against each key's row
-    count.  Every segment's outputs and traces are bit-identical to
+    count.  Every segment's outputs and selections are bit-identical to
     dispatching that segment alone through ``attend_many``.
 
-    Returns ``(outputs, traces)``: per-segment output arrays of shape
-    ``(q_s, d_v_s)`` and per-segment lists of :class:`AttentionTrace`.
+    Returns the kernel's
+    :class:`~repro.core.batched_search.RaggedAttendResult`: per-segment
+    outputs and per-query arrays (``num_candidates``, ``kept_counts``,
+    ...) that counters read directly; :func:`segment_traces` builds one
+    segment's :class:`AttentionTrace` list from it.
     """
-    result = batched_search.attend_many_ragged(
+    return batched_search.attend_many_ragged(
         pres,
         values,
         queries,
@@ -411,40 +416,38 @@ def attend_many_ragged(
         min_skip_heuristic=config.min_skip_heuristic,
         fallback_top1=config.fallback_top1,
     )
-    return result.outputs, _segment_traces(result, pres)
 
 
-def _segment_traces(
-    result: batched_search.RaggedAttendResult, pres: list[PreprocessedKey]
-) -> list[list[AttentionTrace]]:
-    """Per-segment :class:`AttentionTrace` lists for one ragged result.
+def segment_traces(
+    result: batched_search.RaggedAttendResult, s: int, n: int
+) -> list[AttentionTrace]:
+    """The :class:`AttentionTrace` list of segment ``s`` (over a key of
+    ``n`` rows) of one ragged result.
 
-    Every query's kept rows and weights are extracted in one pass and
+    The segment's kept rows and weights are extracted in one pass and
     handed out as zero-copy views; the scalar fields come from
     ``.tolist()`` conversions made once per call.
     """
-    kept_rows_all = result.flat_rows[result.keep]
-    kept_weights_all = result.weights[result.keep]
-    kept_offsets = [0, *np.cumsum(result.kept_counts).tolist()]
-    cand_offsets = result.offsets.tolist()
-    kept_list = result.kept_counts.tolist()
-    count_list = result.num_candidates.tolist()
-    iter_list = result.iterations.tolist()
-    fallback_list = result.used_fallback.tolist()
-    bounds = result.seg_offsets.tolist()
+    lo, hi = result.seg_offsets[s : s + 2].tolist()
+    cand_offsets = result.offsets[lo : hi + 1].tolist()
+    span = slice(cand_offsets[0], cand_offsets[-1])
+    kept_rows_all = result.flat_rows[span][result.keep[span]]
+    kept_weights_all = result.weights[span][result.keep[span]]
+    kept_offsets = [0, *np.cumsum(result.kept_counts[lo:hi]).tolist()]
+    kept_list = result.kept_counts[lo:hi].tolist()
+    count_list = result.num_candidates[lo:hi].tolist()
+    iter_list = result.iterations[lo:hi].tolist()
+    fallback_list = result.used_fallback[lo:hi].tolist()
     return [
-        [
-            AttentionTrace(
-                n=pre.n,
-                m=iter_list[g],
-                num_candidates=count_list[g],
-                num_kept=kept_list[g],
-                candidates=result.flat_rows[cand_offsets[g] : cand_offsets[g + 1]],
-                kept_rows=kept_rows_all[kept_offsets[g] : kept_offsets[g + 1]],
-                weights=kept_weights_all[kept_offsets[g] : kept_offsets[g + 1]],
-                used_fallback=fallback_list[g],
-            )
-            for g in range(bounds[s], bounds[s + 1])
-        ]
-        for s, pre in enumerate(pres)
+        AttentionTrace(
+            n=n,
+            m=iter_list[g],
+            num_candidates=count_list[g],
+            num_kept=kept_list[g],
+            candidates=result.flat_rows[cand_offsets[g] : cand_offsets[g + 1]],
+            kept_rows=kept_rows_all[kept_offsets[g] : kept_offsets[g + 1]],
+            weights=kept_weights_all[kept_offsets[g] : kept_offsets[g + 1]],
+            used_fallback=fallback_list[g],
+        )
+        for g in range(hi - lo)
     ]

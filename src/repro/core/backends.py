@@ -20,6 +20,7 @@ mixed dispatch (the serving layer's cross-session batching path).
 
 from __future__ import annotations
 
+import threading
 import warnings
 from dataclasses import dataclass, field, replace
 from time import perf_counter
@@ -56,6 +57,11 @@ class BackendStats:
     panels of Figures 11b, 12b, and the hardware performance model (which
     needs per-query ``(n, M, C, K)`` traces).
 
+    :meth:`count` is the one way queries enter the counters, straight
+    from the kernel's per-query arrays; :meth:`record` counts a trace
+    through it.  Each count holds the record's lock, so backends on
+    several threads may share one record (a served session's).
+
     Attributes
     ----------
     keep_traces:
@@ -81,11 +87,26 @@ class BackendStats:
     max_traces: int | None = 100_000
     dropped_traces: int = 0
 
+    def __post_init__(self) -> None:
+        self._lock = threading.Lock()
+
+    def count(self, n: int, candidates, kept) -> None:
+        """Count queries over a key of ``n`` rows: ``candidates`` and
+        ``kept`` are each query's ``C`` and ``K``, as arrays (one entry
+        per query) or as ints (one query)."""
+        if isinstance(candidates, np.ndarray):
+            queries = candidates.size
+            candidates, kept = candidates.sum(), kept.sum()
+        else:
+            queries = 1
+        with self._lock:
+            self.calls += queries
+            self.total_rows += n * queries
+            self.total_candidates += int(candidates)
+            self.total_kept += int(kept)
+
     def record(self, trace: AttentionTrace) -> None:
-        self.calls += 1
-        self.total_rows += trace.n
-        self.total_candidates += trace.num_candidates
-        self.total_kept += trace.num_kept
+        self.count(trace.n, trace.num_candidates, trace.num_kept)
         if self.keep_traces:
             if self.max_traces is None or len(self.traces) < self.max_traces:
                 self.traces.append(trace)
@@ -100,11 +121,6 @@ class BackendStats:
                         stacklevel=3,
                     )
                 self.dropped_traces += 1
-
-    def record_many(self, traces: list[AttentionTrace]) -> None:
-        """Record one batched call's worth of per-query traces."""
-        for trace in traces:
-            self.record(trace)
 
     def record_topk(self, included: int, total: int) -> None:
         self.topk_included += included
@@ -136,9 +152,9 @@ class BackendStats:
     def merge(self, other: "BackendStats") -> None:
         """Fold ``other``'s counters (and traces, when kept) into this one.
 
-        The serving layer keeps one :class:`BackendStats` per session
-        backend; this lets :class:`repro.serve.ServerStats` aggregate
-        them into a single figure-compatible view.
+        ``BackendStats(keep_traces=False).merge(live)`` is a detached
+        copy of ``live``'s counters, read in one piece under its lock
+        (how the serving layer reads a session's record).
 
         Trace handling mirrors :meth:`record`: a ``keep_traces=False``
         target folds counters only, and its ``dropped_traces`` stays
@@ -146,13 +162,14 @@ class BackendStats:
         truncation); a trace-keeping target absorbs ``other``'s traces
         up to its own ``max_traces`` and counts the overflow.
         """
-        self.calls += other.calls
-        self.total_rows += other.total_rows
-        self.total_candidates += other.total_candidates
-        self.total_kept += other.total_kept
-        self.topk_included += other.topk_included
-        self.topk_total += other.topk_total
-        self.dropped_traces += other.dropped_traces
+        with other._lock:
+            self.calls += other.calls
+            self.total_rows += other.total_rows
+            self.total_candidates += other.total_candidates
+            self.total_kept += other.total_kept
+            self.topk_included += other.topk_included
+            self.topk_total += other.topk_total
+            self.dropped_traces += other.dropped_traces
         if self.keep_traces and other.traces:
             if self.max_traces is None:
                 room = len(other.traces)
@@ -255,25 +272,11 @@ class ExactBackend:
     def prepare(self, key: np.ndarray) -> None:  # no preprocessing needed
         return None
 
-    def _record_full(self, n: int, count: int = 1) -> None:
-        rows = np.arange(n)
-        trace = AttentionTrace(
-            n=n,
-            m=0,
-            num_candidates=n,
-            num_kept=n,
-            candidates=rows,
-            kept_rows=rows,
-            weights=np.empty(0),
-            used_fallback=False,
-        )
-        for _ in range(count):
-            self.stats.record(trace)
-
     def attend(
         self, key: np.ndarray, value: np.ndarray, query: np.ndarray
     ) -> np.ndarray:
-        self._record_full(key.shape[0])
+        n = key.shape[0]
+        self.stats.count(n, n, n)
         return exact_attention(key, value, query)
 
     def attend_many(
@@ -281,7 +284,8 @@ class ExactBackend:
     ) -> np.ndarray:
         """Batched exact attention: one GEMM over all queries."""
         queries = np.asarray(queries, dtype=np.float64)
-        self._record_full(key.shape[0], count=queries.shape[0])
+        every_row = np.full(queries.shape[0], key.shape[0])
+        self.stats.count(key.shape[0], every_row, every_row)
         return self_attention(key, value, queries)
 
 
@@ -345,10 +349,6 @@ class ApproximateBackend:
         self._attention = ApproximateAttention(config, engine=engine)
         self._fingerprint: KeyFingerprint | None = None
         self.stats = BackendStats()
-        #: Whether this backend can join a fused multi-key
-        #: :func:`attend_many_ragged` dispatch — only the vectorized
-        #: engine runs the whole-slab pipeline.
-        self.supports_ragged = engine == "vectorized"
 
     def prepare(self, key: np.ndarray) -> None:
         self._guard(self._attention.preprocess(key))
@@ -526,7 +526,8 @@ class ApproximateBackend:
     ) -> None:
         """Record selection traces and (optionally) top-k recall for one
         dispatched query batch."""
-        self.stats.record_many(traces)
+        for trace in traces:
+            self.stats.record(trace)
         if self.track_topk and traces:
             k = min(self.track_topk, key.shape[0])
             exact_scores = np.asarray(key) @ np.asarray(queries).T  # (n, q)
@@ -550,19 +551,20 @@ def attend_many_ragged(
     Segment ``s`` of the ``(Q, d)`` query slab (rows
     ``seg_offsets[s]:seg_offsets[s + 1]``) attends over
     ``keys[s]`` / ``values[s]`` through ``backends[s]``, and the whole
-    mixed batch runs through
-    :func:`repro.core.approximate.attend_many_ragged` in one pass — the
-    serving layer's cross-session dispatch path.  Each backend must
-    advertise ``supports_ragged`` (the vectorized engine); a fused
-    dispatch is always a single-config dispatch, with ``config``
-    overriding the first backend's operating point for every segment
-    exactly as the per-call override of :meth:`ApproximateBackend.attend_many`
-    would.  Selection traces and top-k recall are recorded on each
-    segment's own backend stats.
+    mixed batch is one call of the vectorized kernel
+    (:func:`repro.core.approximate.attend_many_ragged`) over each
+    backend's prepared key — the serving layer's cross-session dispatch
+    path.  A fused dispatch is always a single-config dispatch, with
+    ``config`` overriding the first backend's operating point for every
+    segment exactly as the per-call override of
+    :meth:`ApproximateBackend.attend_many` would.  Each segment's
+    per-query candidate and kept counts go into its backend's stats
+    straight from the kernel's arrays; its traces are built only when
+    those stats keep traces or the backend tracks top-k.
 
     Returns the per-segment output arrays (``outputs[s]`` of shape
     ``(q_s, d_v_s)``), bit-identical per segment to dispatching that
-    segment alone through its backend's ``attend_many``.
+    segment alone through a vectorized backend's ``attend_many``.
     """
     if not backends:
         return []
@@ -571,25 +573,28 @@ def attend_many_ragged(
             f"got {len(backends)} backends but {len(keys)} keys and "
             f"{len(values)} values"
         )
-    for backend in backends:
-        if not getattr(backend, "supports_ragged", False):
-            raise ValueError(
-                f"backend {backend.name!r} (engine "
-                f"{getattr(backend, 'engine', '?')!r}) does not support "
-                "fused ragged dispatch"
-            )
     cfg = backends[0].config if config is None else config
     for backend, key in zip(backends, keys):
         backend._ensure_prepared(key)
     pres = [backend._attention.preprocessed for backend in backends]
-    outputs, seg_traces = approximate_mod.attend_many_ragged(
+    result = approximate_mod.attend_many_ragged(
         pres, values, queries, seg_offsets, cfg
     )
     queries = np.asarray(queries)
-    for s, backend in enumerate(backends):
-        lo, hi = int(seg_offsets[s]), int(seg_offsets[s + 1])
-        backend._record_attended(keys[s], queries[lo:hi], seg_traces[s])
-    return outputs
+    bounds = result.seg_offsets.tolist()
+    for s, (backend, pre) in enumerate(zip(backends, pres)):
+        lo, hi = bounds[s], bounds[s + 1]
+        if backend.stats.keep_traces or backend.track_topk:
+            backend._record_attended(
+                keys[s],
+                queries[lo:hi],
+                approximate_mod.segment_traces(result, s, pre.n),
+            )
+        else:
+            backend.stats.count(
+                pre.n, result.num_candidates[lo:hi], result.kept_counts[lo:hi]
+            )
+    return result.outputs
 
 
 class SerialBackend:
@@ -677,18 +682,7 @@ class QuantizedBackend:
     ) -> np.ndarray:
         n, d = key.shape
         result = self._pipeline_for(d).attend(key, value, query)
-        self.stats.record(
-            AttentionTrace(
-                n=n,
-                m=0,
-                num_candidates=n,
-                num_kept=n,
-                candidates=np.arange(n),
-                kept_rows=np.arange(n),
-                weights=result.weights,
-                used_fallback=False,
-            )
-        )
+        self.stats.count(n, n, n)
         return result.output
 
     def attend_many(

@@ -215,23 +215,21 @@ class _RequestTable:
         if entry is not None:  # else the request has already failed
             _settle(*entry, result, error)
 
+    def _stranded(self, reason: str) -> Exception:
+        if self.closed:
+            return ServerClosedError("client closed with requests in flight")
+        return protocol.ConnectionLostError(reason)
+
     def drop(self, corr_id: int, exc: OSError) -> None:
-        """Fail a request whose frame could not be sent with the
-        retryable ``ConnectionLostError``; its caller reads the future."""
-        self.settle(corr_id, error=protocol.ConnectionLostError(str(exc)))
+        """Fail a request whose frame could not be sent, by the stranded
+        rule; its caller reads the future."""
+        self.settle(corr_id, error=self._stranded(str(exc)))
 
     def end(self, error: Exception | None = None) -> None:
         """Fail every request in flight, and refuse new ones, with
         ``error`` or else by the stranded rule (see the class)."""
         if error is None:
-            if self.closed:
-                error = ServerClosedError(
-                    "client closed with requests in flight"
-                )
-            else:
-                error = protocol.ConnectionLostError(
-                    "connection closed with requests in flight"
-                )
+            error = self._stranded("connection closed with requests in flight")
         with self.lock:
             self._broken = error
             stranded, self.pending = list(self.pending.values()), {}
@@ -426,15 +424,19 @@ class AttentionClient:
 
     # -- lifecycle -----------------------------------------------------
     def close(self) -> None:
-        """Say goodbye and tear the connection down (idempotent)."""
+        """Tear the connection down (idempotent), waiting on neither
+        another send nor the peer: the goodbye is best effort, and the
+        shutdown fails a stalled send's call with ``ServerClosedError``."""
         if self._table.closed:
             return
         self._table.closed = True
-        try:
-            with self._send_lock:
-                self._sock.sendall(_GOODBYE)
-        except OSError:
-            pass
+        if self._send_lock.acquire(blocking=False):
+            try:
+                self._sock.send(_GOODBYE, socket.MSG_DONTWAIT)
+            except OSError:
+                pass
+            finally:
+                self._send_lock.release()
         try:
             self._sock.shutdown(socket.SHUT_RDWR)
         except OSError:
@@ -561,13 +563,22 @@ class AsyncAttentionClient:
         return True
 
     async def aclose(self) -> None:
-        """Say goodbye and tear the connection down (idempotent)."""
+        """Tear the connection down (idempotent) as
+        :meth:`AttentionClient.close` does; the socket closes once a
+        stalled send has failed."""
         if self._table.closed:
             return
         self._table.closed = True
+        if not self._send_lock.locked():
+            try:
+                self._sock.send(_GOODBYE)  # non-blocking: never waits
+            except OSError:
+                pass
         try:
+            self._sock.shutdown(socket.SHUT_RDWR)
+            # A stalled sock_sendall fails once the loop sees the shutdown.
             async with self._send_lock:
-                await self._loop.sock_sendall(self._sock, _GOODBYE)
+                pass
         except OSError:
             pass
         finally:

@@ -553,8 +553,8 @@ class ShardedAttentionServer:
     The request surface mirrors :class:`AttentionServer` —
     ``register_session`` / ``close_session`` / ``attend`` /
     ``attend_many`` / ``snapshot`` plus a ``cache`` view — so existing
-    callers (``ServedBackend``, ``KvWorkload.evaluate_served``, the
-    load generator) work against a cluster unchanged.  On top of that
+    callers (``ServedBackend``, ``KvWorkload.evaluate_served``, a
+    ``NetworkFrontend``) work against a cluster unchanged.  On top of that
     it adds live topology changes (:meth:`add_shard`,
     :meth:`remove_shard`) with minimal-movement rebalancing.
 

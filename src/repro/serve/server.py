@@ -54,6 +54,12 @@ __all__ = ["ServerConfig", "AttentionServer", "ServedBackend"]
 class ServerConfig:
     """Everything tunable about one :class:`AttentionServer`.
 
+    Selection statistics are not tunable: a server counts each served
+    query's candidate and kept counts into its session's one record
+    and keeps no per-query traces.  Figure code that needs
+    :class:`~repro.core.approximate.AttentionTrace` objects runs an
+    :class:`~repro.core.backends.ApproximateBackend` directly.
+
     Attributes
     ----------
     batch:
@@ -91,12 +97,6 @@ class ServerConfig:
         :meth:`AttentionServer.set_default_tier` (e.g. by an
         :class:`~repro.serve.controller.AdaptiveQualityController`
         shedding load by degrading quality) and restored on recovery.
-    keep_selection_traces:
-        Whether session backends retain per-query
-        :class:`~repro.core.approximate.AttentionTrace` objects.  Off by
-        default: a long-lived server only consumes the scalar counters,
-        and traces cost kilobytes per request.  Turn on to feed figure
-        scripts from served traffic.
     trace_sample_rate:
         Fraction of requests traced as span trees (see
         :mod:`repro.serve.tracing`), in ``[0, 1]``.  ``0`` (default)
@@ -116,7 +116,6 @@ class ServerConfig:
     cache_spill_dir: str | None = None
     approximation: ApproximationConfig = field(default_factory=conservative)
     default_tier: str = "conservative"
-    keep_selection_traces: bool = False
     trace_sample_rate: float = 0.0
     trace_max_spans: int = 16384
 
@@ -218,12 +217,11 @@ class AttentionServer:
         self._service_lock = threading.Lock()
 
     def _new_backend(self) -> ApproximateBackend:
-        """A fresh backend for one cached session."""
-        backend = ApproximateBackend(
+        """A fresh backend for one cached session (the cache hands it
+        the session's selection record)."""
+        return ApproximateBackend(
             self.config.approximation, engine="vectorized"
         )
-        backend.stats.keep_traces = self.config.keep_selection_traces
-        return backend
 
     # ------------------------------------------------------------------
     # lifecycle

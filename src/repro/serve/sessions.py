@@ -129,9 +129,9 @@ class Session:
         cached per memory version.  Only boundaries read it — spill
         and promote, artifact adoption, a cluster's replica seeding —
         never the append or dispatch path.
-    retired_stats:
-        Selection statistics carried over from evicted backend
-        instances, so a session's totals survive cache eviction.
+    stats:
+        The session's one selection record (no traces): every backend
+        built for the session counts into it, so it survives eviction.
 
     **Grow-only memory.**  An append (:meth:`grown`) writes its rows
     into storage past the end of every published view and returns the
@@ -153,7 +153,7 @@ class Session:
     ) -> None:
         self.session_id = session_id
         self.created_at = time.monotonic()
-        self.retired_stats = BackendStats(keep_traces=False)
+        self.stats = BackendStats(keep_traces=False)
         # Serializes mutations of this session; dispatches synchronize
         # through the prepared entry's lock instead.
         self.mutation_lock = threading.Lock()
@@ -255,29 +255,24 @@ class Session:
             )
         return query
 
-    def total_stats(self, live: BackendStats | None = None) -> BackendStats:
-        """Retired stats folded together with the live backend's, if any."""
-        merged = BackendStats(keep_traces=False)
-        merged.merge(self.retired_stats)
-        if live is not None:
-            merged.merge(live)
-        return merged
-
 
 @dataclass(eq=False)  # identity semantics (held in identity-keyed lists)
 class PreparedSession:
     """A session checkout: the session plus its prepared backend.
 
-    ``lock`` serializes dispatches against this backend (backends keep
-    mutable stats and prepared state, so two workers must not drive one
-    concurrently, whatever tier each dispatches at); distinct sessions
-    dispatch in parallel.
+    ``lock`` serializes dispatches against this backend (the prepared
+    state is mutable, so two workers must not drive one concurrently,
+    whatever tier each dispatches at); distinct sessions dispatch in
+    parallel.  The backend counts into ``session.stats`` under that
+    record's own lock: an entry evicted while pinned and its successor
+    may dispatch at once, under two entry locks.
 
     ``pins`` counts dispatchers holding a checkout that has not been
     released yet, and ``retired`` marks an entry dropped from the cache
-    while still pinned.  Together they let eviction retire a backend's
-    statistics exactly once, *after* any in-flight batch has recorded —
-    without ever blocking the cache on a running dispatch.
+    that is not finalized yet.  Together they let eviction finalize an
+    entry — spill it, close its artifact — exactly once, *after* any
+    in-flight batch has finished, without ever blocking the cache on a
+    running dispatch.
 
     ``spill_requested`` marks an entry evicted with the disk tier
     enabled: the spill runs at finalization — immediately for an idle
@@ -415,8 +410,8 @@ class KeyCacheManager:
     backend_factory:
         Zero-argument callable producing a fresh
         :class:`~repro.core.backends.ApproximateBackend` for a session;
-        each cached entry owns one so per-session prepared state and
-        statistics never interleave.  An
+        each cached entry owns one so per-session prepared state never
+        interleaves, counting into the session's record.  An
         :class:`~repro.serve.server.AttentionServer` passes its one
         served backend (the vectorized engine at the server's operating
         point); a subclass can observe or slow the cache's calls.
@@ -453,7 +448,6 @@ class KeyCacheManager:
         self._sessions: dict[str, Session] = {}
         self._entries: OrderedDict[str, PreparedSession] = OrderedDict()
         self._spilled: OrderedDict[str, SpilledArtifact] = OrderedDict()
-        self._retiring: list[PreparedSession] = []
         self._preparing: dict[str, threading.Event] = {}
         self._bytes_in_use = 0
         self._disk_bytes_in_use = 0
@@ -500,9 +494,10 @@ class KeyCacheManager:
                 "artifact carries no value payload; pack(value=...) is "
                 "required for session adoption"
             )
-        backend = self._factory()
-        backend.adopt_artifact(artifact, fingerprint)
         session = Session(session_id, pre.key, value, fingerprint)
+        backend = self._factory()
+        backend.stats = session.stats
+        backend.adopt_artifact(artifact, fingerprint)
         entry = PreparedSession(
             session=session,
             backend=backend,
@@ -564,14 +559,15 @@ class KeyCacheManager:
     # prepared-artifact cache
     # ------------------------------------------------------------------
     def checkout(self, session_id: str) -> PreparedSession:
-        """Return the session's prepared backend, building it on a miss.
+        """Return the session's prepared backend, building it on a miss
+        (a new backend counts into ``session.stats``).
 
         The returned entry is *pinned*: every checkout must be paired
         with a :meth:`release` once the caller is done dispatching (or
-        inspecting), so that eviction can retire the backend's
-        statistics after the last in-flight batch has recorded — an
-        entry evicted while pinned stays parked (and byte-unaccounted)
-        until its last release.  Pure telemetry readers should use
+        inspecting), so that eviction finalizes the entry (its spill,
+        its artifact close) after the last in-flight batch — an entry
+        evicted while pinned stays parked (and byte-unaccounted) until
+        its last release.  Pure telemetry readers should use
         :meth:`session_stats` instead, which never pins.
 
         Cold checkouts are single-flight per session: concurrent
@@ -603,6 +599,7 @@ class KeyCacheManager:
             # A spilled artifact short-circuits it: mmap + adopt instead
             # of re-sorting (the pages fault in lazily).
             backend = self._factory()
+            backend.stats = session.stats
             started = now()
             artifact = self._try_promote(session_id, session, backend)
             if artifact is None:
@@ -623,7 +620,6 @@ class KeyCacheManager:
                     # Closed or replaced mid-prepare: hand the orphan to
                     # the caller for this one dispatch, but never cache it.
                     entry.retired = True
-                    self._retiring.append(entry)
                     return entry
                 self._entries[session_id] = entry
                 self._bytes_in_use += entry.nbytes
@@ -635,8 +631,8 @@ class KeyCacheManager:
                 inflight.set()
 
     def release(self, entry: PreparedSession) -> None:
-        """Drop a checkout pin; finalizes a retired entry's stats when
-        the last pin goes."""
+        """Drop a checkout pin; finalizes a retired entry when the last
+        pin goes."""
         with self._lock:
             entry.pins -= 1
             self._finalize_if_idle(entry)
@@ -695,10 +691,11 @@ class KeyCacheManager:
         key array under the entry's dispatch lock, publishes the memory
         atomically, and re-accounts the entry's ``prepared_nbytes`` as
         a delta (with capacity eviction re-checked) — the backend
-        instance, and therefore its accumulated selection statistics,
-        carry over.  A session without a live entry just gets its
-        memory swapped; the next checkout prepares the mutated key as
-        usual.  No content fingerprint is taken on this path.
+        instance carries over, and the selection counts stay in the
+        session's record whichever backend made them.  A session
+        without a live entry just gets its memory swapped; the next
+        checkout prepares the mutated key as usual.  No content
+        fingerprint is taken on this path.
 
         Mutations of one session serialize (per-session mutation lock)
         and are atomic with respect to dispatch: a batch in flight sees
@@ -797,33 +794,27 @@ class KeyCacheManager:
             self.stats.evictions += 1
         entry.retired = True
         entry.spill_requested = spill and self.disk_capacity_bytes is not None
-        if entry.pins > 0:
-            # A dispatch is (or may be about to start) running against
-            # this backend; defer the stats fold to the last release so
-            # the in-flight batch's counters are not lost — and never
-            # block the whole cache on a running attend.
-            self._retiring.append(entry)
-        else:
-            self._finalize_if_idle(entry)
+        # A pinned entry's dispatch is (or may be about to start)
+        # running: its last release finalizes it, so the cache never
+        # blocks on a running attend.
+        self._finalize_if_idle(entry)
 
     def _finalize_if_idle(self, entry: PreparedSession) -> None:
-        """Fold a retired, unpinned entry's stats into its session (once);
-        spill the prepared artifact if its eviction requested one."""
+        """Finalize a retired, unpinned entry (once): spill the prepared
+        artifact if its eviction requested one, and close any adopted
+        artifact."""
         if not entry.retired or entry.pins > 0:
             return
         entry.retired = False
-        if entry in self._retiring:
-            self._retiring.remove(entry)
         if entry.spill_requested:
             # Cleared before spilling: finalization runs exactly once
-            # (retired flipped above), so a pinned-evicted entry parked
-            # in _retiring spills once at its last release, never twice.
+            # (retired flipped above), so an entry evicted while pinned
+            # spills once at its last release, never twice.
             entry.spill_requested = False
             self._spill_entry(entry)
         if entry.artifact is not None:
             entry.artifact.close()
             entry.artifact = None
-        entry.session.retired_stats.merge(entry.backend.stats)
 
     # ------------------------------------------------------------------
     # disk tier (spill / reap)
@@ -916,28 +907,16 @@ class KeyCacheManager:
             }
 
     def session_stats(self, session_id: str) -> BackendStats:
-        """One session's selection statistics: retired + live backend +
-        any still-pinned retiring entries."""
-        session = self.get(session_id)
-        with self._lock:
-            entry = self._entries.get(session_id)
-            merged = session.total_stats(entry.backend.stats if entry else None)
-            self._merge_retiring(merged, session)
-        return merged
-
-    def _merge_retiring(self, into: BackendStats, session: Session) -> None:
-        for entry in self._retiring:
-            if entry.session is session:
-                into.merge(entry.backend.stats)
+        """A detached copy of one session's record, which every backend
+        built for the session counts into, cached, evicted or pinned."""
+        copy = BackendStats(keep_traces=False)
+        copy.merge(self.get(session_id).stats)
+        return copy
 
     def merged_backend_stats(self) -> BackendStats:
-        """All sessions' selection statistics folded into one view."""
+        """The registered sessions' records summed into one view."""
         merged = BackendStats(keep_traces=False)
         with self._lock:
             for session in self._sessions.values():
-                entry = self._entries.get(session.session_id)
-                merged.merge(
-                    session.total_stats(entry.backend.stats if entry else None)
-                )
-                self._merge_retiring(merged, session)
+                merged.merge(session.stats)
         return merged

@@ -3,8 +3,9 @@
 :class:`ServerStats` is the single surface the server, benchmarks, and
 demo read.  It complements (and aggregates) the per-backend
 :class:`~repro.core.backends.BackendStats` that the figure scripts
-consume: ``backend_stats()`` folds every session's selection counters
-into one figure-compatible object via ``BackendStats.merge``, while the
+consume: ``KeyCacheManager.merged_backend_stats()`` sums every
+session's selection record into one figure-compatible object via
+``BackendStats.merge``, while the
 serving-specific signals — end-to-end latency percentiles, queue-wait
 vs. service split, the batch-size histogram, admission counters, and
 the prepared-key cache hit rate — live here.
@@ -34,8 +35,8 @@ def latency_summary(samples) -> dict[str, float]:
 
     Shared by :meth:`ServerStats.latency_percentiles` (which a
     cluster's merged books also render, over the pooled samples:
-    percentiles can't be averaged across shards) and the load
-    generator's reports — one definition, so the views can never drift.
+    percentiles can't be averaged across shards) and the per-tier
+    snapshot rows — one definition, so the views can never drift.
     """
     if len(samples) == 0:
         return {"p50": 0.0, "p95": 0.0, "p99": 0.0, "mean": 0.0, "max": 0.0}

@@ -436,6 +436,45 @@ class TestBackendStats:
         assert c.dropped_traces == 0
 
 
+    def test_count_takes_arrays_or_ints(self):
+        stats = BackendStats(keep_traces=False)
+        stats.count(10, np.array([3, 5]), np.array([1, 2]))
+        stats.count(4, 4, 4)
+        assert (stats.calls, stats.total_rows) == (3, 24)
+        assert (stats.total_candidates, stats.total_kept) == (12, 7)
+        assert stats.traces == []
+
+    def test_concurrent_counts_into_one_record_are_exact(self):
+        """Backends on different threads may count into one shared
+        record (a served session's evicted-while-pinned entry and its
+        successor): no add may be lost."""
+        import sys
+        import threading
+
+        stats = BackendStats(keep_traces=False)
+        candidates, kept = np.array([3, 5]), np.array([1, 2])
+        rounds, workers = 2000, 8
+
+        def count():
+            for _ in range(rounds):
+                stats.count(10, candidates, kept)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=count) for _ in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        total = rounds * workers
+        assert (stats.calls, stats.total_rows) == (2 * total, 20 * total)
+        assert (stats.total_candidates, stats.total_kept) == (8 * total, 3 * total)
+
+
 class TestPreparedNbytes:
     def test_approximate_backend_reports_artifact_size(self, rng):
         backend = ApproximateBackend(conservative())

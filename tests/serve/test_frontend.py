@@ -716,6 +716,38 @@ class TestClientOverSocketPair:
             future.result(5)
         theirs.close()
 
+    def test_close_returns_while_a_send_is_stalled(self):
+        """A large send stalls on a peer that stopped reading; the
+        caller's own close neither waits for it nor for the peer, and
+        the stalled call fails as closed."""
+        ours, theirs = socket.socketpair()
+        theirs.settimeout(5.0)
+        key = np.zeros((4096, 128))
+        client = self.open_client(ours)
+        outcome = []
+
+        def register():
+            try:
+                client.register_session("s", key, key)
+            except Exception as exc:  # noqa: BLE001 — the outcome checked
+                outcome.append(exc)
+
+        sender = threading.Thread(target=register, daemon=True)
+        closer = threading.Thread(target=client.close, daemon=True)
+        try:
+            sender.start()
+            assert theirs.recv(1 << 16)  # the frame is partly on the wire
+            closer.start()
+            closer.join(1.0)
+            assert not closer.is_alive()
+            sender.join(5.0)
+            assert not sender.is_alive()
+            assert len(outcome) == 1
+            assert isinstance(outcome[0], ServerClosedError)
+        finally:
+            theirs.close()  # frees a close that did stall
+            closer.join(10.0)
+
     def test_lost_connection_is_a_retryable_shard_loss(self):
         ours, theirs = socket.socketpair()
         with self.open_client(ours) as client:

@@ -12,6 +12,8 @@ import threading
 import numpy as np
 import pytest
 
+from repro.core import approximate as approximate_mod
+from repro.core import backends as backends_mod
 from repro.core.backends import ApproximateBackend
 from repro.core.config import TIERS, conservative
 from repro.errors import ConfigError, ShapeError
@@ -330,7 +332,7 @@ class TestTelemetryIntegration:
 
     def test_default_backends_do_not_retain_traces(self):
         """A long-lived server only needs the scalar counters; per-query
-        traces stay off unless keep_selection_traces is set."""
+        traces are never retained."""
         server = _server(max_batch=4, wait=0.0)
         _register(server, "a")
         with server:
@@ -341,15 +343,40 @@ class TestTelemetryIntegration:
         assert entry.backend.stats.keep_traces is False
         assert entry.backend.stats.traces == []
         assert entry.backend.stats.calls == 3
-        traced = AttentionServer(
-            ServerConfig(keep_selection_traces=True)
-        )
-        _register(traced, "a")
-        with traced:
-            traced.attend("a", np.zeros(12))
-        entry = traced.cache.checkout("a")
-        traced.cache.release(entry)
-        assert entry.backend.stats.traces
+
+    def test_served_dispatch_builds_no_traces(self, monkeypatch):
+        """Served selection statistics are counters read straight from
+        the kernel's per-query arrays: no dispatch constructs an
+        ``AttentionTrace``, and neither do the exact and quantized
+        backends, whose stats keep none."""
+        made = []
+
+        class CountedTrace(approximate_mod.AttentionTrace):
+            def __init__(self, *args, **kwargs):
+                made.append(1)
+                super().__init__(*args, **kwargs)
+
+        for module in (approximate_mod, backends_mod):
+            monkeypatch.setattr(module, "AttentionTrace", CountedTrace)
+        server = _server(max_batch=4, wait=0.0)
+        for s in range(4):
+            _register(server, f"s{s}", seed=s)
+        rng = np.random.default_rng(5)
+        queries = rng.normal(size=(50, 12))
+        with server:
+            for i, query in enumerate(queries):
+                server.attend(f"s{i % 4}", query)
+        selection = server.cache.merged_backend_stats()
+        assert (selection.calls, selection.total_rows) == (50, 50 * 48)
+        assert selection.total_candidates > 0
+        key, value = rng.normal(size=(48, 12)), rng.normal(size=(48, 12))
+        exact = backends_mod.ExactBackend()
+        exact.attend_many(key, value, queries[:8])
+        quantized = backends_mod.QuantizedBackend(max_n=48, d=12)
+        quantized.attend(key, value, queries[0])
+        assert (exact.stats.calls, quantized.stats.calls) == (8, 1)
+        assert exact.stats.total_kept == 8 * 48
+        assert len(made) == 0
 
     def test_exact_backend_server(self):
         """The exact tier is the exact-serving baseline: a server whose

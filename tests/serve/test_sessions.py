@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.core.backends import ApproximateBackend
+from repro.core.backends import ApproximateBackend, attend_many_ragged
 from repro.core.config import conservative
 from repro.errors import ShapeError
 from repro.serve import KeyCacheManager, UnknownSessionError
+from repro.serve.mutator import AppendRowsMutation
 
 
 def _manager(capacity_bytes=None):
@@ -129,8 +130,8 @@ class TestPreparedCache:
 
 class TestCheckoutRaces:
     def test_release_after_eviction_folds_inflight_stats(self):
-        """An entry evicted while pinned defers its stats fold until the
-        dispatcher releases it — the in-flight batch is never lost."""
+        """An entry evicted while pinned still counts into its session's
+        record — the in-flight batch is never lost."""
         per_entry = 3 * 16 * 8 * 8
         manager = _manager(capacity_bytes=per_entry)
         rng = np.random.default_rng(1)
@@ -147,7 +148,7 @@ class TestCheckoutRaces:
         assert manager.session_stats("a").calls == 5
         manager.release(entry)
         assert manager.session_stats("a").calls == 5
-        assert entry.session.retired_stats.calls == 5
+        assert entry.session.stats.calls == 5
 
     def test_register_during_prepare_does_not_cache_stale_entry(self):
         """A session replaced while its first checkout is mid-prepare must
@@ -189,7 +190,7 @@ class TestCheckoutRaces:
         # Releasing the orphan finalizes it; nothing lingers in retirement.
         manager.release(stale[0])
         manager.release(fresh)
-        assert manager._retiring == []
+        assert not stale[0].retired
 
     def test_cold_checkout_is_single_flight(self):
         """Concurrent cold checkouts run prepare() once; the second
@@ -322,10 +323,59 @@ class TestStatsCarryover:
             entry.session.key, entry.session.value, rng.normal(size=(4, 8))
         )
         manager.release(entry)
-        manager.release(manager.checkout("b"))  # evicts a, retiring its stats
+        manager.release(manager.checkout("b"))  # evicts a, finalizing it
         stats = manager.session_stats("a")
         assert stats.calls == 4
-        assert manager._retiring == []
+        assert not entry.retired
+
+    def test_one_record_per_session(self, tmp_path):
+        """Every backend built for a session counts into the session's
+        one record: an entry evicted while pinned and its successor
+        (one fused dispatch over both), then a spilled, promoted and
+        appended-to entry."""
+        per_entry = 3 * 16 * 8 * 8
+        manager = KeyCacheManager(
+            lambda: ApproximateBackend(conservative(), engine="vectorized"),
+            capacity_bytes=per_entry,
+            disk_capacity_bytes=16 * per_entry,
+            spill_dir=str(tmp_path),
+        )
+        rng = np.random.default_rng(2)
+        session = _register(manager, "a")
+        _register(manager, "b", seed=1)
+        evicted = manager.checkout("a")
+        manager.release(manager.checkout("b"))  # evicts a while pinned
+        successor = manager.checkout("a")
+        assert successor is not evicted and evicted.retired
+        key, value = session.memory
+        attend_many_ragged(
+            [evicted.backend, successor.backend],
+            [key, key],
+            [value, value],
+            rng.normal(size=(7, 8)),
+            np.array([0, 3, 7]),
+        )
+        assert manager.session_stats("a").calls == 7
+        assert manager.merged_backend_stats().calls == 7
+        manager.release(evicted)
+        manager.release(successor)
+        manager.release(manager.checkout("b"))  # evicts a: it spills
+        assert "a" in manager.spilled_session_ids
+        promotes = manager.stats.promotes
+        promoted = manager.checkout("a")
+        assert manager.stats.promotes == promotes + 1
+        manager.mutate(
+            "a",
+            AppendRowsMutation(rng.normal(size=(1, 8)), rng.normal(size=(1, 8))),
+        )
+        key, value = session.memory
+        promoted.backend.attend_many(key, value, rng.normal(size=(1, 8)))
+        manager.release(promoted)
+        stats = manager.session_stats("a")
+        assert stats.calls == 8
+        assert stats.total_rows == 7 * 16 + 17
+        merged = manager.merged_backend_stats()
+        assert (merged.calls, merged.total_rows) == (8, 7 * 16 + 17)
 
     def test_merged_backend_stats_spans_sessions(self):
         manager = _manager()
